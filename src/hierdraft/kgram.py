@@ -21,6 +21,7 @@ from .corpus import Corpus
 
 KGRAM_MAGIC = b"HDKG"
 KGRAM_VERSION = 1
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
 
 @dataclass
@@ -149,7 +150,14 @@ def apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
         out[int(np.argmax(probs))] = 1.0
         return out
     powered = np.power(probs, 1.0 / temperature)
-    return powered / powered.sum()
+    total = powered.sum()
+    if not total >= _TINY:
+        # At small T every power can underflow; scaled so the largest term
+        # is 1, the sum cannot. Only here, as the division costs a pass per
+        # sampled token.
+        powered = np.power(probs / probs.max(), 1.0 / temperature)
+        total = powered.sum()
+    return powered / total
 
 
 def sample_token(probs: np.ndarray, rng: np.random.Generator) -> int:

@@ -116,7 +116,11 @@ def load_model_db(path: str | Path) -> ModelDB:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise ValueError(f"unsupported model-db file: {exc}") from exc
-    if header.get("magic") != MODEL_DB_MAGIC or header.get("version") != MODEL_DB_VERSION:
+    if (
+        not isinstance(header, dict)
+        or header.get("magic") != MODEL_DB_MAGIC
+        or header.get("version") != MODEL_DB_VERSION
+    ):
         raise ValueError("unsupported model-db file")
     expected = header.get("records")
     records = lines[1:]
@@ -124,7 +128,9 @@ def load_model_db(path: str | Path) -> ModelDB:
         raise ValueError(
             f"corrupt model-db file: expected {expected} records, found {len(records)}"
         )
-    window = header["m"]
+    window = header.get("m")
+    if not isinstance(window, int) or window < 1:
+        raise ValueError(f"corrupt model-db file: header 'm' is {window!r}, not a window size")
     entries: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     for line in records:
         try:

@@ -8,7 +8,22 @@ and provably never cross a document boundary.
 Retrieval uses a shrinking context: the longest suffix of the supplied
 tail that occurs in the text wins, its occurrences are collected, and the
 distinct continuations are ranked by occurrence count (ties by ascending
-token order).
+token order, shorter continuations first).
+
+Lookups are vectorized. Construction counts each token id once
+(``np.bincount``) and keeps the cumulative counts as first-token bucket
+offsets, so the suffix-array slice of a one-token query is read directly.
+Longer queries narrow that slice one column at a time: the suffixes in it
+share the query's first j tokens, so their (j + 1)-th tokens are sorted
+and ``np.searchsorted`` over them gives the new bounds. The same order
+keeps equal continuations of one slice adjacent, so they are counted with
+one comparison between neighbouring rows, without a sort.
+
+Construction fails closed: a suffix-array entry past the text, a token id
+outside the vocabulary or a text that does not end with SEP raises
+ValueError, whether the arrays come from the builder or from a file. These
+checks are O(n) and always run; the O(n log n) permutation and suffix
+ordering checks run under ``verify``.
 
 Binary format v1, all integers little-endian:
 
@@ -64,10 +79,28 @@ def build_suffix_array(tokens: np.ndarray) -> np.ndarray:
 
 
 class StatsDB:
+    """Suffix-array index; construction fails closed on out-of-range data."""
+
     def __init__(self, tokens: np.ndarray, sa: np.ndarray, vocab_size: int):
-        self._tokens = np.ascontiguousarray(tokens, dtype=np.uint32)
-        self._sa = np.ascontiguousarray(sa, dtype=np.uint32)
+        tokens = np.ascontiguousarray(tokens, dtype=np.uint32)
+        sa = np.ascontiguousarray(sa, dtype=np.uint32)
+        n = len(tokens)
+        if len(sa) != n:
+            raise ValueError("stats-db verification failed: suffix array and text lengths differ")
+        if n and int(tokens.max()) >= vocab_size:
+            raise ValueError("stats-db verification failed: token id out of vocab range")
+        if n and int(sa.max()) >= n:
+            raise ValueError("stats-db verification failed: suffix array entry out of range")
+        if n and tokens[-1] != SEP:
+            raise ValueError("stats-db verification failed: text does not end with SEP")
+        self._tokens = tokens
+        self._sa = sa
         self.vocab_size = vocab_size
+        # Suffixes starting with token t fill sa[bucket[t]:bucket[t + 1]].
+        # Sized by the largest token present, not by the header's vocab_size,
+        # so a file cannot make the load allocate more than O(n); ids past
+        # the end have no occurrences.
+        self._bucket = [0] + np.bincount(tokens).cumsum().tolist()
 
     @property
     def n_tokens(self) -> int:
@@ -81,32 +114,32 @@ class StatsDB:
     def suffix_array(self) -> np.ndarray:
         return self._sa
 
-    def _prefix(self, pos: int, length: int) -> list[int]:
-        return self._tokens[pos:pos + length].tolist()
-
     def find_range(self, query: list[int]) -> tuple[int, int]:
         """Half-open slice of the suffix array whose suffixes start with ``query``."""
         if len(query) < 1:
             raise ValueError("query must be non-empty")
         q = [int(t) for t in query]
-        length = len(q)
-        sa = self._sa
-        lo, hi = 0, len(sa)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._prefix(int(sa[mid]), length) < q:
-                lo = mid + 1
-            else:
-                hi = mid
-        start = lo
-        hi = len(sa)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._prefix(int(sa[mid]), length) <= q:
-                lo = mid + 1
-            else:
-                hi = mid
-        return start, lo
+        bucket = self._bucket
+        # Negative ids would wrap around the bucket list; ids past its end
+        # do not occur in the text.
+        if not all(0 <= t < len(bucket) - 1 for t in q):
+            return 0, 0
+        lo, hi = bucket[q[0]], bucket[q[0] + 1]
+        n = len(self._tokens)
+        for j, token in enumerate(q[1:], 1):
+            if hi <= lo:
+                break
+            # Every suffix in sa[lo:hi] starts with q[:j], so column j is
+            # sorted; only a suffix of exactly j tokens has no column j, and
+            # as a prefix of the others it sorts first.
+            if int(self._sa[lo]) + j == n:
+                lo += 1
+            column = self._tokens[self._sa[lo:hi] + j]
+            # Ids are integers: the left bound of token + 1 is the right
+            # bound of token.
+            left, right = column.searchsorted((token, token + 1)).tolist()
+            lo, hi = lo + left, lo + right
+        return lo, hi
 
     def retrieve(
         self, tail: list[int], draft_len: int, want: int
@@ -133,28 +166,42 @@ class StatsDB:
     def _rank_continuations(
         self, lo: int, hi: int, match_len: int, draft_len: int, want: int
     ) -> list[tuple[list[int], int]]:
-        n = len(self._tokens)
-        starts = self._sa[lo:hi].astype(np.int64) + match_len
-        grid = starts[:, None] + np.arange(draft_len, dtype=np.int64)[None, :]
-        in_range = grid < n
-        gathered = np.where(
-            in_range, self._tokens[np.minimum(grid, n - 1)].astype(np.int64), SEP
-        )
-        # Everything at or after the first SEP becomes -1 padding, so rows
-        # canonically encode variable-length continuations and sort with
-        # shorter prefixes first.
-        cut = np.logical_or.accumulate(gathered == SEP, axis=1)
-        canon = np.where(cut, -1, gathered)
-        canon = canon[canon[:, 0] >= 0]
-        if canon.size == 0:
+        # Column j holds token j of every continuation, rows in suffix order.
+        # The text ends with SEP, so positions clipped to its end read SEP.
+        offsets = np.arange(match_len, match_len + draft_len, dtype=np.int64)[:, None]
+        canon = self._tokens.take(self._sa[lo:hi] + offsets, mode="clip")
+        # Tokens shift up by one and everything from the first SEP on becomes
+        # 0, so columns canonically encode variable-length continuations and
+        # shorter prefixes sort first.
+        alive = canon != SEP
+        for j in range(1, draft_len):
+            alive[j] &= alive[j - 1]
+        canon += 1
+        canon *= alive
+        # Suffix order keeps equal continuations (equal text up to SEP or
+        # draft_len) adjacent: a group starts wherever a row differs from the
+        # one before it.
+        edge = np.ones(hi - lo + 1, dtype=bool)
+        (canon[:, 1:] != canon[:, :-1]).any(axis=0, out=edge[1:-1])
+        bounds = edge.nonzero()[0]
+        starts, counts = bounds[:-1], bounds[1:] - bounds[:-1]
+        real = canon[0, starts] > 0  # drop the groups of empty continuations
+        starts, counts = starts[real], counts[real]
+        k = min(want, len(counts))
+        if k == 0:
             return []
-        rows, counts = np.unique(canon, axis=0, return_counts=True)
-        ranked = np.argsort(-counts, kind="stable")[:want]
-        out = []
-        for idx in ranked:
-            row = rows[idx]
-            out.append(([int(t) for t in row if t >= 0], int(counts[idx])))
-        return out
+        # Only groups whose count reaches the k-th largest can be returned;
+        # order those by count, then by encoded continuation. A single one
+        # (the usual case for want = 1) needs no sort.
+        if k < len(counts):
+            pick = (counts >= np.sort(counts)[-k]).nonzero()[0]
+            starts, counts = starts[pick], counts[pick]
+        top = canon[:, starts]
+        order = np.lexsort((*top[::-1], -counts))[:k] if len(counts) > 1 else [0]
+        return [
+            ([t - 1 for t in row if t], count)
+            for row, count in zip(top[:, order].T.tolist(), counts[order].tolist())
+        ]
 
 
 def build_stats_db(corpus: Corpus) -> StatsDB:
@@ -181,7 +228,7 @@ def save_stats_db(db: StatsDB, path: str | Path) -> None:
 
 
 def load_stats_db(path: str | Path, *, verify: bool = False) -> StatsDB:
-    """Read and validate a v1 file; ``verify`` additionally checks invariants."""
+    """Read a v1 file, failing closed; ``verify`` adds the ordering checks."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER.size:
@@ -215,8 +262,9 @@ def _suffix_less(tokens: np.ndarray, i: int, j: int) -> bool:
 
 
 def verify_stats_db(db: StatsDB, *, min_pairs: int = 10_000, seed: int = 0) -> None:
-    """Check permutation, token range, and suffix ordering; raise on failure.
+    """Check permutation and suffix ordering; raise on failure.
 
+    Token and position ranges are checked by every construction already.
     Ordering is checked over every adjacent pair on small indexes and over
     at least ``min_pairs`` sampled adjacent pairs on large ones.
     """
@@ -224,8 +272,6 @@ def verify_stats_db(db: StatsDB, *, min_pairs: int = 10_000, seed: int = 0) -> N
     sa = db.suffix_array
     if not np.array_equal(np.sort(sa), np.arange(n, dtype=sa.dtype)):
         raise ValueError("stats-db verification failed: suffix array is not a permutation")
-    if n and int(db.tokens.max()) >= db.vocab_size:
-        raise ValueError("stats-db verification failed: token id out of vocab range")
     if n < 2:
         return
     if n - 1 <= max(_FULL_CHECK_LIMIT, min_pairs):

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierdraft import (
     ModelCallCounter,
@@ -219,3 +221,20 @@ def test_load_rejects_truncated(tmp_path, abab_model):
     path.write_bytes(data[:-5])
     with pytest.raises(ValueError, match="corrupt"):
         load_kgram(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50).filter(lambda w: sum(w) > 0),
+    temperature=st.floats(0.0, 10.0, exclude_min=True),
+)
+def test_temperature_scaling_finite_and_normalised(weights, temperature):
+    probs = np.asarray(weights) / sum(weights)
+    scaled = apply_temperature(probs, temperature)
+    assert np.all(np.isfinite(scaled))
+    assert scaled.sum() == pytest.approx(1.0)
+
+
+def test_temperature_near_zero_is_argmax_not_nan():
+    scaled = apply_temperature(np.array([0.5, 0.3, 0.2]), 0.0005)
+    assert scaled.tolist() == [1.0, 0.0, 0.0]

@@ -119,6 +119,16 @@ def test_bad_magic_rejected(tmp_path):
         load_model_db(path)
 
 
+def test_malformed_header_rejected(tmp_path):
+    path = tmp_path / "db.jsonl"
+    path.write_text('{"magic":"HDMD","version":1,"records":0}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match="corrupt model-db file"):
+        load_model_db(path)
+    path.write_text("[1, 2]\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="unsupported model-db file"):
+        load_model_db(path)
+
+
 def test_save_is_byte_stable(tmp_path):
     corpus = make_corpus(seed=41, n_docs=30, doc_words=400, vocab_words=50)
     db = build_model_db(corpus, top_k=100_000, window=4)

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierdraft import (
     Corpus,
@@ -148,6 +150,41 @@ def test_retrieve_matches_naive_oracle():
         )
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_retrieve_property_matches_naive_oracle(data):
+    """Random small corpora and tails against the scan oracle: draft lengths
+    1-8, tails of 1-4 tokens, want 0-10, tails that run into the final SEP
+    and ids outside the vocabulary."""
+    alphabet = data.draw(st.integers(1, 6), label="alphabet")
+    vocab = _vocab(alphabet)
+    ids = st.sampled_from([t for t in range(vocab.size) if t != SEP])
+    docs = data.draw(
+        st.lists(st.lists(ids, min_size=1, max_size=30), min_size=1, max_size=5),
+        label="docs",
+    )
+    db = build_stats_db(Corpus(docs=docs, vocab=vocab))
+    text = db.tokens.tolist()
+    for _ in range(25):
+        length = data.draw(st.integers(1, 4), label="tail_len")
+        source = data.draw(st.sampled_from(["text", "end", "random"]), label="source")
+        if source == "text" and len(text) > length:
+            start = data.draw(st.integers(0, len(text) - length), label="start")
+            tail = text[start:start + length]
+        elif source == "end":
+            tail = text[len(text) - length:]
+        else:
+            any_id = st.one_of(st.integers(-3, vocab.size + 3), st.just(2**40))
+            tail = data.draw(
+                st.lists(any_id, min_size=length, max_size=length), label="tail"
+            )
+        draft_len = data.draw(st.integers(1, 8), label="draft_len")
+        want = data.draw(st.integers(0, 10), label="want")
+        lo, hi = db.find_range(tail)
+        assert max(hi - lo, 0) == len(naive_occurrences(text, tail))
+        assert db.retrieve(tail, draft_len, want) == naive_retrieve(text, tail, draft_len, want)
+
+
 def test_retrieve_is_pure():
     corpus = make_corpus(seed=1, n_docs=3, doc_words=100, vocab_words=10)
     db = build_stats_db(corpus)
@@ -207,8 +244,9 @@ def test_flipped_token_byte_fails_verify(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="verification failed"):
         load_stats_db(path, verify=True)
-    # Without --verify the load itself succeeds; the validator is opt-in.
-    load_stats_db(path)
+    # The token-range check runs on every load, not only under --verify.
+    with pytest.raises(ValueError):
+        load_stats_db(path)
 
 
 def test_oversized_corpus_rejected(monkeypatch):
@@ -228,3 +266,28 @@ def test_swapped_sa_entries_fail_verify(tmp_path):
     broken = type(db)(db.tokens, sa, db.vocab_size)
     with pytest.raises(ValueError, match="verification failed"):
         verify_stats_db(broken)
+
+
+def _saved_bytes(tmp_path):
+    corpus = Corpus(docs=[[3, 4], [5, 6]], vocab=_vocab(10))
+    db = build_stats_db(corpus)
+    path = tmp_path / "db.hdsa"
+    save_stats_db(db, path)
+    return db, path, bytearray(path.read_bytes())
+
+
+def test_out_of_range_suffix_array_entry_rejected_without_verify(tmp_path):
+    db, path, data = _saved_bytes(tmp_path)
+    assert db.n_tokens == 7
+    data[20 + 4 * db.n_tokens + 8] = 99  # third suffix-array entry
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="suffix array entry out of range"):
+        load_stats_db(path)
+
+
+def test_text_without_final_sep_rejected(tmp_path):
+    db, path, data = _saved_bytes(tmp_path)
+    data[20 + 4 * (db.n_tokens - 1)] = 3  # final SEP becomes a word id
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="does not end with SEP"):
+        load_stats_db(path)
