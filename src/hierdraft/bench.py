@@ -3,9 +3,11 @@
 Timing methodology: monotonic clock, one warm-up pass discarded, then k
 timed passes over the whole prompt list run back to back; the reported
 tokens/sec is the median across passes (mean and stddev are emitted too).
-Quality metrics (alpha, tau, tallies, probe counts) come from the decode
-traces, so every non-wall-clock number in a report can be recomputed from
-persisted traces.
+The warm-up pass is the only one that builds decode traces: the row's
+quality metrics (alpha, tau, tallies, probe counts), its draft latencies
+and any saved trace files come from it, and the timed passes decode with
+tracing off. Every non-wall-clock number in a report can therefore be
+recomputed from persisted traces.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 import json
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .analysis import accepted_events
@@ -69,14 +71,7 @@ def _decode_config(method: MethodSpec, hier: HierarchyConfig, **kwargs) -> Decod
     return DecodeConfig(
         temperature=method.temperature,
         recycle=method.recycle,
-        hierarchy=HierarchyConfig(
-            order=order,
-            enabled=method.databases,
-            set_size=hier.set_size,
-            tail_len=hier.tail_len,
-            draft_len=hier.draft_len,
-            capacity=hier.capacity,
-        ),
+        hierarchy=replace(hier, order=order, enabled=method.databases),
         **kwargs,
     )
 
@@ -141,13 +136,7 @@ def run_bench(
             "max_tokens": max_tokens,
             "model_call_cost_s": model_call_cost_s,
             "prompt_count": len(prompts),
-            "hierarchy": {
-                "order": hier.order,
-                "set_size": hier.set_size,
-                "tail_len": hier.tail_len,
-                "draft_len": hier.draft_len,
-                "capacity": hier.capacity,
-            },
+            "hierarchy": asdict(hier),
             "fingerprints": fingerprints or {},
         },
         "rows": rows,
@@ -171,13 +160,9 @@ def _run_method(
     model_call_cost_s: float,
     trace_dir: str | Path | None,
 ) -> dict:
-    tps_runs: list[float] = []
-    traces: list[DecodeTrace] = []
-    # Pass 0 is the discarded warm-up.
-    for run_idx in range(runs + 1):
-        traces = []
+    def run_pass(trace: bool) -> tuple[int, list[DecodeTrace]]:
         total_tokens = 0
-        start = time.perf_counter()
+        traces: list[DecodeTrace] = []
         for i, prompt in enumerate(prompts):
             if method.is_autoregressive:
                 config = DecodeConfig(
@@ -187,15 +172,10 @@ def _run_method(
                     model_call_cost_s=model_call_cost_s,
                 )
                 output, metrics = autoregressive_decode(model, prompt, config)
-                traces.append(
-                    DecodeTrace(
-                        prompt=list(prompt),
-                        output=list(output),
-                        steps=[],
-                        config=config.to_dict(),
-                        wall_time_s=metrics.wall_time_s,
+                if trace:
+                    traces.append(
+                        DecodeTrace(list(prompt), list(output), [], config, metrics.wall_time_s)
                     )
-                )
             else:
                 config = _decode_config(
                     method,
@@ -203,7 +183,7 @@ def _run_method(
                     seed=seed + i,
                     max_tokens=max_tokens,
                     model_call_cost_s=model_call_cost_s,
-                    trace=True,
+                    trace=trace,
                 )
                 dbs = DatabaseSet(
                     context=ContextDB(
@@ -214,12 +194,20 @@ def _run_method(
                     model=model_db,
                     stats=stats_db,
                 )
-                output, _metrics, trace = decode(model, prompt, dbs, config)
-                traces.append(trace)
+                output, _metrics, decoded = decode(model, prompt, dbs, config)
+                if trace:
+                    traces.append(decoded)
             total_tokens += len(output)
+        return total_tokens, traces
+
+    # The traced warm-up pass is discarded from timing.
+    _tokens, traces = run_pass(trace=True)
+    tps_runs: list[float] = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        total_tokens, _traces = run_pass(trace=False)
         elapsed = time.perf_counter() - start
-        if run_idx > 0:
-            tps_runs.append(total_tokens / elapsed if elapsed > 0 else float("inf"))
+        tps_runs.append(total_tokens / elapsed if elapsed > 0 else float("inf"))
     row: dict = {
         "name": method.name,
         "databases": method.databases,

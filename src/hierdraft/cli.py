@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import analysis, bench
@@ -135,7 +136,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     dbs = _load_databases(args, hier)
     output, metrics, trace = decode(model, prompt, dbs, config)
     print(detokenize(output, vocab))
-    print(json.dumps(metrics.to_dict(), indent=2, sort_keys=True), file=sys.stderr)
+    print(json.dumps(asdict(metrics), indent=2, sort_keys=True), file=sys.stderr)
     if args.trace is not None and trace is not None:
         save_traces([trace], args.trace)
     return 0
@@ -149,6 +150,14 @@ def _load_bench_setup(config_path: str) -> dict:
         if key not in setup:
             raise SystemExit(f"error: bench config missing {key!r}")
     return setup
+
+
+def _from_spec(cls, spec, what: str):
+    """Build ``cls(**spec)``; a misspelt, missing or invalid key stops the command."""
+    try:
+        return cls(**spec)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"error: bad {what} in bench config: {exc}")
 
 
 def _bench_resources(setup: dict):
@@ -165,14 +174,7 @@ def _bench_resources(setup: dict):
     for key in ("vocab", "model_db", "stats_db"):
         if setup.get(key):
             fingerprints[key] = bench.file_fingerprint(setup[key])
-    hier_spec = setup.get("hierarchy", {})
-    hier = HierarchyConfig(
-        order=hier_spec.get("order", "cms"),
-        set_size=hier_spec.get("set_size", 7),
-        tail_len=hier_spec.get("tail_len", 2),
-        draft_len=hier_spec.get("draft_len", 4),
-        capacity=hier_spec.get("capacity", 4096),
-    )
+    hier = _from_spec(HierarchyConfig, setup.get("hierarchy", {}), "hierarchy")
     return vocab, model, model_db, stats_db, fingerprints, hier
 
 
@@ -212,14 +214,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     common = _bench_common(args)
     setup = common["setup"]
     methods = [
-        bench.MethodSpec(
-            name=row["name"],
-            databases=row.get("databases", "cms"),
-            order=row.get("order", "cms"),
-            temperature=row.get("temperature", 0.0),
-            recycle=row.get("recycle", True),
-        )
-        for row in setup.get("methods", [])
+        _from_spec(bench.MethodSpec, row, "method") for row in setup.get("methods", [])
     ]
     report = bench.run_bench(
         common["model"],

@@ -34,9 +34,8 @@ class ContextDB:
         self.per_key = per_key
         self.capacity = capacity
         self.on_evict = on_evict
-        self._clock = 0
-        # Per key: value -> last-touch clock, oldest first.
-        self._values: dict[int, OrderedDict[tuple[int, ...], int]] = {}
+        # Per key: the values as an ordered set, least recently used first.
+        self._values: dict[int, OrderedDict[tuple[int, ...], None]] = {}
         # Global recency over (key, value) pairs, oldest first.
         self._order: OrderedDict[tuple[int, tuple[int, ...]], None] = OrderedDict()
 
@@ -44,15 +43,12 @@ class ContextDB:
         return len(self._order)
 
     def reset(self) -> None:
-        """Drop every entry; the recency clock keeps running."""
+        """Drop every entry."""
         self._values.clear()
         self._order.clear()
 
     def _touch(self, key: int, value: tuple[int, ...]) -> None:
-        self._clock += 1
-        per_key = self._values[key]
-        per_key[value] = self._clock
-        per_key.move_to_end(value)
+        self._values[key].move_to_end(value)
         self._order.move_to_end((key, value))
 
     def _remove(self, key: int, value: tuple[int, ...]) -> None:
@@ -75,8 +71,7 @@ class ContextDB:
         if per_key is None:
             per_key = OrderedDict()
             self._values[key] = per_key
-        self._clock += 1
-        per_key[value] = self._clock
+        per_key[value] = None
         self._order[(key, value)] = None
         if len(per_key) > self.per_key:
             oldest = next(iter(per_key))

@@ -67,18 +67,6 @@ class AccessRecord:
     kept: int = 0
     elapsed_ns: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "attempted": self.attempted,
-            "returned": self.returned,
-            "kept": self.kept,
-            "elapsed_ns": self.elapsed_ns,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AccessRecord":
-        return cls(d["attempted"], d["returned"], d["kept"], d["elapsed_ns"])
-
 
 AccessLog = dict[str, AccessRecord]
 
@@ -122,13 +110,11 @@ def hierarchical_draft(
         want = config.set_size - len(candidates)
         record = log[letter]
         start = time.perf_counter_ns()
-        if letter == "c":
-            values = db.lookup(key, want)
-        elif letter == "m":
-            values = db.lookup(key, want)
-        else:
+        if letter == "s":
             tail = context[-min(config.tail_len, len(context)):]
             values = [seq for seq, _count in db.retrieve(tail, config.draft_len, want)]
+        else:
+            values = db.lookup(key, want)
         record.elapsed_ns = time.perf_counter_ns() - start
         record.attempted = True
         record.returned = len(values)

@@ -4,14 +4,17 @@ Greedy decoding here is lossless by construction: every emitted token is
 the model argmax given the true preceding context, so the output equals
 token-by-token autoregressive decoding while spending fewer model calls.
 The per-step records are complete enough that all metrics can be
-recomputed from a persisted trace.
+recomputed from a persisted trace. Traces persist as JSON lines, one
+``DecodeTrace`` per line tagged ``"schema": TRACE_SCHEMA``; loading any
+other line raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,9 @@ from .kgram import KGramModel, ModelCallCounter, apply_temperature, sample_token
 from .verification import StepOutcome, attribute_verify_success, verify_greedy, verify_sampling
 
 
+TRACE_SCHEMA = 1
+
+
 @dataclass
 class DecodeConfig:
     max_tokens: int = 1024
@@ -41,25 +47,10 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "max_tokens": self.max_tokens,
-            "temperature": self.temperature,
-            "seed": self.seed,
-            "recycle": self.recycle,
-            "model_call_cost_s": self.model_call_cost_s,
-            "hierarchy": {
-                "order": self.hierarchy.order,
-                "enabled": self.hierarchy.enabled,
-                "set_size": self.hierarchy.set_size,
-                "tail_len": self.hierarchy.tail_len,
-                "draft_len": self.hierarchy.draft_len,
-                "capacity": self.hierarchy.capacity,
-            },
-        }
+        for name in ("temperature", "model_call_cost_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and >= 0, not {value}")
 
 
 @dataclass
@@ -75,20 +66,6 @@ class DecodeMetrics:
     tallies: dict[str, dict[str, int]]
     probes: dict[str, int]
 
-    def to_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "tokens_generated": self.tokens_generated,
-            "tau": self.tau,
-            "alpha": self.alpha,
-            "alpha_all": self.alpha_all,
-            "draft_latency_ns": self.draft_latency_ns,
-            "verify_latency_ns_mean": self.verify_latency_ns_mean,
-            "wall_time_s": self.wall_time_s,
-            "tallies": self.tallies,
-            "probes": self.probes,
-        }
-
 
 @dataclass
 class StepRecord:
@@ -97,50 +74,17 @@ class StepRecord:
     outcome: StepOutcome
     ctx_db_size: int
 
-    def to_dict(self) -> dict:
-        return {
-            "context_tail": self.context_tail,
-            "access": {k: v.to_dict() for k, v in self.access.items()},
-            "outcome": self.outcome.to_dict(),
-            "ctx_db_size": self.ctx_db_size,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StepRecord":
-        return cls(
-            context_tail=list(d["context_tail"]),
-            access={k: AccessRecord.from_dict(v) for k, v in d["access"].items()},
-            outcome=StepOutcome.from_dict(d["outcome"]),
-            ctx_db_size=d["ctx_db_size"],
-        )
-
 
 @dataclass
 class DecodeTrace:
     prompt: list[int]
     output: list[int]
     steps: list[StepRecord]
-    config: dict
+    config: DecodeConfig
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "prompt": self.prompt,
-            "output": self.output,
-            "steps": [s.to_dict() for s in self.steps],
-            "config": self.config,
-            "wall_time_s": self.wall_time_s,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecodeTrace":
-        return cls(
-            prompt=list(d["prompt"]),
-            output=list(d["output"]),
-            steps=[StepRecord.from_dict(s) for s in d["steps"]],
-            config=d["config"],
-            wall_time_s=d["wall_time_s"],
-        )
+        return {"schema": TRACE_SCHEMA, **asdict(self)}
 
 
 def _validate_prompt(prompt: list[int]) -> None:
@@ -277,7 +221,7 @@ def decode(
             prompt=list(prompt),
             output=list(generated),
             steps=records,
-            config=config.to_dict(),
+            config=config,
             wall_time_s=wall,
         )
     return generated, metrics, trace
@@ -348,10 +292,38 @@ def save_traces(traces: list[DecodeTrace], path: str | Path) -> None:
             fh.write("\n")
 
 
+def _trace_from_dict(d: dict) -> DecodeTrace:
+    """Rebuild a trace; the dataclasses reject missing and unknown fields."""
+    if not isinstance(d, dict) or d.pop("schema", None) != TRACE_SCHEMA:
+        raise ValueError(f"trace schema is not {TRACE_SCHEMA}")
+    config = d["config"]
+    d["config"] = DecodeConfig(**{**config, "hierarchy": HierarchyConfig(**config["hierarchy"])})
+    d["steps"] = [
+        StepRecord(
+            **{
+                **step,
+                "access": {k: AccessRecord(**v) for k, v in step["access"].items()},
+                "outcome": StepOutcome(**step["outcome"]),
+            }
+        )
+        for step in d["steps"]
+    ]
+    return DecodeTrace(**d)
+
+
 def load_traces(path: str | Path) -> list[DecodeTrace]:
+    """Read a JSONL trace file.
+
+    A line that is not a JSON object with ``"schema": TRACE_SCHEMA``, lacks
+    or adds a field, or holds an invalid config raises ``ValueError``.
+    """
     traces = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                traces.append(DecodeTrace.from_dict(json.loads(line)))
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                traces.append(_trace_from_dict(json.loads(line)))
+            except (KeyError, TypeError, AttributeError, ValueError) as exc:
+                raise ValueError(f"malformed trace at {path}:{number}: {exc!r}") from exc
     return traces

@@ -29,8 +29,10 @@ class ModelCallCounter:
     """Counts logical forward passes of the target model.
 
     One speculative step (whole draft set) and one autoregressive token
-    each cost exactly one call. ``cost_per_call_s`` injects busy-work per
-    call so wall-clock benchmarks reflect a configurable model cost.
+    each cost exactly one call. ``cost_per_call_s`` adds a ``time.sleep``
+    per call so wall-clock benchmarks reflect a configurable model cost.
+    A sleep may last longer than asked, and small costs oversleep by
+    tens of microseconds, so each call costs at least the configured value.
     """
 
     calls: int = 0
@@ -92,28 +94,6 @@ class KGramModel:
             return 0
         best = min((-count, token) for token, count in table.items())
         return best[1]
-
-    def score_positions(
-        self,
-        context: list[int],
-        draft: list[int],
-        counter: ModelCallCounter,
-    ) -> list[np.ndarray]:
-        """Distributions for every position along ``draft``, as one model call.
-
-        Returns ``len(draft) + 1`` distributions; position ``j`` conditions on
-        ``context`` plus the first ``j`` draft tokens. The counter advances by
-        exactly one regardless of draft length, mirroring a single batched
-        forward pass.
-        """
-        counter.bump()
-        out = []
-        extended = list(context)
-        out.append(self.next_distribution(extended))
-        for token in draft:
-            extended.append(token)
-            out.append(self.next_distribution(extended))
-        return out
 
 
 def fit_kgram(corpus: Corpus, k: int, alpha: float) -> KGramModel:

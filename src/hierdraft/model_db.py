@@ -9,7 +9,9 @@ its own.
 On-disk format is JSON lines: a header record {"magic": "HDMD",
 "version": 1, "m": ..., "records": K} followed by one record per key,
 keys ascending. Builds are deterministic, so equal inputs give
-byte-identical files.
+byte-identical files. Loading raises ``ValueError`` unless every key is an
+integer above the one before and every value is ``m`` token ids with a
+positive count.
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ class ModelDB:
             raise ValueError("want must be >= 0")
         rows = self._entries.get(key, [])
         return [list(value) for value, _count in rows[:want]]
-
-    def counts(self, key: int) -> list[int]:
-        return [count for _value, count in self._entries.get(key, [])]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -132,15 +131,23 @@ def load_model_db(path: str | Path) -> ModelDB:
     if not isinstance(window, int) or window < 1:
         raise ValueError(f"corrupt model-db file: header 'm' is {window!r}, not a window size")
     entries: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    prev = None
     for line in records:
         try:
             record = json.loads(line)
-            key = record["key"]
-            values = record["values"]
-            counts = record["counts"]
-        except (json.JSONDecodeError, KeyError) as exc:
+            key, values, counts = record["key"], record["values"], record["counts"]
+            if len(values) != len(counts):
+                raise ValueError("values/counts length mismatch")
+            rows = [(tuple(v), c) for v, c in zip(values, counts)]
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"corrupt model-db file: {exc}") from exc
-        if len(values) != len(counts):
-            raise ValueError("corrupt model-db file: values/counts length mismatch")
-        entries[key] = [(tuple(v), c) for v, c in zip(values, counts)]
+        if type(key) is not int or (prev is not None and key <= prev):
+            raise ValueError(f"corrupt model-db file: key {key!r} is not an integer above {prev}")
+        for value, count in rows:
+            if len(value) != window or any(type(t) is not int for t in value):
+                raise ValueError(f"corrupt model-db file: key {key} value {value} is not m ids")
+            if type(count) is not int or count < 1:
+                raise ValueError(f"corrupt model-db file: key {key} count {count!r} not positive")
+        entries[key] = rows
+        prev = key
     return ModelDB(window, entries)

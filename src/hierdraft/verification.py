@@ -37,31 +37,6 @@ class StepOutcome:
     drafted_total: int
     verify_elapsed_ns: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "candidate_lens": self.candidate_lens,
-            "winner": self.winner,
-            "winner_source": self.winner_source,
-            "emitted": self.emitted,
-            "recycled": self.recycled,
-            "drafted_total": self.drafted_total,
-            "verify_elapsed_ns": self.verify_elapsed_ns,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StepOutcome":
-        return cls(
-            accepted=list(d["accepted"]),
-            candidate_lens=list(d["candidate_lens"]),
-            winner=d["winner"],
-            winner_source=d["winner_source"],
-            emitted=list(d["emitted"]),
-            recycled=list(d["recycled"]),
-            drafted_total=d["drafted_total"],
-            verify_elapsed_ns=d["verify_elapsed_ns"],
-        )
-
 
 def _pick_winner(accepted: list[int]) -> int:
     best = 0

@@ -214,3 +214,22 @@ def test_write_report_is_valid_json(passage_setup, tmp_path):
     write_report(report, path)
     loaded = json.loads(path.read_text(encoding="utf-8"))
     assert loaded["rows"][0]["speedup"] == 1.0
+
+
+def test_only_the_warm_up_pass_traces(passage_setup, monkeypatch):
+    import hierdraft.bench as bench
+
+    model, model_db, stats_db, prompts = passage_setup
+    traced = []
+    real_decode = bench.decode
+
+    def spy(model, prompt, dbs, config):
+        traced.append(config.trace)
+        return real_decode(model, prompt, dbs, config)
+
+    monkeypatch.setattr(bench, "decode", spy)
+    run_bench(
+        model, prompts, [MethodSpec("hd", databases="cms")],
+        model_db=model_db, stats_db=stats_db, runs=3, max_tokens=20,
+    )
+    assert traced == [True] * len(prompts) + [False] * (3 * len(prompts))

@@ -164,3 +164,25 @@ def test_analyze_locality_cli(workspace, tmp_path):
     assert lines[0] == "ngram_id,doc_index,position,class"
     assert len(lines) > 10
     assert out.with_suffix(".csv.summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"hierarchy": {"set_sise": 3}}, "bad hierarchy"),
+        ({"hierarchy": {"set_size": 0}}, "bad hierarchy"),
+        ({"methods": [{"name": "hd", "databse": "cm"}]}, "bad method"),
+        ({"methods": [{"databases": "cm"}]}, "bad method"),
+    ],
+    ids=["misspelt-hierarchy-key", "invalid-hierarchy-value", "misspelt-method-key",
+         "method-without-name"],
+)
+def test_bench_config_key_errors_exit(workspace, tmp_path, change, match):
+    setup = json.loads(workspace["configs"].read_text(encoding="utf-8"))
+    configs = tmp_path / "bench.json"
+    configs.write_text(json.dumps({**setup, **change}), encoding="utf-8")
+    with pytest.raises(SystemExit, match=match):
+        main(
+            ["bench", "--prompts", str(workspace["prompts"]), "--configs", str(configs),
+             "--runs", "1", "--out", str(tmp_path / "report.json")]
+        )

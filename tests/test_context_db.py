@@ -96,15 +96,6 @@ def test_reset_empties_table():
     assert len(db) == 0
 
 
-def test_reset_keeps_clock_running():
-    db = ContextDB()
-    db.ingest([3, 4, 5])
-    clock = db._clock
-    db.reset()
-    db.insert(3, (4,))
-    assert db._clock > clock
-
-
 def test_reinsert_refreshes_without_duplicate():
     db = ContextDB(window=4, per_key=2)
     db.insert(3, (4, 5))

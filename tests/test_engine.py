@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import pytest
@@ -285,3 +286,71 @@ def test_ctx_db_size_recorded_in_trace(setup):
     sizes = [r.ctx_db_size for r in trace.steps]
     assert all(size > 0 for size in sizes)
     assert sizes == sorted(sizes)  # growing context table during one decode
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("temperature", math.nan),
+        ("temperature", math.inf),
+        ("temperature", -math.inf),
+        ("temperature", -0.5),
+        ("model_call_cost_s", math.nan),
+        ("model_call_cost_s", math.inf),
+        ("model_call_cost_s", -1e-3),
+    ],
+)
+def test_non_finite_or_negative_settings_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        DecodeConfig(**{field: value})
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.8])
+def test_trace_round_trip_is_exact(setup, tmp_path, temperature):
+    corpus, model, model_db, stats_db = setup
+    prompt = corpus.docs[2][:6]
+    config = _hd_config(max_tokens=30, seed=5, temperature=temperature, trace=True)
+    _, _, trace = decode(model, prompt, fresh_dbs(model_db, stats_db), config)
+    path = tmp_path / "trace.jsonl"
+    save_traces([trace], path)
+    assert load_traces(path) == [trace]
+    assert json.loads(path.read_text(encoding="utf-8"))["schema"] == 1
+
+
+def _valid_trace_line(setup) -> dict:
+    corpus, model, model_db, stats_db = setup
+    config = _hd_config(max_tokens=8, trace=True)
+    _, _, trace = decode(model, corpus.docs[3][:6], fresh_dbs(model_db, stats_db), config)
+    return trace.to_dict()
+
+
+def _drop_context_tail(d):
+    del d["steps"][0]["context_tail"]
+    return d
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda d: {"prompt": [1]},
+        _drop_context_tail,
+        lambda d: [1, 2],
+        lambda d: {**d, "schema": 2},
+        lambda d: {k: v for k, v in d.items() if k != "schema"},
+        lambda d: {**d, "extra": 0},
+        lambda d: {**d, "config": {**d["config"], "temprature": 0.5}},
+        lambda d: {**d, "config": {**d["config"], "temperature": "hot"}},
+        lambda d: {**d, "steps": [{**d["steps"][0], "access": [1]}]},
+        lambda d: {**d, "steps": [{**d["steps"][0], "outcome": {"winner": 0}}]},
+        lambda d: "{not json",
+    ],
+    ids=["prompt-only", "no-context-tail", "list", "unknown-schema", "no-schema",
+         "unknown-field", "unknown-config-field", "string-temperature", "list-access",
+         "partial-outcome", "not-json"],
+)
+def test_load_traces_fails_closed(setup, tmp_path, mangle):
+    path = tmp_path / "bad.jsonl"
+    line = mangle(_valid_trace_line(setup))
+    path.write_text((line if isinstance(line, str) else json.dumps(line)) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="malformed trace"):
+        load_traces(path)

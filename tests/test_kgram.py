@@ -167,23 +167,6 @@ def test_sample_frequencies_monte_carlo():
     assert abs(ones / draws - 0.75) < 0.005
 
 
-def test_score_positions_contract(abab_model):
-    model, _ = abab_model
-    counter = ModelCallCounter()
-    dists = model.score_positions([3], [], counter)
-    assert counter.calls == 1
-    assert len(dists) == 1
-    assert np.array_equal(dists[0], model.next_distribution([3]))
-
-    counter = ModelCallCounter()
-    draft = [4, 3, 4]
-    dists = model.score_positions([3], draft, counter)
-    assert counter.calls == 1  # one call regardless of draft length
-    assert len(dists) == len(draft) + 1
-    for j, dist in enumerate(dists):
-        assert np.array_equal(dist, model.next_distribution([3] + draft[:j]))
-
-
 def test_counter_busy_work_sleeps():
     import time
 

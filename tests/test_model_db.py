@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -11,12 +12,15 @@ def _vocab(n):
     return build_vocab([" ".join(f"v{i}" for i in range(n))])
 
 
-def test_single_window_doc():
+def test_single_window_doc(tmp_path):
     corpus = Corpus(docs=[[3, 4, 5, 6, 1]], vocab=_vocab(10))
     db = build_model_db(corpus, window=4)
     assert db.lookup(3, 7) == [[4, 5, 6, 1]]
-    assert db.counts(3) == [1]
     assert db.n_sequences == 1
+    path = tmp_path / "db.jsonl"
+    save_model_db(db, path)
+    record = json.loads(path.read_text(encoding="utf-8").splitlines()[1])
+    assert record == {"key": 3, "values": [[4, 5, 6, 1]], "counts": [1]}
 
 
 def test_top_k_keeps_most_frequent():
@@ -145,3 +149,34 @@ def test_build_deterministic_bytes(tmp_path):
         db = build_model_db(corpus, top_k=500, window=4)
         save_model_db(db, tmp_path / f"{name}.jsonl")
     assert (tmp_path / "x.jsonl").read_bytes() == (tmp_path / "y.jsonl").read_bytes()
+
+
+_HEADER = '{"magic":"HDMD","version":1,"m":2,"records":%d}'
+
+
+@pytest.mark.parametrize(
+    "records, match",
+    [
+        (['{"key":"3","values":[[4,5]],"counts":[1]}'], "key '3'"),
+        (['{"key":3,"values":[[4,5]],"counts":[2]}', '{"key":3,"values":[[6,7]],"counts":[1]}'],
+         "key 3 is not an integer above 3"),
+        (['{"key":5,"values":[[4,5]],"counts":[2]}', '{"key":3,"values":[[6,7]],"counts":[1]}'],
+         "key 3 is not an integer above 5"),
+        (['{"key":3,"values":[[4,5,6]],"counts":[1]}'], "is not m ids"),
+        (['{"key":3,"values":[[4]],"counts":[1]}'], "is not m ids"),
+        (['{"key":3,"values":["ab"],"counts":[1]}'], "is not m ids"),
+        (['{"key":3,"values":[[4,5]],"counts":[0]}'], "key 3 count 0 not"),
+        (['{"key":3,"values":[[4,5]],"counts":[-2]}'], "key 3 count -2 not"),
+        (['{"key":3,"values":[[4,5]],"counts":[1.5]}'], "key 3 count 1.5 not"),
+        (['[3]'], "corrupt model-db file"),
+        (['{"key":3,"values":7,"counts":[1]}'], "corrupt model-db file"),
+    ],
+    ids=["string-key", "duplicate-key", "descending-keys", "long-value", "short-value",
+         "string-value", "zero-count", "negative-count", "float-count", "list-record",
+         "int-values"],
+)
+def test_malformed_record_rejected(tmp_path, records, match):
+    path = tmp_path / "db.jsonl"
+    path.write_text("\n".join([_HEADER % len(records), *records]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=match):
+        load_model_db(path)
