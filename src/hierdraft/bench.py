@@ -136,7 +136,10 @@ def run_bench(
             "max_tokens": max_tokens,
             "model_call_cost_s": model_call_cost_s,
             "prompt_count": len(prompts),
-            "hierarchy": asdict(hier),
+            # Each row sets its own order and databases.
+            "hierarchy": {
+                k: v for k, v in asdict(hier).items() if k not in ("order", "enabled")
+            },
             "fingerprints": fingerprints or {},
         },
         "rows": rows,

@@ -174,7 +174,13 @@ def _bench_resources(setup: dict):
     for key in ("vocab", "model_db", "stats_db"):
         if setup.get(key):
             fingerprints[key] = bench.file_fingerprint(setup[key])
-    hier = _from_spec(HierarchyConfig, setup.get("hierarchy", {}), "hierarchy")
+    spec = setup.get("hierarchy", {})
+    if isinstance(spec, dict) and {"order", "enabled"} & spec.keys():
+        raise SystemExit(
+            "error: bad hierarchy in bench config: 'order' and 'enabled' are set "
+            "by each method's 'order' and 'databases'"
+        )
+    hier = _from_spec(HierarchyConfig, spec, "hierarchy")
     return vocab, model, model_db, stats_db, fingerprints, hier
 
 

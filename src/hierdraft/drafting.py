@@ -6,6 +6,12 @@ the remaining quota, duplicates keep the copy from the earlier (higher
 locality) source, and once the set is full the remaining databases are
 not touched at all. The per-database access log feeds both the latency
 breakdown and the draft/verify success attribution.
+
+The stats database is immutable, so within one generation a tail it has
+answered once is answered from a memo: ``decode`` passes a fresh dict per
+generation, keyed on the stats tail and holding the ``set_size`` best
+continuations. Ranking is a total order, so a probe for ``want`` reads the
+first ``want`` of them. A memo hit still counts as an attempted probe.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ DB_LETTERS = "cms"
 SOURCE_NAMES = {"c": "context", "m": "model", "s": "stats"}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DraftCandidate:
     tokens: tuple[int, ...]
     source: str  # "context" | "model" | "stats"
@@ -78,13 +84,14 @@ class DatabaseSet:
     stats: StatsDB | None = None
 
     def get(self, letter: str):
-        return {"c": self.context, "m": self.model, "s": self.stats}[letter]
+        return getattr(self, SOURCE_NAMES[letter])
 
 
 def hierarchical_draft(
     context: list[int],
     dbs: DatabaseSet,
     config: HierarchyConfig,
+    stats_memo: dict[tuple[int, ...], list] | None = None,
 ) -> tuple[list[DraftCandidate], AccessLog]:
     """Fill a draft set of at most ``set_size`` distinct candidates.
 
@@ -92,37 +99,46 @@ def hierarchical_draft(
     stats index matches the last ``tail_len`` tokens with shrinking-prefix
     fallback. Databases later in the order are skipped entirely once the
     set is full, which the access log records as attempted=False.
+    ``stats_memo`` may be shared by calls with the same stats database and
+    config only; without one, nothing is remembered between calls.
     """
     if not context:
         raise ValueError("context must be non-empty")
-    log: AccessLog = {letter: AccessRecord() for letter in config.order if letter in config.enabled}
+    log: AccessLog = {}
     candidates: list[DraftCandidate] = []
     seen: set[tuple[int, ...]] = set()
     key = context[-1]
+    if stats_memo is None:
+        stats_memo = {}
     for letter in config.order:
         if letter not in config.enabled:
             continue
-        if len(candidates) >= config.set_size:
-            break
+        record = log[letter] = AccessRecord()
+        want = config.set_size - len(candidates)
+        if want == 0:
+            continue
         db = dbs.get(letter)
         if db is None:
             raise ValueError(f"database {SOURCE_NAMES[letter]!r} enabled but not provided")
-        want = config.set_size - len(candidates)
-        record = log[letter]
         start = time.perf_counter_ns()
         if letter == "s":
-            tail = context[-min(config.tail_len, len(context)):]
-            values = [seq for seq, _count in db.retrieve(tail, config.draft_len, want)]
+            tail = tuple(context[-config.tail_len:])
+            ranked = stats_memo.get(tail)
+            if ranked is None:
+                ranked = db.retrieve(list(tail), config.draft_len, config.set_size)
+                stats_memo[tail] = ranked
+            values = [seq for seq, _count in ranked[:want]]
         else:
             values = db.lookup(key, want)
         record.elapsed_ns = time.perf_counter_ns() - start
         record.attempted = True
         record.returned = len(values)
+        source = SOURCE_NAMES[letter]
+        before = len(candidates)
         for value in values:
             tokens = tuple(value)
-            if tokens in seen:
-                continue
-            seen.add(tokens)
-            candidates.append(DraftCandidate(tokens, SOURCE_NAMES[letter]))
-            record.kept += 1
+            if tokens not in seen:
+                seen.add(tokens)
+                candidates.append(DraftCandidate(tokens, source))
+        record.kept = len(candidates) - before
     return candidates, log

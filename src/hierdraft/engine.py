@@ -28,7 +28,7 @@ from .drafting import (
     hierarchical_draft,
 )
 from .kgram import KGramModel, ModelCallCounter, apply_temperature, sample_token
-from .verification import StepOutcome, attribute_verify_success, verify_greedy, verify_sampling
+from .verification import StepOutcome, _add_tallies, verify_greedy, verify_sampling
 
 
 TRACE_SCHEMA = 1
@@ -94,61 +94,70 @@ def _validate_prompt(prompt: list[int]) -> None:
         raise ValueError("malformed prompt: EOS mid-sequence")
 
 
-def _compute_metrics(
-    records: list[StepRecord],
-    tokens_generated: int,
-    steps: int,
-    wall_time_s: float,
-) -> DecodeMetrics:
-    accepted_won = 0
-    drafted_won = 0
-    drafted_all = 0
-    tallies: dict[str, dict[str, int]] = {}
-    probes: dict[str, int] = {}
-    draft_ns: list[int] = []
-    per_db_ns: dict[str, list[int]] = {}
-    verify_ns: list[int] = []
-    for record in records:
-        outcome = record.outcome
+class _MetricsAccumulator:
+    """Running totals behind ``DecodeMetrics``, fed one step at a time.
+
+    ``decode`` feeds it as it goes, so an untraced run keeps no per-step
+    records; ``metrics_from_trace`` and ``aggregate_traces`` replay trace
+    records into it, so the two agree exactly. Latency sums are Python
+    integers, so means and the standard deviation are exact up to the
+    final division.
+    """
+
+    def __init__(self) -> None:
+        self.steps = 0
+        self.accepted_won = 0
+        self.drafted_won = 0
+        self.drafted_all = 0
+        self.tallies: dict[str, dict[str, int]] = {}
+        self.draft_ns = 0
+        self.draft_ns_sq = 0
+        self.per_db_ns: dict[str, list[int]] = {}  # letter -> [sum, count]
+        self.verify_ns = 0
+
+    def add(self, access: AccessLog, outcome: StepOutcome) -> None:
+        self.steps += 1
         if outcome.winner is not None:
-            accepted_won += outcome.accepted[outcome.winner]
-            drafted_won += outcome.candidate_lens[outcome.winner]
-        drafted_all += outcome.drafted_total
-        step_tallies = attribute_verify_success(outcome, record.access)
-        for letter, entry in step_tallies.items():
-            agg = tallies.setdefault(
-                letter, {"draft_failure": 0, "draft_success": 0, "verify_success": 0}
-            )
-            for name, value in entry.items():
-                agg[name] += value
+            self.accepted_won += outcome.accepted[outcome.winner]
+            self.drafted_won += outcome.candidate_lens[outcome.winner]
+        self.drafted_all += outcome.drafted_total
+        _add_tallies(self.tallies, outcome, access)
         step_draft_ns = 0
-        for letter, rec in record.access.items():
-            probes.setdefault(letter, 0)
+        for letter, rec in access.items():
             if rec.attempted:
-                probes[letter] += 1
-                per_db_ns.setdefault(letter, []).append(rec.elapsed_ns)
+                total = self.per_db_ns.setdefault(letter, [0, 0])
+                total[0] += rec.elapsed_ns
+                total[1] += 1
                 step_draft_ns += rec.elapsed_ns
-        draft_ns.append(step_draft_ns)
-        verify_ns.append(outcome.verify_elapsed_ns)
-    draft_arr = np.asarray(draft_ns, dtype=np.float64) if draft_ns else np.zeros(1)
-    return DecodeMetrics(
-        steps=steps,
-        tokens_generated=tokens_generated,
-        tau=tokens_generated / steps if steps else 0.0,
-        alpha=accepted_won / drafted_won if drafted_won else None,
-        alpha_all=accepted_won / drafted_all if drafted_all else None,
-        draft_latency_ns={
-            "mean": float(draft_arr.mean()),
-            "stddev": float(draft_arr.std()),
-            "per_db": {
-                letter: float(np.mean(vals)) for letter, vals in sorted(per_db_ns.items())
+        self.draft_ns += step_draft_ns
+        self.draft_ns_sq += step_draft_ns * step_draft_ns
+        self.verify_ns += outcome.verify_elapsed_ns
+
+    def metrics(self, tokens_generated: int, steps: int, wall_time_s: float) -> DecodeMetrics:
+        n = self.steps
+        return DecodeMetrics(
+            steps=steps,
+            tokens_generated=tokens_generated,
+            tau=tokens_generated / steps if steps else 0.0,
+            alpha=self.accepted_won / self.drafted_won if self.drafted_won else None,
+            alpha_all=self.accepted_won / self.drafted_all if self.drafted_all else None,
+            draft_latency_ns={
+                "mean": self.draft_ns / n if n else 0.0,
+                "stddev": math.sqrt(n * self.draft_ns_sq - self.draft_ns**2) / n if n else 0.0,
+                "per_db": {
+                    letter: total / count
+                    for letter, (total, count) in sorted(self.per_db_ns.items())
+                },
             },
-        },
-        verify_latency_ns_mean=float(np.mean(verify_ns)) if verify_ns else 0.0,
-        wall_time_s=wall_time_s,
-        tallies=tallies,
-        probes=probes,
-    )
+            verify_latency_ns_mean=self.verify_ns / n if n else 0.0,
+            wall_time_s=wall_time_s,
+            tallies=self.tallies,
+            # Every attempted probe either failed or succeeded.
+            probes={
+                letter: t["draft_failure"] + t["draft_success"]
+                for letter, t in self.tallies.items()
+            },
+        )
 
 
 def decode(
@@ -165,6 +174,10 @@ def decode(
     model-preferred tokens computed during verification. A step whose
     emissions overshoot ``max_tokens`` is truncated in the output but kept
     whole in the trace.
+
+    One ``context`` list grows in place across steps, metrics accumulate
+    step by step, ``StepRecord``s are built only when tracing, and the
+    stats-DB answers are memoized for this generation only.
     """
     _validate_prompt(prompt)
     hier = config.hierarchy
@@ -177,46 +190,52 @@ def decode(
         dbs.context.reset()
         if len(prompt) >= 2:
             dbs.context.ingest(prompt)
-    generated: list[int] = []
-    records: list[StepRecord] = []
+    context = list(prompt)
+    limit = len(prompt) + config.max_tokens
+    seam_len = hier.draft_len + 1
+    stats_memo: dict = {}
+    totals = _MetricsAccumulator()
+    records: list[StepRecord] | None = [] if config.trace else None
     start = time.perf_counter()
-    done = False
-    while not done and len(generated) < config.max_tokens:
-        context = prompt + generated
-        draft_set, log = hierarchical_draft(context, dbs, hier)
+    while len(context) < limit:
+        draft_set, log = hierarchical_draft(context, dbs, hier, stats_memo)
         if config.temperature == 0:
             outcome = verify_greedy(model, context, draft_set, counter)
         else:
             outcome = verify_sampling(
                 model, context, draft_set, config.temperature, rng, counter
             )
+        totals.add(log, outcome)
+        emitted = outcome.emitted
+        if records is not None:
+            context_tail = context[-hier.tail_len:]
+        last = context[-1]
+        context.extend(emitted)
         if use_context:
-            seam = context[-(hier.draft_len + 1):] + outcome.emitted
+            seam = context[-(seam_len + len(emitted)):]
             if len(seam) >= 2:
                 dbs.context.ingest(seam)
             if config.recycle:
-                recycle_seq = [context[-1]] + outcome.recycled
+                recycle_seq = [last] + outcome.recycled
                 if len(recycle_seq) >= 2:
                     dbs.context.ingest(recycle_seq)
-        records.append(
-            StepRecord(
-                context_tail=context[-hier.tail_len:],
-                access=log,
-                outcome=outcome,
-                ctx_db_size=len(dbs.context) if use_context else 0,
+        if records is not None:
+            records.append(
+                StepRecord(
+                    context_tail=context_tail,
+                    access=log,
+                    outcome=outcome,
+                    ctx_db_size=len(dbs.context) if use_context else 0,
+                )
             )
-        )
-        generated.extend(outcome.emitted)
-        if EOS in outcome.emitted:
-            eos_at = len(generated) - len(outcome.emitted) + outcome.emitted.index(EOS)
-            generated = generated[:eos_at + 1]
-            done = True
-    if len(generated) > config.max_tokens:
-        generated = generated[:config.max_tokens]
+        if EOS in emitted:
+            del context[len(context) - len(emitted) + emitted.index(EOS) + 1:]
+            break
+    generated = context[len(prompt):limit]
     wall = time.perf_counter() - start
-    metrics = _compute_metrics(records, len(generated), counter.calls, wall)
+    metrics = totals.metrics(len(generated), counter.calls, wall)
     trace = None
-    if config.trace:
+    if records is not None:
         trace = DecodeTrace(
             prompt=list(prompt),
             output=list(generated),
@@ -236,10 +255,10 @@ def autoregressive_decode(
     _validate_prompt(prompt)
     counter = ModelCallCounter(cost_per_call_s=config.model_call_cost_s)
     rng = np.random.default_rng(config.seed)
-    generated: list[int] = []
+    context = list(prompt)
+    limit = len(prompt) + config.max_tokens
     start = time.perf_counter()
-    while len(generated) < config.max_tokens:
-        context = prompt + generated
+    while len(context) < limit:
         counter.bump()
         if config.temperature == 0:
             token = model.argmax_token(context)
@@ -248,9 +267,10 @@ def autoregressive_decode(
                 model.next_distribution(context), config.temperature
             )
             token = sample_token(probs, rng)
-        generated.append(token)
+        context.append(token)
         if token == EOS:
             break
+    generated = context[len(prompt):]
     wall = time.perf_counter() - start
     metrics = DecodeMetrics(
         steps=counter.calls,
@@ -267,22 +287,27 @@ def autoregressive_decode(
     return generated, metrics
 
 
+def _replay(traces: list[DecodeTrace]) -> _MetricsAccumulator:
+    totals = _MetricsAccumulator()
+    for trace in traces:
+        for record in trace.steps:
+            totals.add(record.access, record.outcome)
+    return totals
+
+
 def metrics_from_trace(trace: DecodeTrace) -> DecodeMetrics:
     """Recompute the decode metrics from a persisted trace, exactly."""
-    return _compute_metrics(
-        trace.steps, len(trace.output), len(trace.steps), trace.wall_time_s
-    )
+    return _replay([trace]).metrics(len(trace.output), len(trace.steps), trace.wall_time_s)
 
 
 def aggregate_traces(traces: list[DecodeTrace]) -> DecodeMetrics:
     """Pool step records across traces; means weight every step equally."""
     if not traces:
         raise ValueError("no traces to aggregate")
-    records = [record for trace in traces for record in trace.steps]
     tokens = sum(len(trace.output) for trace in traces)
     steps = sum(len(trace.steps) for trace in traces)
     wall = sum(trace.wall_time_s for trace in traces)
-    return _compute_metrics(records, tokens, steps, wall)
+    return _replay(traces).metrics(tokens, steps, wall)
 
 
 def save_traces(traces: list[DecodeTrace], path: str | Path) -> None:
@@ -308,14 +333,28 @@ def _trace_from_dict(d: dict) -> DecodeTrace:
         )
         for step in d["steps"]
     ]
-    return DecodeTrace(**d)
+    trace = DecodeTrace(**d)
+    _check_token_ids("prompt", trace.prompt)
+    _check_token_ids("output", trace.output)
+    for step in trace.steps:
+        _check_token_ids("context_tail", step.context_tail)
+        _check_token_ids("emitted", step.outcome.emitted)
+        _check_token_ids("recycled", step.outcome.recycled)
+    return trace
+
+
+def _check_token_ids(name: str, tokens) -> None:
+    # bool is an int subclass, and JSON true/false must not pass as ids.
+    if not isinstance(tokens, list) or not all(type(t) is int and t >= 0 for t in tokens):
+        raise ValueError(f"{name} must be a list of non-negative integer token ids")
 
 
 def load_traces(path: str | Path) -> list[DecodeTrace]:
     """Read a JSONL trace file.
 
     A line that is not a JSON object with ``"schema": TRACE_SCHEMA``, lacks
-    or adds a field, or holds an invalid config raises ``ValueError``.
+    or adds a field, holds an invalid config, or holds a token id that is
+    not a non-negative integer raises ``ValueError``.
     """
     traces = []
     with open(path, encoding="utf-8") as fh:

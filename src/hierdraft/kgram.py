@@ -10,6 +10,7 @@ directly testable.
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 from dataclasses import dataclass
@@ -29,10 +30,11 @@ class ModelCallCounter:
     """Counts logical forward passes of the target model.
 
     One speculative step (whole draft set) and one autoregressive token
-    each cost exactly one call. ``cost_per_call_s`` adds a ``time.sleep``
-    per call so wall-clock benchmarks reflect a configurable model cost.
-    A sleep may last longer than asked, and small costs oversleep by
-    tens of microseconds, so each call costs at least the configured value.
+    each cost exactly one call. ``cost_per_call_s`` makes each call spin on
+    ``time.perf_counter_ns`` until that much time has passed, so wall-clock
+    benchmarks reflect a configurable model cost. A ``time.sleep`` would
+    oversleep small costs by tens of microseconds; the spin overshoots by
+    about one clock read, and a call never costs less than configured.
     """
 
     calls: int = 0
@@ -40,7 +42,9 @@ class ModelCallCounter:
 
     def bump(self) -> None:
         if self.cost_per_call_s > 0:
-            time.sleep(self.cost_per_call_s)
+            deadline = time.perf_counter_ns() + math.ceil(self.cost_per_call_s * 1e9)
+            while time.perf_counter_ns() < deadline:
+                pass
         self.calls += 1
 
 

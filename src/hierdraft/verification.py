@@ -57,57 +57,37 @@ def verify_greedy(
     The winner is the candidate with the most accepted tokens, ties
     breaking toward the earlier (higher temporal locality) candidate. An
     empty draft set degenerates to one autoregressive step.
+
+    An accepted prefix lies on the model's greedy path, so every candidate
+    is scored against that one path, extended lazily: the step makes
+    ``max(accepted) + 1`` argmax calls. The model reads no more than its
+    last ``k - 1`` tokens, so the path starts from the last ``k`` of
+    ``context`` instead of a copy of all of it.
     """
     start = time.perf_counter_ns()
     counter.bump()
-    if not draft_set:
-        token = model.argmax_token(context)
-        return StepOutcome(
-            accepted=[],
-            candidate_lens=[],
-            winner=None,
-            winner_source=None,
-            emitted=[token],
-            recycled=[token],
-            drafted_total=0,
-            verify_elapsed_ns=time.perf_counter_ns() - start,
-        )
-    # Candidates often share prefixes; memoize argmax per extension.
-    argmax_cache: dict[tuple[int, ...], int] = {}
-
-    def argmax_after(prefix: tuple[int, ...]) -> int:
-        cached = argmax_cache.get(prefix)
-        if cached is None:
-            cached = model.argmax_token(context + list(prefix))
-            argmax_cache[prefix] = cached
-        return cached
-
+    path = context[-model.k:]
+    base = len(path)
+    path.append(model.argmax_token(path))
     accepted: list[int] = []
-    divergence: list[int | None] = []  # model's token at the first mismatch
     for cand in draft_set:
         length = 0
-        mismatch: int | None = None
-        for j, token in enumerate(cand.tokens):
-            preferred = argmax_after(cand.tokens[:j])
-            if preferred != token:
-                mismatch = preferred
+        for token in cand.tokens:
+            if token != path[base + length]:
                 break
             length += 1
+            if base + length == len(path):
+                path.append(model.argmax_token(path))
         accepted.append(length)
-        divergence.append(mismatch)
-    winner = _pick_winner(accepted)
-    win = draft_set[winner]
-    prefix = list(win.tokens[:accepted[winner]])
-    if divergence[winner] is not None:
-        extra = divergence[winner]
-    else:
-        extra = argmax_after(win.tokens)
-    emitted = prefix + [extra]
+    winner = _pick_winner(accepted) if draft_set else None
+    # The accepted prefix plus the correction at the divergence, or the
+    # bonus token after a full acceptance.
+    emitted = path[base:base + 1 + (accepted[winner] if draft_set else 0)]
     return StepOutcome(
         accepted=accepted,
         candidate_lens=[len(c.tokens) for c in draft_set],
         winner=winner,
-        winner_source=win.source,
+        winner_source=draft_set[winner].source if draft_set else None,
         emitted=emitted,
         recycled=list(emitted),
         drafted_total=sum(len(c.tokens) for c in draft_set),
@@ -137,22 +117,26 @@ def verify_sampling(
         raise ValueError("verify_sampling requires temperature > 0; use verify_greedy")
     start = time.perf_counter_ns()
     counter.bump()
-    emitted: list[int] = []
+    # As in verify_greedy, the model sees the last k context tokens.
+    path = context[-model.k:]
+    base = len(path)
     recycled: list[int] = []
 
     def draw() -> int:
-        probs = apply_temperature(model.next_distribution(context + emitted), temperature)
+        probs = apply_temperature(model.next_distribution(path), temperature)
         recycled.append(int(np.argmax(probs)))
-        return sample_token(probs, rng)
+        token = sample_token(probs, rng)
+        path.append(token)
+        return token
 
     if not draft_set:
-        emitted.append(draw())
+        draw()
         return StepOutcome(
             accepted=[],
             candidate_lens=[],
             winner=None,
             winner_source=None,
-            emitted=emitted,
+            emitted=path[base:],
             recycled=recycled,
             drafted_total=0,
             verify_elapsed_ns=time.perf_counter_ns() - start,
@@ -161,7 +145,6 @@ def verify_sampling(
     position = 0
     while True:
         token = draw()
-        emitted.append(token)
         survivors = [
             i
             for i in survivors
@@ -172,6 +155,7 @@ def verify_sampling(
         position += 1
         if all(len(draft_set[i].tokens) <= position for i in survivors):
             break
+    emitted = path[base:]
     accepted = []
     for cand in draft_set:
         length = 0
@@ -200,6 +184,13 @@ def attribute_verify_success(step: StepOutcome, log: AccessLog) -> dict[str, dic
     otherwise; it additionally scores a verify success when it sourced the
     winning candidate and at least one token was accepted.
     """
+    return _add_tallies({}, step, log)
+
+
+def _add_tallies(
+    tallies: dict[str, dict[str, int]], step: StepOutcome, log: AccessLog
+) -> dict[str, dict[str, int]]:
+    """Add one step's ``attribute_verify_success`` tallies into ``tallies``."""
     total_kept = sum(rec.kept for rec in log.values())
     if total_kept != len(step.accepted):
         raise ValueError(
@@ -211,15 +202,12 @@ def attribute_verify_success(step: StepOutcome, log: AccessLog) -> dict[str, dic
         winner_letter = _SOURCE_TO_LETTER[step.winner_source]
         if winner_letter not in log:
             raise ValueError(f"winner source {step.winner_source!r} missing from access log")
-    tallies: dict[str, dict[str, int]] = {}
     for letter, record in log.items():
-        entry = {"draft_failure": 0, "draft_success": 0, "verify_success": 0}
+        entry = tallies.get(letter)
+        if entry is None:
+            entry = tallies[letter] = {"draft_failure": 0, "draft_success": 0, "verify_success": 0}
         if record.attempted:
-            if record.returned == 0:
-                entry["draft_failure"] = 1
-            else:
-                entry["draft_success"] = 1
+            entry["draft_success" if record.returned else "draft_failure"] += 1
             if letter == winner_letter:
-                entry["verify_success"] = 1
-        tallies[letter] = entry
+                entry["verify_success"] += 1
     return tallies

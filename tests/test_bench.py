@@ -57,6 +57,21 @@ def test_hd_row_metric_bounds(passage_setup):
     assert ar["speedup"] == 1.0
 
 
+def test_env_hierarchy_leaves_out_per_method_keys(passage_setup):
+    model, model_db, stats_db, prompts = passage_setup
+    report = run_bench(
+        model, prompts, [MethodSpec("hd", databases="cms")],
+        model_db=model_db, stats_db=stats_db,
+        hierarchy=HierarchyConfig(order="c", enabled="c", set_size=5),
+        runs=1, max_tokens=20,
+    )
+    env = report["env"]["hierarchy"]
+    assert "order" not in env and "enabled" not in env
+    assert env["set_size"] == 5
+    hd = next(r for r in report["rows"] if r["name"] == "hd")
+    assert hd["probes"]["m"] > 0  # the row's own databases, not hierarchy.enabled
+
+
 def test_missing_db_fails_before_any_run(passage_setup):
     model, *_ , prompts = passage_setup
     with pytest.raises(ValueError, match="stats DB"):

@@ -173,9 +173,12 @@ def test_analyze_locality_cli(workspace, tmp_path):
         ({"hierarchy": {"set_size": 0}}, "bad hierarchy"),
         ({"methods": [{"name": "hd", "databse": "cm"}]}, "bad method"),
         ({"methods": [{"databases": "cm"}]}, "bad method"),
+        ({"hierarchy": {"order": "smc"}}, "bad hierarchy.*'order'"),
+        ({"hierarchy": {"enabled": "c"}}, "bad hierarchy.*'enabled'"),
     ],
     ids=["misspelt-hierarchy-key", "invalid-hierarchy-value", "misspelt-method-key",
-         "method-without-name"],
+         "method-without-name", "hierarchy-order-set-per-method",
+         "hierarchy-enabled-set-per-method"],
 )
 def test_bench_config_key_errors_exit(workspace, tmp_path, change, match):
     setup = json.loads(workspace["configs"].read_text(encoding="utf-8"))

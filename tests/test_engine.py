@@ -223,6 +223,52 @@ def test_aggregate_matches_flat_recompute(setup):
         assert agg.probes.get(letter, 0) == probe_oracle
 
 
+def test_untraced_decode_builds_no_step_records(setup, monkeypatch):
+    import hierdraft.engine as engine
+
+    corpus, model, model_db, stats_db = setup
+    prompt = corpus.docs[4][:6]
+    config = _hd_config(max_tokens=30, trace=True)
+    traced_out, traced_metrics, _ = decode(model, prompt, fresh_dbs(model_db, stats_db), config)
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("StepRecord built without tracing")
+
+    monkeypatch.setattr(engine, "StepRecord", no_records)
+    untraced = dataclasses.replace(config, trace=False)
+    out, metrics, trace = decode(model, prompt, fresh_dbs(model_db, stats_db), untraced)
+    assert trace is None
+    assert out == traced_out
+    assert metrics.probes == traced_metrics.probes
+    assert metrics.tallies == traced_metrics.tallies
+
+
+def test_stats_db_retrieved_once_per_distinct_tail(setup, monkeypatch):
+    corpus, model, model_db, stats_db = setup
+    real_retrieve = stats_db.retrieve
+    tails: list[tuple[int, ...]] = []
+
+    def counting_retrieve(tail, draft_len, want):
+        tails.append(tuple(tail))
+        return real_retrieve(tail, draft_len, want)
+
+    monkeypatch.setattr(stats_db, "retrieve", counting_retrieve)
+    config = _hd_config(
+        hierarchy=HierarchyConfig(order="s", enabled="s"), max_tokens=200, trace=True
+    )
+    hits = 0
+    for prompt in sample_prompts(corpus, 8, seed=12):
+        tails.clear()
+        _, metrics, trace = decode(model, prompt, fresh_dbs(stats_db=stats_db), config)
+        probed = [tuple(r.context_tail) for r in trace.steps if r.access["s"].attempted]
+        assert metrics.probes["s"] == len(probed) == len(trace.steps)
+        # One retrieve per distinct tail, in first-seen order, with a fresh
+        # memo per generation; a memo hit still counts as a probe.
+        assert tails == list(dict.fromkeys(probed))
+        hits += len(probed) - len(tails)
+    assert hits > 0
+
+
 def test_autoregressive_contract(setup):
     corpus, model, *_ = setup
     prompt = corpus.docs[4][:4]
@@ -343,10 +389,20 @@ def _drop_context_tail(d):
         lambda d: {**d, "steps": [{**d["steps"][0], "access": [1]}]},
         lambda d: {**d, "steps": [{**d["steps"][0], "outcome": {"winner": 0}}]},
         lambda d: "{not json",
+        lambda d: {**d, "prompt": ["x"]},
+        lambda d: {**d, "output": [3, -1]},
+        lambda d: {**d, "prompt": [True]},
+        lambda d: {**d, "steps": [{**d["steps"][0], "context_tail": [2.5]}]},
+        lambda d: {**d, "steps": [{**d["steps"][0], "outcome": {
+            **d["steps"][0]["outcome"], "emitted": ["4"]}}]},
+        lambda d: {**d, "steps": [{**d["steps"][0], "outcome": {
+            **d["steps"][0]["outcome"], "recycled": [-2]}}]},
     ],
     ids=["prompt-only", "no-context-tail", "list", "unknown-schema", "no-schema",
          "unknown-field", "unknown-config-field", "string-temperature", "list-access",
-         "partial-outcome", "not-json"],
+         "partial-outcome", "not-json", "string-prompt-id", "negative-output-id",
+         "bool-prompt-id", "float-context-tail-id", "string-emitted-id",
+         "negative-recycled-id"],
 )
 def test_load_traces_fails_closed(setup, tmp_path, mangle):
     path = tmp_path / "bad.jsonl"

@@ -178,6 +178,22 @@ def test_counter_busy_work_sleeps():
     assert counter.calls == 5
 
 
+def test_counter_spins_at_least_the_configured_cost(monkeypatch):
+    import time
+
+    def no_sleep(_seconds):
+        raise AssertionError("the model cost must not sleep")
+
+    monkeypatch.setattr(time, "sleep", no_sleep)
+    cost_ns = 20_000
+    counter = ModelCallCounter(cost_per_call_s=cost_ns / 1e9)
+    for _ in range(50):
+        start = time.perf_counter_ns()
+        counter.bump()
+        assert time.perf_counter_ns() - start >= cost_ns
+    assert counter.calls == 50
+
+
 def test_save_load_roundtrip(tmp_path, abab_model):
     model, _ = abab_model
     path = tmp_path / "model.hdkg"

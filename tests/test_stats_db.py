@@ -185,6 +185,28 @@ def test_retrieve_property_matches_naive_oracle(data):
         assert db.retrieve(tail, draft_len, want) == naive_retrieve(text, tail, draft_len, want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_retrieve_smaller_want_is_a_prefix(data):
+    """Ranking is a total order, so the top k are the first k of the top K;
+    the per-generation stats memo in drafting relies on this."""
+    alphabet = data.draw(st.integers(1, 5), label="alphabet")
+    vocab = _vocab(alphabet)
+    ids = st.sampled_from([t for t in range(vocab.size) if t != SEP])
+    docs = data.draw(
+        st.lists(st.lists(ids, min_size=1, max_size=40), min_size=1, max_size=5),
+        label="docs",
+    )
+    db = build_stats_db(Corpus(docs=docs, vocab=vocab))
+    for _ in range(10):
+        tail = data.draw(st.lists(ids, min_size=1, max_size=3), label="tail")
+        draft_len = data.draw(st.integers(1, 6), label="draft_len")
+        big = data.draw(st.integers(0, 10), label="K")
+        ranked = db.retrieve(tail, draft_len, big)
+        for k in range(big + 1):
+            assert db.retrieve(tail, draft_len, k) == ranked[:k]
+
+
 def test_retrieve_is_pure():
     corpus = make_corpus(seed=1, n_docs=3, doc_words=100, vocab_words=10)
     db = build_stats_db(corpus)

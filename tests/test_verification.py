@@ -112,6 +112,40 @@ def test_500_random_steps_concatenate_to_greedy_decode():
     assert generated == _ar_greedy(model, context[:prompt_len], len(generated))
 
 
+def test_greedy_verify_walks_one_greedy_path(monkeypatch):
+    """Candidates are scored against one lazily extended greedy path: a step
+    makes max(accepted) + 1 argmax calls, none on more than k + draft_len
+    tokens, however long the context."""
+    corpus = make_corpus(seed=33, n_docs=10, doc_words=300, vocab_words=40)
+    model = fit_kgram(corpus, k=3, alpha=0.01)
+    rng = random.Random(5)
+    draft_len = 4
+    real_argmax = model.argmax_token
+    lengths: list[int] = []
+
+    def counting_argmax(context):
+        lengths.append(len(context))
+        return real_argmax(context)
+
+    context = list(corpus.docs[1][:50])
+    for _ in range(300):
+        draft_set = []
+        for _ in range(rng.randint(0, 7)):
+            tokens = _ar_greedy(model, context, rng.randint(1, draft_len))
+            for j in range(len(tokens)):
+                if rng.random() < 0.3:
+                    tokens[j] = rng.randrange(corpus.vocab.size)
+            draft_set.append(_cand(tokens))
+        draft_set = list({c.tokens: c for c in draft_set}.values())
+        lengths.clear()
+        monkeypatch.setattr(model, "argmax_token", counting_argmax)
+        outcome = verify_greedy(model, context, draft_set, ModelCallCounter())
+        monkeypatch.undo()
+        assert len(lengths) == max(outcome.accepted, default=0) + 1
+        assert max(lengths) <= model.k + draft_len
+        context.extend(outcome.emitted)
+
+
 def test_acceptance_monotone_in_draft_set():
     corpus = make_corpus(seed=14, n_docs=6, doc_words=200, vocab_words=20)
     model = fit_kgram(corpus, k=3, alpha=0.01)
