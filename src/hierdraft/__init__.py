@@ -61,12 +61,7 @@ from .stats_db import (
     save_stats_db,
     verify_stats_db,
 )
-from .verification import (
-    StepOutcome,
-    attribute_verify_success,
-    verify_greedy,
-    verify_sampling,
-)
+from .verification import StepOutcome, verify_greedy, verify_sampling
 
 __version__ = "0.1.0"
 
@@ -96,7 +91,6 @@ __all__ = [
     "accepted_events",
     "aggregate_traces",
     "apply_temperature",
-    "attribute_verify_success",
     "autoregressive_decode",
     "build_model_db",
     "build_stats_db",

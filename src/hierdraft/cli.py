@@ -14,6 +14,7 @@ Typical flow:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -194,73 +195,32 @@ def _load_prompts(path: str, vocab: Vocab) -> list[list[int]]:
     return prompts
 
 
-def _bench_common(args: argparse.Namespace) -> dict:
+def _cmd_bench(args: argparse.Namespace) -> int:
+    """``hd bench`` runs the config's method rows; ``hd ablate`` its ablation."""
     setup = _load_bench_setup(args.configs)
     vocab, model, model_db, stats_db, fingerprints, hier = _bench_resources(setup)
     prompts = _load_prompts(args.prompts, vocab)
-    return {
-        "setup": setup,
-        "model": model,
-        "model_db": model_db,
-        "stats_db": stats_db,
-        "fingerprints": fingerprints,
-        "hierarchy": hier,
-        "prompts": prompts,
-        "kwargs": dict(
-            runs=args.runs,
-            seed=setup.get("seed", 7),
-            max_tokens=setup.get("max_tokens", 64),
-            model_call_cost_s=setup.get("model_call_cost_ms", 0.0) / 1e3,
-            trace_dir=args.trace_dir,
-        ),
-    }
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    common = _bench_common(args)
-    setup = common["setup"]
-    methods = [
-        _from_spec(bench.MethodSpec, row, "method") for row in setup.get("methods", [])
-    ]
-    report = bench.run_bench(
-        common["model"],
-        common["prompts"],
-        methods,
-        model_db=common["model_db"],
-        stats_db=common["stats_db"],
-        hierarchy=common["hierarchy"],
-        fingerprints=common["fingerprints"],
-        out=args.out,
-        **common["kwargs"],
-    )
-    print(f"wrote report with {len(report['rows'])} rows to {args.out}")
-    return 0
-
-
-def _cmd_ablate(args: argparse.Namespace) -> int:
-    common = _bench_common(args)
-    if args.what == "order":
-        report = bench.ablate_order(
-            common["model"],
-            common["prompts"],
-            model_db=common["model_db"],
-            stats_db=common["stats_db"],
-            hierarchy=common["hierarchy"],
-            fingerprints=common["fingerprints"],
-            out=args.out,
-            **common["kwargs"],
-        )
+    if args.command == "ablate":
+        run = bench.ablate_order if args.what == "order" else bench.ablate_dbs
     else:
-        report = bench.ablate_dbs(
-            common["model"],
-            common["prompts"],
-            model_db=common["model_db"],
-            stats_db=common["stats_db"],
-            hierarchy=common["hierarchy"],
-            fingerprints=common["fingerprints"],
-            out=args.out,
-            **common["kwargs"],
-        )
+        methods = [
+            _from_spec(bench.MethodSpec, row, "method") for row in setup.get("methods", [])
+        ]
+        run = functools.partial(bench.run_bench, methods=methods)
+    report = run(
+        model,
+        prompts,
+        model_db=model_db,
+        stats_db=stats_db,
+        hierarchy=hier,
+        fingerprints=fingerprints,
+        out=args.out,
+        runs=args.runs,
+        seed=setup.get("seed", 7),
+        max_tokens=setup.get("max_tokens", 64),
+        model_call_cost_s=setup.get("model_call_cost_ms", 0.0) / 1e3,
+        trace_dir=args.trace_dir,
+    )
     print(f"wrote report with {len(report['rows'])} rows to {args.out}")
     return 0
 
@@ -369,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=5)
     p.add_argument("--trace-dir")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_ablate)
+    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("analyze", help="locality and coverage analyses")
     analyze_sub = p.add_subparsers(dest="analysis", required=True)

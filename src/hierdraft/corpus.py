@@ -61,9 +61,20 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
+        """Read a saved vocabulary; every line must be exactly one word.
+
+        A blank line would shift every later id, and a word holding
+        whitespace is one ``tokenize`` can never produce, so either raises
+        ``ValueError`` naming the line.
+        """
+        words = []
         with open(path, encoding="utf-8") as fh:
-            words = [line.rstrip("\n") for line in fh]
-        return cls([w for w in words if w])
+            for number, line in enumerate(fh, 1):
+                word = line.rstrip("\n")
+                if word.split() != [word]:
+                    raise ValueError(f"malformed vocab at {path}:{number}: {word!r} is not a word")
+                words.append(word)
+        return cls(words)
 
 
 def build_vocab(texts: Iterable[str]) -> Vocab:

@@ -40,7 +40,7 @@ class DecodeConfig:
     temperature: float = 0.0
     seed: int = 0
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
-    recycle: bool = True
+    recycle: bool = True  # T > 0 only: also ingest each verified position's argmax
     trace: bool = False
     model_call_cost_s: float = 0.0
 
@@ -170,8 +170,8 @@ def decode(
 
     The context database is reset and fed the prompt up front, then after
     every step it ingests the seam window (the last draft_len + 1 old
-    tokens plus the new emissions) and, when recycling is on, the
-    model-preferred tokens computed during verification. A step whose
+    tokens plus the new emissions) and, when recycling is on and T > 0,
+    the model-preferred tokens computed during verification. A step whose
     emissions overshoot ``max_tokens`` is truncated in the output but kept
     whole in the trace.
 
@@ -212,13 +212,12 @@ def decode(
         last = context[-1]
         context.extend(emitted)
         if use_context:
-            seam = context[-(seam_len + len(emitted)):]
-            if len(seam) >= 2:
-                dbs.context.ingest(seam)
-            if config.recycle:
-                recycle_seq = [last] + outcome.recycled
-                if len(recycle_seq) >= 2:
-                    dbs.context.ingest(recycle_seq)
+            # Both sequences hold at least two tokens: the prompt is
+            # non-empty and every step emits at least one.
+            dbs.context.ingest(context[-(seam_len + len(emitted)):])
+            # At T=0 recycled == emitted, whose pairs the seam just inserted.
+            if config.recycle and config.temperature > 0:
+                dbs.context.ingest([last] + outcome.recycled)
         if records is not None:
             records.append(
                 StepRecord(
@@ -272,18 +271,7 @@ def autoregressive_decode(
             break
     generated = context[len(prompt):]
     wall = time.perf_counter() - start
-    metrics = DecodeMetrics(
-        steps=counter.calls,
-        tokens_generated=len(generated),
-        tau=len(generated) / counter.calls if counter.calls else 0.0,
-        alpha=None,
-        alpha_all=None,
-        draft_latency_ns={"mean": 0.0, "stddev": 0.0, "per_db": {}},
-        verify_latency_ns_mean=0.0,
-        wall_time_s=wall,
-        tallies={},
-        probes={},
-    )
+    metrics = _MetricsAccumulator().metrics(len(generated), counter.calls, wall)
     return generated, metrics
 
 

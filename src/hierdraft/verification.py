@@ -2,19 +2,23 @@
 
 One verification step costs exactly one counted model call regardless of
 how many candidates or positions it scores, mirroring a single batched
-forward pass. Greedy mode accepts the longest prefix of each candidate
-that matches the model's argmax path and always emits one extra token
+forward pass. Greedy and sampling verification share one walk: the
+target's own path from the context, drawn one token at a time and
+extended lazily while some candidate still matches it. Each candidate's
+accepted length is its longest prefix on that path; the step emits the
+path, which is the winner's accepted prefix plus one more target token
 (the correction at the first divergence, or the bonus after a full
-acceptance), so every step makes progress. Sampling mode draws each
-emitted token from the exact temperature-scaled target distribution and
-keeps the candidates that match, so the output law equals plain
-autoregressive sampling.
+acceptance), so every step makes progress. Greedy draws the argmax;
+sampling draws from the exact temperature-scaled target distribution, one
+``rng.random()`` per emitted token in order, so the output law and even
+the tokens for a given seed equal plain autoregressive decoding.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,42 +37,34 @@ class StepOutcome:
     winner: int | None                  # index into the draft set, None if empty
     winner_source: str | None
     emitted: list[int]
-    recycled: list[int]                 # model-preferred tokens along the winner's path
+    recycled: list[int]                 # argmax at each emitted position
     drafted_total: int
     verify_elapsed_ns: int = 0
 
 
-def _pick_winner(accepted: list[int]) -> int:
-    best = 0
-    for i, length in enumerate(accepted):
-        if length > accepted[best]:
-            best = i
-    return best
-
-
-def verify_greedy(
+def _verify(
     model: KGramModel,
     context: list[int],
     draft_set: list[DraftCandidate],
     counter: ModelCallCounter,
+    draw: Callable[[list[int]], int],
 ) -> StepOutcome:
-    """Accept the longest argmax-matching prefix; emit it plus one model token.
+    """Score every candidate against one lazily extended target path.
 
-    The winner is the candidate with the most accepted tokens, ties
-    breaking toward the earlier (higher temporal locality) candidate. An
-    empty draft set degenerates to one autoregressive step.
-
-    An accepted prefix lies on the model's greedy path, so every candidate
-    is scored against that one path, extended lazily: the step makes
-    ``max(accepted) + 1`` argmax calls. The model reads no more than its
-    last ``k - 1`` tokens, so the path starts from the last ``k`` of
+    ``draw(path)`` returns the target's next token after ``path``. It is
+    called ``max(accepted) + 1`` times, so the path ends exactly one token
+    past the longest accepted prefix and is emitted whole. The winner is
+    the candidate with the most accepted tokens, ties breaking toward the
+    earlier (higher temporal locality) candidate; an empty draft set
+    degenerates to one autoregressive step. The model reads no more than
+    its last ``k - 1`` tokens, so the path starts from the last ``k`` of
     ``context`` instead of a copy of all of it.
     """
     start = time.perf_counter_ns()
     counter.bump()
     path = context[-model.k:]
     base = len(path)
-    path.append(model.argmax_token(path))
+    path.append(draw(path))
     accepted: list[int] = []
     for cand in draft_set:
         length = 0
@@ -77,12 +73,10 @@ def verify_greedy(
                 break
             length += 1
             if base + length == len(path):
-                path.append(model.argmax_token(path))
+                path.append(draw(path))
         accepted.append(length)
-    winner = _pick_winner(accepted) if draft_set else None
-    # The accepted prefix plus the correction at the divergence, or the
-    # bonus token after a full acceptance.
-    emitted = path[base:base + 1 + (accepted[winner] if draft_set else 0)]
+    winner = accepted.index(max(accepted)) if draft_set else None
+    emitted = path[base:]
     return StepOutcome(
         accepted=accepted,
         candidate_lens=[len(c.tokens) for c in draft_set],
@@ -95,6 +89,20 @@ def verify_greedy(
     )
 
 
+def verify_greedy(
+    model: KGramModel,
+    context: list[int],
+    draft_set: list[DraftCandidate],
+    counter: ModelCallCounter,
+) -> StepOutcome:
+    """Accept the longest argmax-matching prefix; emit it plus one model token.
+
+    The step makes ``max(accepted) + 1`` argmax calls, and ``recycled``
+    equals ``emitted``.
+    """
+    return _verify(model, context, draft_set, counter, model.argmax_token)
+
+
 def verify_sampling(
     model: KGramModel,
     context: list[int],
@@ -105,92 +113,37 @@ def verify_sampling(
 ) -> StepOutcome:
     """Sample-then-match verification at temperature T > 0.
 
-    Each position draws a token from the exact temperature-scaled target
-    distribution given everything emitted so far, then keeps the candidates
-    that predicted it. Drafts have probability one under their proposal, so
-    this emits the same law as speculative sampling with point-mass drafts,
-    and therefore the same law as autoregressive sampling. The walk stops at
-    the first position with no surviving candidate (that sample stays: it is
-    the correction token) or once every surviving candidate is exhausted.
+    Each path token is drawn from the exact temperature-scaled target
+    distribution given everything before it. Drafts have probability one
+    under their proposal, so this emits the same law as speculative
+    sampling with point-mass drafts, and therefore the same law as
+    autoregressive sampling; a fully accepted candidate earns a bonus
+    draw, as in greedy mode. ``recycled`` holds each position's argmax.
     """
     if temperature <= 0:
         raise ValueError("verify_sampling requires temperature > 0; use verify_greedy")
-    start = time.perf_counter_ns()
-    counter.bump()
-    # As in verify_greedy, the model sees the last k context tokens.
-    path = context[-model.k:]
-    base = len(path)
     recycled: list[int] = []
 
-    def draw() -> int:
+    def draw(path: list[int]) -> int:
         probs = apply_temperature(model.next_distribution(path), temperature)
         recycled.append(int(np.argmax(probs)))
-        token = sample_token(probs, rng)
-        path.append(token)
-        return token
+        return sample_token(probs, rng)
 
-    if not draft_set:
-        draw()
-        return StepOutcome(
-            accepted=[],
-            candidate_lens=[],
-            winner=None,
-            winner_source=None,
-            emitted=path[base:],
-            recycled=recycled,
-            drafted_total=0,
-            verify_elapsed_ns=time.perf_counter_ns() - start,
-        )
-    survivors = list(range(len(draft_set)))
-    position = 0
-    while True:
-        token = draw()
-        survivors = [
-            i
-            for i in survivors
-            if position < len(draft_set[i].tokens) and draft_set[i].tokens[position] == token
-        ]
-        if not survivors:
-            break
-        position += 1
-        if all(len(draft_set[i].tokens) <= position for i in survivors):
-            break
-    emitted = path[base:]
-    accepted = []
-    for cand in draft_set:
-        length = 0
-        for a, b in zip(cand.tokens, emitted):
-            if a != b:
-                break
-            length += 1
-        accepted.append(length)
-    winner = _pick_winner(accepted)
-    return StepOutcome(
-        accepted=accepted,
-        candidate_lens=[len(c.tokens) for c in draft_set],
-        winner=winner,
-        winner_source=draft_set[winner].source,
-        emitted=emitted,
-        recycled=recycled,
-        drafted_total=sum(len(c.tokens) for c in draft_set),
-        verify_elapsed_ns=time.perf_counter_ns() - start,
-    )
-
-
-def attribute_verify_success(step: StepOutcome, log: AccessLog) -> dict[str, dict[str, int]]:
-    """Per-database draft failure / draft success / verify success tallies.
-
-    An attempted database fails when it returned nothing and succeeds
-    otherwise; it additionally scores a verify success when it sourced the
-    winning candidate and at least one token was accepted.
-    """
-    return _add_tallies({}, step, log)
+    outcome = _verify(model, context, draft_set, counter, draw)
+    outcome.recycled = recycled
+    return outcome
 
 
 def _add_tallies(
     tallies: dict[str, dict[str, int]], step: StepOutcome, log: AccessLog
 ) -> dict[str, dict[str, int]]:
-    """Add one step's ``attribute_verify_success`` tallies into ``tallies``."""
+    """Add one step's per-database tallies into ``tallies``.
+
+    An attempted database scores a draft failure when it returned nothing
+    and a draft success otherwise; it additionally scores a verify success
+    when it sourced the winning candidate and at least one token was
+    accepted.
+    """
     total_kept = sum(rec.kept for rec in log.values())
     if total_kept != len(step.accepted):
         raise ValueError(

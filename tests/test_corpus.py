@@ -120,3 +120,19 @@ def test_vocab_save_load_roundtrip(tmp_path):
     vocab.save(path)
     assert Vocab.load(path) == vocab
     assert path.read_text(encoding="utf-8") == "alpha\nbeta\ngamma\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("alpha\n\nbeta\ngamma\n", 2),  # a blank line would shift later ids
+        ("alpha\nbeta gamma\n", 2),  # tokenize never yields a spaced word
+        ("alpha\n beta\n", 2),
+        ("alpha\nbeta\n\n", 3),
+    ],
+)
+def test_vocab_load_fails_closed(tmp_path, text, line):
+    path = tmp_path / "vocab.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"vocab.txt:{line}:"):
+        Vocab.load(path)

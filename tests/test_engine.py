@@ -315,6 +315,45 @@ def test_recycle_flag_keeps_losslessness(setup):
         assert output == ar_output
 
 
+@pytest.mark.parametrize("temperature", [0.3, 0.8, 1.0])
+def test_sampling_decode_equals_autoregressive_same_seed(setup, temperature):
+    """Each emitted token is one in-order draw from the target distribution,
+    so decode reproduces the tokens autoregressive sampling draws."""
+    corpus, model, model_db, stats_db = setup
+    tokens = steps = 0
+    for i, prompt in enumerate(sample_prompts(corpus, 30, seed=9)):
+        config = _hd_config(max_tokens=40, temperature=temperature, seed=i)
+        output, metrics, _ = decode(model, prompt, fresh_dbs(model_db, stats_db), config)
+        ar_output, _ = autoregressive_decode(
+            model, prompt, DecodeConfig(max_tokens=40, temperature=temperature, seed=i)
+        )
+        assert output == ar_output
+        tokens += metrics.tokens_generated
+        steps += metrics.steps
+    assert tokens > steps  # some steps accepted draft tokens
+
+
+def test_recycled_tokens_ingested_only_when_sampling(setup, monkeypatch):
+    """At T=0 the recycled tokens are the emissions the seam just ingested,
+    so decode ingests the prompt plus one seam per step; at T > 0 it also
+    ingests the recycled tokens of every step."""
+    corpus, model, model_db, stats_db = setup
+    prompt = corpus.docs[3][:6]
+    for temperature, per_step in ((0.0, 1), (0.8, 2)):
+        dbs = fresh_dbs(model_db, stats_db)
+        real_ingest = dbs.context.ingest
+        calls = []
+
+        def counting_ingest(seq):
+            calls.append(seq)
+            real_ingest(seq)
+
+        monkeypatch.setattr(dbs.context, "ingest", counting_ingest)
+        config = _hd_config(max_tokens=60, temperature=temperature)
+        _, metrics, _ = decode(model, prompt, dbs, config)
+        assert len(calls) == per_step * metrics.steps + 1
+
+
 def test_sampling_decode_is_seed_deterministic(setup):
     corpus, model, model_db, stats_db = setup
     prompt = corpus.docs[8][:5]

@@ -6,15 +6,17 @@ import pytest
 
 from hierdraft import (
     AccessRecord,
+    DecodeConfig,
     DraftCandidate,
     ModelCallCounter,
     apply_temperature,
-    attribute_verify_success,
+    autoregressive_decode,
     corpus_from_texts,
     fit_kgram,
     verify_greedy,
     verify_sampling,
 )
+from hierdraft.verification import _add_tallies
 
 from conftest import make_corpus
 
@@ -113,37 +115,47 @@ def test_500_random_steps_concatenate_to_greedy_decode():
 
 
 def test_greedy_verify_walks_one_greedy_path(monkeypatch):
-    """Candidates are scored against one lazily extended greedy path: a step
-    makes max(accepted) + 1 argmax calls, none on more than k + draft_len
-    tokens, however long the context."""
+    """Candidates are scored against one lazily extended target path: a step
+    makes max(accepted) + 1 model evaluations (argmax when greedy, the
+    distribution when sampling), none on more than k + draft_len tokens,
+    however long the context."""
     corpus = make_corpus(seed=33, n_docs=10, doc_words=300, vocab_words=40)
     model = fit_kgram(corpus, k=3, alpha=0.01)
-    rng = random.Random(5)
     draft_len = 4
-    real_argmax = model.argmax_token
-    lengths: list[int] = []
+    sample_rng = np.random.default_rng(2)
+    verifiers = {
+        "argmax_token": lambda ctx, ds, counter: verify_greedy(model, ctx, ds, counter),
+        "next_distribution": lambda ctx, ds, counter: verify_sampling(
+            model, ctx, ds, 0.5, sample_rng, counter
+        ),
+    }
+    for method, verify in verifiers.items():
+        rng = random.Random(5)
+        real_method = getattr(model, method)
+        lengths: list[int] = []
 
-    def counting_argmax(context):
-        lengths.append(len(context))
-        return real_argmax(context)
+        def counting(context):
+            lengths.append(len(context))
+            return real_method(context)
 
-    context = list(corpus.docs[1][:50])
-    for _ in range(300):
-        draft_set = []
-        for _ in range(rng.randint(0, 7)):
-            tokens = _ar_greedy(model, context, rng.randint(1, draft_len))
-            for j in range(len(tokens)):
-                if rng.random() < 0.3:
-                    tokens[j] = rng.randrange(corpus.vocab.size)
-            draft_set.append(_cand(tokens))
-        draft_set = list({c.tokens: c for c in draft_set}.values())
-        lengths.clear()
-        monkeypatch.setattr(model, "argmax_token", counting_argmax)
-        outcome = verify_greedy(model, context, draft_set, ModelCallCounter())
-        monkeypatch.undo()
-        assert len(lengths) == max(outcome.accepted, default=0) + 1
-        assert max(lengths) <= model.k + draft_len
-        context.extend(outcome.emitted)
+        context = list(corpus.docs[1][:50])
+        for _ in range(300):
+            draft_set = []
+            for _ in range(rng.randint(0, 7)):
+                tokens = _ar_greedy(model, context, rng.randint(1, draft_len))
+                for j in range(len(tokens)):
+                    if rng.random() < 0.3:
+                        tokens[j] = rng.randrange(corpus.vocab.size)
+                draft_set.append(_cand(tokens))
+            draft_set = list({c.tokens: c for c in draft_set}.values())
+            lengths.clear()
+            monkeypatch.setattr(model, method, counting)
+            outcome = verify(context, draft_set, ModelCallCounter())
+            monkeypatch.undo()
+            assert len(lengths) == max(outcome.accepted, default=0) + 1
+            assert len(outcome.emitted) == len(outcome.recycled) == len(lengths)
+            assert max(lengths) <= model.k + draft_len
+            context.extend(outcome.emitted)
 
 
 def test_acceptance_monotone_in_draft_set():
@@ -219,7 +231,11 @@ def test_sampling_correction_token_counts(chain_model):
     assert outcome.accepted[0] in (0, 1)
 
 
-def test_sampling_stops_when_survivors_exhausted(chain_model):
+def test_sampling_full_acceptance_emits_bonus(chain_model):
+    """A fully accepted candidate earns a bonus draw, as in greedy mode, and
+    the emitted tokens are the ones autoregressive sampling draws with the
+    same seed."""
+    full = 0
     for seed in range(50):
         outcome = verify_sampling(
             chain_model,
@@ -229,11 +245,16 @@ def test_sampling_stops_when_survivors_exhausted(chain_model):
             np.random.default_rng(seed),
             ModelCallCounter(),
         )
+        ar_output, _ = autoregressive_decode(
+            chain_model, [3], DecodeConfig(max_tokens=2, temperature=1.0, seed=seed)
+        )
         if outcome.accepted[0] == 1:
-            # Full acceptance of a length-1 candidate: exactly that token.
-            assert outcome.emitted == [4]
+            full += 1
+            assert len(ar_output) == 2
+            assert outcome.emitted == ar_output
         else:
-            assert len(outcome.emitted) == 1
+            assert outcome.emitted == ar_output[:1]
+    assert full > 0
 
 
 def _log(**kwargs):
@@ -250,7 +271,7 @@ def test_attribute_winner_scores_verify_success(chain_model):
         chain_model, [3], [_cand([4, 5], "context")], ModelCallCounter()
     )
     log = _log(c=(True, 1, 1), m=(True, 0, 0), s=(False, 0, 0))
-    tallies = attribute_verify_success(outcome, log)
+    tallies = _add_tallies({}, outcome, log)
     assert tallies["c"] == {"draft_failure": 0, "draft_success": 1, "verify_success": 1}
     assert tallies["m"] == {"draft_failure": 1, "draft_success": 0, "verify_success": 0}
     assert tallies["s"] == {"draft_failure": 0, "draft_success": 0, "verify_success": 0}
@@ -259,7 +280,7 @@ def test_attribute_winner_scores_verify_success(chain_model):
 def test_attribute_zero_accept_scores_no_verify_success(chain_model):
     outcome = verify_greedy(chain_model, [3], [_cand([9], "model")], ModelCallCounter())
     assert outcome.accepted == [0]
-    tallies = attribute_verify_success(outcome, _log(m=(True, 1, 1)))
+    tallies = _add_tallies({}, outcome, _log(m=(True, 1, 1)))
     assert tallies["m"]["verify_success"] == 0
     assert tallies["m"]["draft_success"] == 1
 
@@ -267,4 +288,4 @@ def test_attribute_zero_accept_scores_no_verify_success(chain_model):
 def test_attribute_mismatched_lengths_error(chain_model):
     outcome = verify_greedy(chain_model, [3], [_cand([4])], ModelCallCounter())
     with pytest.raises(ValueError, match="mismatch"):
-        attribute_verify_success(outcome, _log(c=(True, 0, 0)))
+        _add_tallies({}, outcome, _log(c=(True, 0, 0)))
