@@ -23,6 +23,7 @@ from .corpus import (
     detokenize,
     load_corpus,
     tokenize,
+    tokenize_strict,
 )
 from .drafting import (
     AccessRecord,
@@ -116,6 +117,7 @@ __all__ = [
     "save_stats_db",
     "save_traces",
     "tokenize",
+    "tokenize_strict",
     "verify_greedy",
     "verify_sampling",
     "verify_stats_db",

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import analysis, bench
 from .context_db import ContextDB
-from .corpus import Vocab, build_vocab, detokenize, load_corpus, tokenize
+from .corpus import Vocab, build_vocab, detokenize, load_corpus, tokenize_strict
 from .drafting import DatabaseSet, HierarchyConfig
 from .engine import DecodeConfig, decode, save_traces
 from .kgram import fit_kgram, load_kgram, save_kgram
@@ -109,12 +109,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     vocab = Vocab.load(args.vocab)
     model = _load_model(args, vocab)
     if args.prompt is not None:
-        prompt_text = args.prompt
+        prompt = tokenize_strict(args.prompt, vocab, "--prompt")
     elif args.prompt_file is not None:
-        prompt_text = Path(args.prompt_file).read_text(encoding="utf-8")
+        text = _read_texts([args.prompt_file])[0]
+        prompt = tokenize_strict(text, vocab, args.prompt_file)
     else:
         raise SystemExit("error: provide --prompt or --prompt-file")
-    prompt = tokenize(prompt_text, vocab)
     if not prompt:
         raise SystemExit("error: empty prompt")
     enabled = args.databases.replace(",", "")
@@ -187,9 +187,9 @@ def _bench_resources(setup: dict):
 
 def _load_prompts(path: str, vocab: Vocab) -> list[list[int]]:
     prompts = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(_read_texts([path])[0].splitlines(), 1):
         if line.strip():
-            prompts.append(tokenize(line, vocab))
+            prompts.append(tokenize_strict(line, vocab, path, number))
     if not prompts:
         raise SystemExit(f"error: no prompts in {path}")
     return prompts

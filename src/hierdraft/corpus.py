@@ -96,6 +96,22 @@ def tokenize(text: str, vocab: Vocab) -> list[int]:
     return [vocab.id_of(w) for w in text.split()]
 
 
+def tokenize_strict(text: str, vocab: Vocab, where: str | Path, line: int = 1) -> list[int]:
+    """``tokenize``, but an out-of-vocabulary word raises ``ValueError``.
+
+    The message names the first such word and its line as ``where:line``;
+    ``line`` numbers the first line of ``text``.
+    """
+    tokens = []
+    for number, text_line in enumerate(text.splitlines(), line):
+        for word in text_line.split():
+            token = vocab.id_of(word)
+            if token == UNK:
+                raise ValueError(f"out-of-vocabulary word {word!r} at {where}:{number}")
+            tokens.append(token)
+    return tokens
+
+
 def detokenize(tokens: Iterable[int], vocab: Vocab) -> str:
     """Space-join the words for the given ids. UNK renders as "<unk>", EOS as ""."""
     rendered = [vocab.word_of(t) for t in tokens]
@@ -136,18 +152,24 @@ def load_corpus(
 
     With ``doc_per_line`` each non-empty line is a document; otherwise each
     file is a single document. When ``vocab`` is None a fresh vocabulary is
-    built from the same texts.
+    built from the same texts; a given ``vocab`` must hold every word, or
+    ``ValueError`` names the first missing one as ``path:line``.
     """
-    doc_texts: list[str] = []
+    # (text, path, number of its first line) per document
+    doc_texts: list[tuple[str, str | Path, int]] = []
     for path in paths:
         text = _read_text(path)
         if doc_per_line:
-            doc_texts.extend(line for line in text.splitlines() if line.strip())
+            doc_texts.extend(
+                (line, path, number)
+                for number, line in enumerate(text.splitlines(), 1)
+                if line.strip()
+            )
         elif text.strip():
-            doc_texts.append(text)
+            doc_texts.append((text, path, 1))
     if vocab is None:
-        vocab = build_vocab(doc_texts)
-    docs = [tokenize(t, vocab) + [EOS] for t in doc_texts]
+        vocab = build_vocab(text for text, _, _ in doc_texts)
+    docs = [tokenize_strict(text, vocab, path, line) + [EOS] for text, path, line in doc_texts]
     if not docs:
         raise ValueError("empty corpus")
     return Corpus(docs=docs, vocab=vocab)

@@ -27,7 +27,7 @@ from .drafting import (
     HierarchyConfig,
     hierarchical_draft,
 )
-from .kgram import KGramModel, ModelCallCounter, apply_temperature, sample_token
+from .kgram import KGramModel, ModelCallCounter
 from .verification import StepOutcome, _add_tallies, verify_greedy, verify_sampling
 
 
@@ -262,10 +262,7 @@ def autoregressive_decode(
         if config.temperature == 0:
             token = model.argmax_token(context)
         else:
-            probs = apply_temperature(
-                model.next_distribution(context), config.temperature
-            )
-            token = sample_token(probs, rng)
+            token = model.sample(context, config.temperature, rng)[0]
         context.append(token)
         if token == EOS:
             break

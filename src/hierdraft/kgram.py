@@ -6,6 +6,21 @@ is applied over the full vocabulary at that order, and ties at argmax
 break toward the lowest token id. That makes greedy decoding a total
 deterministic function, which is what makes speculative losslessness
 directly testable.
+
+The model is immutable, so its per-token work is precompiled once, at
+construction: count tables are kept in ascending token-id order, and the
+argmax of every table is found (a one-entry table's is its key). A greedy
+draw is then a backoff walk of dict reads, and a sampling draw
+(``KGramModel.sample``) reads only the backed-off count table: every
+unseen token has the same closed-form weight, so the inverse CDF walks
+the table in id order and steps over each run of unseen ids in one
+division, O(table) instead of O(vocab). ``next_distribution``,
+``apply_temperature`` and ``sample_token`` build the full
+vocabulary-sized law; they are the reference the sampler is tested
+against.
+
+HDKG loads fail closed: anything but a well-formed model raises
+``ValueError`` (see ``load_kgram``).
 """
 
 from __future__ import annotations
@@ -14,6 +29,7 @@ import math
 import struct
 import time
 from dataclasses import dataclass
+from operator import lt
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +38,11 @@ from .corpus import Corpus
 
 KGRAM_MAGIC = b"HDKG"
 KGRAM_VERSION = 1
+_HEADER = struct.Struct("<IIId")
 _TINY = np.finfo(np.float64).tiny  # smallest normal float64
+# Tables longer than this are sampled with numpy: its fixed cost per draw
+# is that of a Python walk over about this many entries.
+_WALK_MAX = 128
 
 
 @dataclass
@@ -61,26 +81,43 @@ class KGramModel:
         self.k = k
         self.alpha = alpha
         self.vocab_size = vocab_size
-        # counts[j] maps a (j-1)-token context to {next_token: count}.
-        # Index 0 is unused padding so counts[j] lines up with order j.
+        # counts[j] maps a (j-1)-token context to {next_token: count}, with
+        # ids below vocab_size. Index 0 is unused padding so counts[j] lines
+        # up with order j. A table out of ascending id order is replaced by
+        # its sorted copy.
         self._counts = counts
+        # Context (of any order; lengths tell them apart) -> argmax of its
+        # table, for tables of two or more entries; a one-entry table's
+        # argmax is its key. max() keeps the first of equal counts: in id
+        # order, the lowest id.
+        self._argmax: dict[tuple[int, ...], int] = {}
+        for tables in counts[1:]:
+            for ctx, table in tables.items():
+                if len(table) > 1:
+                    ids = list(table)
+                    if ids != sorted(ids):
+                        table = tables[ctx] = dict(sorted(table.items()))
+                    self._argmax[ctx] = max(table, key=table.__getitem__)
 
-    def _backoff_table(self, context: list[int]) -> dict[int, int] | None:
-        """Count table at the longest order whose context suffix has mass."""
-        top = min(self.k, len(context) + 1)
-        for order in range(top, 0, -1):
-            ctx = tuple(context[len(context) - (order - 1):]) if order > 1 else ()
-            table = self._counts[order].get(ctx)
+    def _backoff(self, context: list[int]) -> tuple[dict[int, int], int] | None:
+        """The non-empty table at the longest order whose context suffix has
+        one, and its argmax."""
+        counts = self._counts
+        n = len(context)
+        for order in range(min(self.k, n + 1), 0, -1):
+            ctx = tuple(context[n - order + 1:])
+            table = counts[order].get(ctx)
             if table:
-                return table
+                return table, self._argmax[ctx] if len(table) > 1 else next(iter(table))
         return None
 
     def next_distribution(self, context: list[int]) -> np.ndarray:
         """Smoothed next-token probabilities, length ``vocab_size``."""
         probs = np.full(self.vocab_size, self.alpha, dtype=np.float64)
-        table = self._backoff_table(context)
+        found = self._backoff(context)
         total = 0
-        if table is not None:
+        if found is not None:
+            table = found[0]
             for token, count in table.items():
                 probs[token] += count
             total = sum(table.values())
@@ -89,15 +126,94 @@ class KGramModel:
     def argmax_token(self, context: list[int]) -> int:
         """Greedy next token: highest count at the backed-off order, lowest id on ties.
 
-        Equals ``argmax(next_distribution(context))`` but skips building the
-        vocabulary-sized vector; add-alpha smoothing is uniform so it never
-        changes which token wins.
+        Equals ``argmax(next_distribution(context))``: add-alpha smoothing
+        is uniform, so it never changes which token wins. Each table's
+        argmax was found at construction, so this is a walk of dict reads.
         """
-        table = self._backoff_table(context)
-        if not table:
-            return 0
-        best = min((-count, token) for token, count in table.items())
-        return best[1]
+        found = self._backoff(context)
+        return found[1] if found is not None else 0
+
+    def sample(
+        self, context: list[int], temperature: float, rng: np.random.Generator
+    ) -> tuple[int, int]:
+        """One draw at temperature T > 0, and the argmax after ``context``.
+
+        The token is the inverse CDF, in token-id order, of
+        ``apply_temperature(next_distribution(context), T)`` at one
+        ``rng.random()``, as ``sample_token`` would draw it, without the
+        vocabulary-sized vectors. Weights are relative to the table's
+        largest count ``c_max``: ``((c + alpha) / (c_max + alpha)) ** (1/T)``
+        for a seen token and ``(alpha / (c_max + alpha)) ** (1/T)`` for each
+        unseen one. Every weight is in [0, 1] and the argmax weighs 1, so no
+        power overflows and the total is at least 1 at every T > 0; an
+        unseen weight that underflows to 0 is never divided by.
+        """
+        u = rng.random()
+        vocab_size = self.vocab_size
+        found = self._backoff(context)
+        if found is None:
+            return min(int(u * vocab_size), vocab_size - 1), 0
+        table, best = found
+        alpha = self.alpha
+        inv_t = 1.0 / temperature
+        top = table[best] + alpha
+        unseen = (alpha / top) ** inv_t
+        if len(table) > _WALK_MAX:
+            return _sample_vectorized(table, u, alpha, top, inv_t, unseen, vocab_size), best
+        weights = [((c + alpha) / top) ** inv_t for c in table.values()]
+        x = u * (sum(weights) + (vocab_size - len(weights)) * unseen)
+        # seen: weight of the seen tokens below `token`; `token - j` unseen
+        # ids lie below it too.
+        seen = 0.0
+        prev = -1
+        for j, (token, weight) in enumerate(zip(table, weights)):
+            low = seen + (token - j) * unseen
+            if x < low:
+                return _unseen_draw(x - seen, unseen, j, prev, token), best
+            if x < low + weight:
+                return token, best
+            seen += weight
+            prev = token
+        return _unseen_draw(x - seen, unseen, len(weights), prev, vocab_size), best
+
+
+def _sample_vectorized(
+    table: dict[int, int],
+    u: float,
+    alpha: float,
+    top: float,
+    inv_t: float,
+    unseen: float,
+    vocab_size: int,
+) -> int:
+    """``KGramModel.sample``'s walk over a large table, with numpy."""
+    n = len(table)
+    tokens = np.fromiter(table, np.int64, n)
+    weights = ((np.fromiter(table.values(), np.float64, n) + alpha) / top) ** inv_t
+    cum = np.cumsum(weights)
+    # high[j]: weight of every id up to and including tokens[j].
+    high = cum + (tokens - np.arange(n)) * unseen
+    x = u * (cum[-1] + (vocab_size - n) * unseen)
+    j = int(np.searchsorted(high, x, side="right"))
+    if j == n:
+        return _unseen_draw(x - cum[-1], unseen, n, int(tokens[-1]), vocab_size)
+    if x >= high[j] - weights[j]:
+        return int(tokens[j])
+    seen = cum[j] - weights[j]
+    return _unseen_draw(x - seen, unseen, j, int(tokens[j - 1]) if j else -1, int(tokens[j]))
+
+
+def _unseen_draw(offset: float, unseen: float, j: int, prev: int, nxt: int) -> int:
+    """The unseen id ``offset`` weight into the run of unseen ids, above
+    ``j`` seen ones, that lies between seen ids ``prev`` and ``nxt``.
+
+    Clamped into (prev, nxt), as rounding at a boundary can step a rank
+    out of it; with no unseen id there (or no unseen weight, which only
+    rounding past the last boundary reaches) it is ``prev``.
+    """
+    if unseen > 0 and prev + 1 < nxt:
+        return int(min(max(j + offset / unseen, prev + 1), nxt - 1))
+    return prev
 
 
 def fit_kgram(corpus: Corpus, k: int, alpha: float) -> KGramModel:
@@ -156,50 +272,101 @@ def save_kgram(model: KGramModel, path: str | Path) -> None:
     """Versioned little-endian binary: magic, k, vocab_size, alpha, count tables."""
     with open(path, "wb") as fh:
         fh.write(KGRAM_MAGIC)
-        fh.write(struct.pack("<IIId", KGRAM_VERSION, model.k, model.vocab_size, model.alpha))
+        fh.write(_HEADER.pack(KGRAM_VERSION, model.k, model.vocab_size, model.alpha))
         for order in range(1, model.k + 1):
             tables = model._counts[order]
             fh.write(struct.pack("<Q", len(tables)))
             for ctx in sorted(tables):
                 table = tables[ctx]
-                if order > 1:
-                    fh.write(struct.pack(f"<{order - 1}I", *ctx))
-                fh.write(struct.pack("<I", len(table)))
+                fh.write(struct.pack(f"<{order}I", *ctx, len(table)))
                 for token in sorted(table):
                     fh.write(struct.pack("<IQ", token, table[token]))
 
 
 def load_kgram(path: str | Path) -> KGramModel:
+    """Read an HDKG file; anything but a well-formed model raises ``ValueError``.
+
+    Besides truncation and trailing bytes, the load rejects ``k < 1``,
+    ``vocab_size < 1``, a non-finite or non-positive ``alpha``, an order-1
+    section with more than one context, contexts or next tokens that are
+    not strictly ascending, a token or context id at or above
+    ``vocab_size``, an empty table and a count below 1.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != KGRAM_MAGIC:
         raise ValueError("unsupported k-gram model file: bad magic")
-    offset = 4
     try:
-        version, k, vocab_size, alpha = struct.unpack_from("<IIId", data, offset)
-        offset += struct.calcsize("<IIId")
+        version, k, vocab_size, alpha = _HEADER.unpack_from(data, 4)
         if version != KGRAM_VERSION:
             raise ValueError(f"unsupported k-gram model file: version {version}")
-        counts: list[dict[tuple[int, ...], dict[int, int]]] = [dict() for _ in range(k + 1)]
-        for order in range(1, k + 1):
-            (n_ctx,) = struct.unpack_from("<Q", data, offset)
-            offset += 8
-            for _ in range(n_ctx):
-                if order > 1:
-                    ctx = struct.unpack_from(f"<{order - 1}I", data, offset)
-                    offset += 4 * (order - 1)
-                else:
-                    ctx = ()
-                (n_next,) = struct.unpack_from("<I", data, offset)
-                offset += 4
-                table: dict[int, int] = {}
-                for _ in range(n_next):
-                    token, count = struct.unpack_from("<IQ", data, offset)
-                    offset += 12
-                    table[token] = count
-                counts[order][tuple(ctx)] = table
+        counts = _read_tables(data, 4 + _HEADER.size, k, vocab_size, alpha)
     except struct.error as exc:
         raise ValueError(f"corrupt k-gram model file: {exc}") from exc
-    if offset != len(data):
-        raise ValueError("corrupt k-gram model file: trailing bytes")
     return KGramModel(k, alpha, vocab_size, counts)
+
+
+def _read_tables(
+    data: bytes, offset: int, k: int, vocab_size: int, alpha: float
+) -> list[dict[tuple[int, ...], dict[int, int]]]:
+    def corrupt(why: str) -> ValueError:
+        return ValueError(f"corrupt k-gram model file: {why}")
+
+    # Each order takes at least its 8-byte context count, which bounds k
+    # before k + 1 dicts are allocated.
+    if not 1 <= k <= (len(data) - offset) // 8:
+        raise corrupt(f"k = {k}")
+    if vocab_size < 1:
+        raise corrupt(f"vocab_size = {vocab_size}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise corrupt(f"alpha = {alpha}")
+    entry_structs: dict[int, struct.Struct] = {}  # n -> n (token, count) pairs
+    counts: list[dict[tuple[int, ...], dict[int, int]]] = [dict() for _ in range(k + 1)]
+    for order in range(1, k + 1):
+        (n_ctx,) = struct.unpack_from("<Q", data, offset)
+        offset += 8
+        if order == 1 and n_ctx > 1:
+            raise corrupt(f"{n_ctx} order-1 contexts")
+        # Context ids, table length and the first entry: all of a one-entry
+        # table, the most common, in one call.
+        head = struct.Struct(f"<{order}IIQ")
+        unpack, head_size, n_at = head.unpack_from, head.size, order - 1
+        rest_at = head_size - 12  # where a longer table's entries start
+        tables = counts[order]
+        for _ in range(n_ctx):
+            fields = unpack(data, offset)
+            ctx = fields[:n_at]
+            n_next = fields[n_at]
+            if n_next == 1:
+                offset += head_size
+                token = fields[-2]
+                count = fields[-1]
+                table = {token: count}
+            else:
+                if not 1 <= n_next <= (len(data) - offset - rest_at) // 12:
+                    raise corrupt(f"table of {n_next} entries for context {ctx}")
+                entries = entry_structs.get(n_next)
+                if entries is None:
+                    entries = entry_structs[n_next] = struct.Struct("<" + "IQ" * n_next)
+                values = entries.unpack_from(data, offset + rest_at)
+                offset += rest_at + entries.size
+                tokens, table_counts = values[0::2], values[1::2]
+                if not all(map(lt, tokens, tokens[1:])):
+                    raise corrupt(f"next tokens not strictly ascending for context {ctx}")
+                token, count = tokens[-1], min(table_counts)
+                table = dict(zip(tokens, table_counts))
+            if token >= vocab_size:
+                raise corrupt(f"token {token} >= vocab_size {vocab_size}")
+            if count < 1:
+                raise corrupt(f"count below 1 for context {ctx}")
+            tables[ctx] = table
+        # Contexts ascend strictly (so none repeats) and their ids, like the
+        # tokens above, stay below vocab_size.
+        contexts = list(tables)
+        if len(contexts) != n_ctx or not all(map(lt, contexts, contexts[1:])):
+            raise corrupt(f"order-{order} contexts not strictly ascending")
+        if order > 1 and contexts and max(map(max, contexts)) >= vocab_size:
+            raise corrupt(f"an order-{order} context holds an id >= vocab_size {vocab_size}")
+    if offset != len(data):
+        raise corrupt("trailing bytes")
+    return counts

@@ -9,7 +9,8 @@ accepted length is its longest prefix on that path; the step emits the
 path, which is the winner's accepted prefix plus one more target token
 (the correction at the first divergence, or the bonus after a full
 acceptance), so every step makes progress. Greedy draws the argmax;
-sampling draws from the exact temperature-scaled target distribution, one
+sampling draws from the exact temperature-scaled target distribution
+through ``KGramModel.sample``, as ``autoregressive_decode`` does, one
 ``rng.random()`` per emitted token in order, so the output law and even
 the tokens for a given seed equal plain autoregressive decoding.
 """
@@ -23,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .drafting import AccessLog, DraftCandidate, SOURCE_NAMES
-from .kgram import KGramModel, ModelCallCounter, apply_temperature, sample_token
+from .kgram import KGramModel, ModelCallCounter
 
 _SOURCE_TO_LETTER = {name: letter for letter, name in SOURCE_NAMES.items()}
 
@@ -118,16 +119,17 @@ def verify_sampling(
     under their proposal, so this emits the same law as speculative
     sampling with point-mass drafts, and therefore the same law as
     autoregressive sampling; a fully accepted candidate earns a bonus
-    draw, as in greedy mode. ``recycled`` holds each position's argmax.
+    draw, as in greedy mode. Each draw is one ``model.sample`` call, and
+    ``recycled`` holds the argmax it returns for each position.
     """
     if temperature <= 0:
         raise ValueError("verify_sampling requires temperature > 0; use verify_greedy")
     recycled: list[int] = []
 
     def draw(path: list[int]) -> int:
-        probs = apply_temperature(model.next_distribution(path), temperature)
-        recycled.append(int(np.argmax(probs)))
-        return sample_token(probs, rng)
+        token, best = model.sample(path, temperature, rng)
+        recycled.append(best)
+        return token
 
     outcome = _verify(model, context, draft_set, counter, draw)
     outcome.recycled = recycled

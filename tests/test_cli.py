@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -106,6 +107,32 @@ def test_run_missing_db_flag_fails(workspace):
              "--model", str(workspace["model"]), "--databases", "c,s",
              "--max-tokens", "4"]
         )
+
+
+def test_run_rejects_oov_prompt_words(workspace, tmp_path):
+    common = ["--vocab", str(workspace["vocab"]), "--model", str(workspace["model"]),
+              "--databases", "c", "--max-tokens", "4"]
+    with pytest.raises(SystemExit, match="error: out-of-vocabulary word 'zzz' at --prompt:1$"):
+        main(["run", "--prompt", "w0 zzz w1", *common])
+    prompt_file = tmp_path / "prompt.txt"
+    prompt_file.write_text("w0 w1\nw2 qqq\n", encoding="utf-8")
+    where = re.escape(str(prompt_file))
+    with pytest.raises(SystemExit, match=f"error: out-of-vocabulary word 'qqq' at {where}:2$"):
+        main(["run", "--prompt-file", str(prompt_file), *common])
+    with pytest.raises(SystemExit, match="error: cannot read .*missing.txt"):
+        main(["run", "--prompt-file", str(tmp_path / "missing.txt"), *common])
+
+
+def test_bench_rejects_oov_prompt_words(workspace, tmp_path):
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("w0 w1\n\nw2 w3 nope\n", encoding="utf-8")
+    where = re.escape(str(prompts))
+    with pytest.raises(SystemExit, match=f"error: out-of-vocabulary word 'nope' at {where}:3$"):
+        main(["bench", "--prompts", str(prompts), "--configs", str(workspace["configs"]),
+              "--runs", "1", "--out", str(tmp_path / "report.json")])
+    with pytest.raises(SystemExit, match="error: cannot read .*missing.txt"):
+        main(["bench", "--prompts", str(tmp_path / "missing.txt"), "--configs",
+              str(workspace["configs"]), "--runs", "1", "--out", str(tmp_path / "report.json")])
 
 
 def test_bench_cli(workspace, capsys):

@@ -13,6 +13,7 @@ from hierdraft import (
     detokenize,
     load_corpus,
     tokenize,
+    tokenize_strict,
 )
 
 from conftest import make_text
@@ -136,3 +137,23 @@ def test_vocab_load_fails_closed(tmp_path, text, line):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=f"vocab.txt:{line}:"):
         Vocab.load(path)
+
+
+def test_tokenize_strict_names_first_oov_word_and_line():
+    vocab = build_vocab(["the cat sat"])
+    assert tokenize_strict("the cat\nsat", vocab, "x") == tokenize("the cat sat", vocab)
+    with pytest.raises(ValueError, match="out-of-vocabulary word 'dog' at prompts.txt:2$"):
+        tokenize_strict("the cat\nthe dog sat\nthe emu", vocab, "prompts.txt")
+    with pytest.raises(ValueError, match="'dog' at notes:8$"):
+        tokenize_strict("the dog", vocab, "notes", line=8)
+
+
+@pytest.mark.parametrize("doc_per_line", [True, False])
+def test_load_corpus_rejects_oov_words(tmp_path, doc_per_line):
+    vocab = build_vocab(["a b c"])
+    path = tmp_path / "docs.txt"
+    path.write_text("a b\n\nc z a\ny\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="out-of-vocabulary word 'z' at .*docs.txt:3$"):
+        load_corpus([path], vocab=vocab, doc_per_line=doc_per_line)
+    # Without a given vocabulary every word is in the one built.
+    assert load_corpus([path], doc_per_line=doc_per_line).n_tokens > 0

@@ -1,4 +1,6 @@
+import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierdraft import (
+    KGramModel,
     ModelCallCounter,
     apply_temperature,
     corpus_from_texts,
@@ -237,3 +240,161 @@ def test_temperature_scaling_finite_and_normalised(weights, temperature):
 def test_temperature_near_zero_is_argmax_not_nan():
     scaled = apply_temperature(np.array([0.5, 0.3, 0.2]), 0.0005)
     assert scaled.tolist() == [1.0, 0.0, 0.0]
+
+
+class _FixedU:
+    """A generator stand-in whose ``random()`` returns ``u`` and counts calls."""
+
+    def __init__(self, u: float):
+        self.u = u
+        self.calls = 0
+
+    def random(self) -> float:
+        self.calls += 1
+        return self.u
+
+
+@st.composite
+def _model_and_context(draw):
+    """A small model with random count tables, given out of id order, of up
+    to 8 entries or longer than the sampler's walk limit, and a context,
+    usually one the model has a table for."""
+    vocab = draw(st.integers(1, 1000))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def table():
+        size = min(vocab, draw(st.one_of(st.integers(1, 8), st.integers(129, 300))))
+        return {token: rng.randint(1, 40) for token in rng.sample(range(vocab), size)}
+
+    ids = st.integers(0, vocab - 1)
+    k = draw(st.integers(1, 3))
+    counts = [{}]
+    for order in range(1, k + 1):
+        if order == 1:
+            contexts = draw(st.sampled_from([[()], [()], []]))
+        else:
+            contexts = draw(st.lists(st.tuples(*[ids] * (order - 1)), max_size=3, unique=True))
+        counts.append({ctx: table() for ctx in contexts})
+    alpha = draw(st.sampled_from([1e-3, 0.01, 0.5, 4.0]))
+    known = [list(ctx) for order_tables in counts for ctx in order_tables]
+    random_context = st.lists(ids, max_size=4)
+    context = draw(st.one_of(st.sampled_from(known), random_context) if known else random_context)
+    return KGramModel(k, alpha, vocab, counts), context
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    model_context=_model_and_context(),
+    temperature=st.one_of(st.sampled_from([0.0005, 10.0]), st.floats(0.0, 10.0, exclude_min=True)),
+    data=st.data(),
+)
+def test_sample_is_the_reference_inverse_cdf(model_context, temperature, data):
+    """``sample`` draws the token ``sample_token`` draws from
+    ``apply_temperature(next_distribution(...))`` at the same uniform u, with
+    one ``random()`` call, except for u within 1e-9 of a CDF boundary. Half
+    the u are drawn close to a boundary."""
+    model, context = model_context
+    probs = apply_temperature(model.next_distribution(context), temperature)
+    cdf = np.cumsum(probs)
+    if data.draw(st.booleans()):
+        u = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+    else:
+        # Next to either end of a token's interval; seen tokens (above the
+        # smallest probability) are the ones the walk steps through.
+        seen = np.flatnonzero(probs > probs.min())
+        ids = st.sampled_from(seen.tolist()) if len(seen) else st.integers(0, len(cdf) - 1)
+        end = data.draw(ids) - data.draw(st.sampled_from([0, 1]))
+        delta = data.draw(st.one_of(st.floats(-1e-4, 1e-4), st.floats(-1e-7, 1e-7)))
+        u = float(np.clip((cdf[end] if end >= 0 else 0.0) + delta, 0.0, 1 - 2**-53))
+    rng = _FixedU(u)
+    token, best = model.sample(context, temperature, rng)
+    assert rng.calls == 1
+    assert type(token) is int and 0 <= token < model.vocab_size
+    assert best == model.argmax_token(context)
+    if np.min(np.abs(cdf - u)) < 1e-9:
+        return
+    assert token == sample_token(probs, _FixedU(u))
+
+
+def _assert_argmax_is_rescan(model):
+    """Every context's argmax equals a rescan of its count table."""
+    n_contexts = 0
+    for order in range(1, model.k + 1):
+        for ctx, table in model._counts[order].items():
+            assert list(table) == sorted(table)  # id order, as sampling walks it
+            rescan = min((-count, token) for token, count in table.items())[1]
+            assert model.argmax_token(list(ctx)) == rescan
+            n_contexts += 1
+    return n_contexts
+
+
+def test_argmax_table_matches_rescan_oracle(tmp_path):
+    corpus = make_corpus(seed=3, n_docs=12, doc_words=200, vocab_words=30)
+    model = fit_kgram(corpus, k=3, alpha=0.01)
+    assert _assert_argmax_is_rescan(model) > 100
+    path = tmp_path / "model.hdkg"
+    save_kgram(model, path)
+    loaded = load_kgram(path)
+    assert loaded._counts == model._counts
+    assert _assert_argmax_is_rescan(loaded) == _assert_argmax_is_rescan(model)
+
+
+def _hdkg(sections, k=None, vocab_size=7, alpha=0.5) -> bytes:
+    """HDKG bytes written exactly as given: ``sections[order - 1]`` lists
+    ``(context, [(token, count), ...])`` pairs."""
+    out = [b"HDKG", struct.pack("<IIId", 1, len(sections) if k is None else k, vocab_size, alpha)]
+    for order, contexts in enumerate(sections, 1):
+        out.append(struct.pack("<Q", len(contexts)))
+        for ctx, entries in contexts:
+            out.append(struct.pack(f"<{order}I", *ctx, len(entries)))
+            out.extend(struct.pack("<IQ", token, count) for token, count in entries)
+    return b"".join(out)
+
+
+_UNIGRAMS = [((), [(1, 1), (3, 2), (4, 1)])]
+_BIGRAMS = [((3,), [(4, 2)]), ((4,), [(1, 1), (3, 1)])]
+
+
+def test_hand_written_hdkg_loads(tmp_path):
+    path = tmp_path / "model.hdkg"
+    path.write_bytes(_hdkg([_UNIGRAMS, _BIGRAMS]))
+    model = load_kgram(path)
+    assert model._counts[1] == {(): {1: 1, 3: 2, 4: 1}}
+    assert model._counts[2] == {(3,): {4: 2}, (4,): {1: 1, 3: 1}}
+    assert model.argmax_token([4]) == 1
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        (_hdkg([_UNIGRAMS, [((3,), [(7, 2)])]]), "token 7 >= vocab_size 7"),
+        (_hdkg([_UNIGRAMS, [((3,), [(999999, 0)])]]), "token 999999 >= vocab_size"),
+        (_hdkg([_UNIGRAMS, [((3,), [(4, 2)]), ((7,), [(4, 1)])]]), "context holds an id >= vocab"),
+        (_hdkg([_UNIGRAMS, [((3,), [(4, 0)])]]), "count below 1"),
+        (_hdkg([_UNIGRAMS, [((3,), []), ((4,), [(3, 1)])]]), "table of 0 entries"),
+        (_hdkg([_UNIGRAMS, [((3,), [(4, 2)]), ((3,), [(4, 2)])]]), "contexts not strictly"),
+        (_hdkg([_UNIGRAMS, [((4,), [(3, 1)]), ((3,), [(4, 2)])]]), "contexts not strictly"),
+        (_hdkg([_UNIGRAMS, [((4,), [(3, 1), (3, 1)])]]), "next tokens not strictly"),
+        (_hdkg([_UNIGRAMS, [((4,), [(3, 1), (1, 1)])]]), "next tokens not strictly"),
+        (_hdkg([_UNIGRAMS + _UNIGRAMS, _BIGRAMS]), "2 order-1 contexts"),
+        (_hdkg([], k=0), "k = 0"),
+        (_hdkg([_UNIGRAMS], k=2**32 - 1), "k = 4294967295"),
+        (_hdkg([_UNIGRAMS, _BIGRAMS], vocab_size=0), "vocab_size = 0"),
+        (_hdkg([_UNIGRAMS, _BIGRAMS], alpha=math.nan), "alpha = nan"),
+        (_hdkg([_UNIGRAMS, _BIGRAMS], alpha=math.inf), "alpha = inf"),
+        (_hdkg([_UNIGRAMS, _BIGRAMS], alpha=0.0), "alpha = 0.0"),
+        (_hdkg([_UNIGRAMS, _BIGRAMS], alpha=-0.5), "alpha = -0.5"),
+    ],
+    ids=[
+        "token-at-vocab-size", "token-999999-count-0", "context-id-at-vocab-size",
+        "count-zero", "empty-table", "repeated-context", "descending-contexts",
+        "repeated-next-token", "descending-next-tokens", "two-order-1-contexts",
+        "k-zero", "k-beyond-the-file", "vocab-size-zero", "alpha-nan", "alpha-inf",
+        "alpha-zero", "alpha-negative",
+    ],
+)
+def test_load_fails_closed(tmp_path, data, match):
+    path = tmp_path / "bad.hdkg"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"corrupt k-gram model file: .*{match}"):
+        load_kgram(path)

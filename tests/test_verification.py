@@ -116,8 +116,8 @@ def test_500_random_steps_concatenate_to_greedy_decode():
 
 def test_greedy_verify_walks_one_greedy_path(monkeypatch):
     """Candidates are scored against one lazily extended target path: a step
-    makes max(accepted) + 1 model evaluations (argmax when greedy, the
-    distribution when sampling), none on more than k + draft_len tokens,
+    makes max(accepted) + 1 model evaluations (argmax when greedy, one
+    ``sample`` draw when sampling), none on more than k + draft_len tokens,
     however long the context."""
     corpus = make_corpus(seed=33, n_docs=10, doc_words=300, vocab_words=40)
     model = fit_kgram(corpus, k=3, alpha=0.01)
@@ -125,7 +125,7 @@ def test_greedy_verify_walks_one_greedy_path(monkeypatch):
     sample_rng = np.random.default_rng(2)
     verifiers = {
         "argmax_token": lambda ctx, ds, counter: verify_greedy(model, ctx, ds, counter),
-        "next_distribution": lambda ctx, ds, counter: verify_sampling(
+        "sample": lambda ctx, ds, counter: verify_sampling(
             model, ctx, ds, 0.5, sample_rng, counter
         ),
     }
@@ -134,9 +134,9 @@ def test_greedy_verify_walks_one_greedy_path(monkeypatch):
         real_method = getattr(model, method)
         lengths: list[int] = []
 
-        def counting(context):
+        def counting(context, *args):
             lengths.append(len(context))
-            return real_method(context)
+            return real_method(context, *args)
 
         context = list(corpus.docs[1][:50])
         for _ in range(300):
