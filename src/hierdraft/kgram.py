@@ -104,11 +104,14 @@ class KGramModel:
         one, and its argmax."""
         counts = self._counts
         n = len(context)
-        for order in range(min(self.k, n + 1), 0, -1):
+        # A while loop: range() and min() cost more than the reads here.
+        order = self.k if n >= self.k - 1 else n + 1
+        while order:
             ctx = tuple(context[n - order + 1:])
             table = counts[order].get(ctx)
             if table:
                 return table, self._argmax[ctx] if len(table) > 1 else next(iter(table))
+            order -= 1
         return None
 
     def next_distribution(self, context: list[int]) -> np.ndarray:

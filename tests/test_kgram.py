@@ -17,6 +17,7 @@ from hierdraft import (
     sample_token,
     save_kgram,
 )
+from hierdraft.kgram import _WALK_MAX
 
 from conftest import make_corpus
 
@@ -263,7 +264,7 @@ def _model_and_context(draw):
     rng = draw(st.randoms(use_true_random=False))
 
     def table():
-        size = min(vocab, draw(st.one_of(st.integers(1, 8), st.integers(129, 300))))
+        size = min(vocab, draw(st.one_of(st.integers(1, 8), st.integers(_WALK_MAX + 1, 300))))
         return {token: rng.randint(1, 40) for token in rng.sample(range(vocab), size)}
 
     ids = st.integers(0, vocab - 1)
