@@ -23,7 +23,6 @@ from .corpus import (
     detokenize,
     load_corpus,
     tokenize,
-    tokenize_strict,
 )
 from .drafting import (
     AccessRecord,
@@ -117,7 +116,6 @@ __all__ = [
     "save_stats_db",
     "save_traces",
     "tokenize",
-    "tokenize_strict",
     "verify_greedy",
     "verify_sampling",
     "verify_stats_db",

@@ -169,7 +169,9 @@ def load_corpus(
             doc_texts.append((text, path, 1))
     if vocab is None:
         vocab = build_vocab(text for text, _, _ in doc_texts)
-    docs = [tokenize_strict(text, vocab, path, line) + [EOS] for text, path, line in doc_texts]
+        docs = [tokenize(text, vocab) + [EOS] for text, _, _ in doc_texts]
+    else:
+        docs = [tokenize_strict(text, vocab, path, line) + [EOS] for text, path, line in doc_texts]
     if not docs:
         raise ValueError("empty corpus")
     return Corpus(docs=docs, vocab=vocab)

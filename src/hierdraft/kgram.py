@@ -40,9 +40,6 @@ KGRAM_MAGIC = b"HDKG"
 KGRAM_VERSION = 1
 _HEADER = struct.Struct("<IIId")
 _TINY = np.finfo(np.float64).tiny  # smallest normal float64
-# Tables longer than this are sampled with numpy: its fixed cost per draw
-# is that of a Python walk over about this many entries.
-_WALK_MAX = 128
 
 
 @dataclass
@@ -161,8 +158,6 @@ class KGramModel:
         inv_t = 1.0 / temperature
         top = table[best] + alpha
         unseen = (alpha / top) ** inv_t
-        if len(table) > _WALK_MAX:
-            return _sample_vectorized(table, u, alpha, top, inv_t, unseen, vocab_size), best
         weights = [((c + alpha) / top) ** inv_t for c in table.values()]
         x = u * (sum(weights) + (vocab_size - len(weights)) * unseen)
         # seen: weight of the seen tokens below `token`; `token - j` unseen
@@ -178,32 +173,6 @@ class KGramModel:
             seen += weight
             prev = token
         return _unseen_draw(x - seen, unseen, len(weights), prev, vocab_size), best
-
-
-def _sample_vectorized(
-    table: dict[int, int],
-    u: float,
-    alpha: float,
-    top: float,
-    inv_t: float,
-    unseen: float,
-    vocab_size: int,
-) -> int:
-    """``KGramModel.sample``'s walk over a large table, with numpy."""
-    n = len(table)
-    tokens = np.fromiter(table, np.int64, n)
-    weights = ((np.fromiter(table.values(), np.float64, n) + alpha) / top) ** inv_t
-    cum = np.cumsum(weights)
-    # high[j]: weight of every id up to and including tokens[j].
-    high = cum + (tokens - np.arange(n)) * unseen
-    x = u * (cum[-1] + (vocab_size - n) * unseen)
-    j = int(np.searchsorted(high, x, side="right"))
-    if j == n:
-        return _unseen_draw(x - cum[-1], unseen, n, int(tokens[-1]), vocab_size)
-    if x >= high[j] - weights[j]:
-        return int(tokens[j])
-    seen = cum[j] - weights[j]
-    return _unseen_draw(x - seen, unseen, j, int(tokens[j - 1]) if j else -1, int(tokens[j]))
 
 
 def _unseen_draw(offset: float, unseen: float, j: int, prev: int, nxt: int) -> int:

@@ -13,8 +13,8 @@ from hierdraft import (
     detokenize,
     load_corpus,
     tokenize,
-    tokenize_strict,
 )
+from hierdraft.corpus import tokenize_strict
 
 from conftest import make_text
 

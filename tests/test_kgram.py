@@ -17,7 +17,6 @@ from hierdraft import (
     sample_token,
     save_kgram,
 )
-from hierdraft.kgram import _WALK_MAX
 
 from conftest import make_corpus
 
@@ -258,13 +257,13 @@ class _FixedU:
 @st.composite
 def _model_and_context(draw):
     """A small model with random count tables, given out of id order, of up
-    to 8 entries or longer than the sampler's walk limit, and a context,
-    usually one the model has a table for."""
+    to 8 entries or of 129-300, and a context, usually one the model has a
+    table for."""
     vocab = draw(st.integers(1, 1000))
     rng = draw(st.randoms(use_true_random=False))
 
     def table():
-        size = min(vocab, draw(st.one_of(st.integers(1, 8), st.integers(_WALK_MAX + 1, 300))))
+        size = min(vocab, draw(st.one_of(st.integers(1, 8), st.integers(129, 300))))
         return {token: rng.randint(1, 40) for token in rng.sample(range(vocab), size)}
 
     ids = st.integers(0, vocab - 1)
