@@ -47,7 +47,6 @@ class MethodSpec:
     databases: str = "cms"  # enabled database letters; "" means autoregressive
     order: str = "cms"
     temperature: float = 0.0
-    recycle: bool = True
 
     @property
     def is_autoregressive(self) -> bool:
@@ -70,7 +69,6 @@ def _decode_config(method: MethodSpec, hier: HierarchyConfig, **kwargs) -> Decod
     order = "".join(l for l in method.order if l in method.databases)
     return DecodeConfig(
         temperature=method.temperature,
-        recycle=method.recycle,
         hierarchy=replace(hier, order=order, enabled=method.databases),
         **kwargs,
     )
@@ -280,7 +278,6 @@ def ablate_dbs(
     *,
     model_db: ModelDB,
     stats_db: StatsDB,
-    order: str = "cms",
     temperature: float = 0.0,
     trace_dir: str | Path | None = None,
     **bench_kwargs,
@@ -294,7 +291,7 @@ def ablate_dbs(
     for r in (1, 2, 3):
         subsets.extend("".join(c) for c in itertools.combinations("cms", r))
     methods = [
-        MethodSpec(f"db-{subset}", databases=subset, order=order, temperature=temperature)
+        MethodSpec(f"db-{subset}", databases=subset, temperature=temperature)
         for subset in subsets
     ]
     trace_dir = Path(trace_dir) if trace_dir is not None else None

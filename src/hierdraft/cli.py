@@ -130,7 +130,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         temperature=args.temperature,
         seed=args.seed,
         hierarchy=hier,
-        recycle=not args.no_recycle,
         trace=args.trace is not None,
         model_call_cost_s=args.model_cost_ms / 1e3,
     )
@@ -309,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--max-tokens", type=int, default=1024)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--no-recycle", action="store_true")
     p.add_argument("--model-cost-ms", type=float, default=0.0)
     p.add_argument("--trace", help="write the decode trace to this JSONL file")
     p.set_defaults(func=_cmd_run)

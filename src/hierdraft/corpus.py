@@ -178,11 +178,23 @@ def load_corpus(
 
 
 def corpus_from_texts(texts: Iterable[str], *, vocab: Vocab | None = None) -> Corpus:
-    """Build a corpus directly from in-memory document strings."""
-    doc_texts = [t for t in texts if t.strip()]
+    """Build a corpus directly from in-memory document strings.
+
+    Blank texts are skipped. A given ``vocab`` must hold every word, or
+    ``ValueError`` names the first missing one and the index of its text.
+    """
+    doc_texts = [(index, t) for index, t in enumerate(texts) if t.strip()]
     if vocab is None:
-        vocab = build_vocab(doc_texts)
-    docs = [tokenize(t, vocab) + [EOS] for t in doc_texts]
+        vocab = build_vocab(t for _, t in doc_texts)
+    docs = []
+    for index, text in doc_texts:
+        tokens = tokenize(text, vocab)
+        # One C-level scan; the word is located only on failure.
+        if UNK in tokens:
+            word = text.split()[tokens.index(UNK)]
+            raise ValueError(f"out-of-vocabulary word {word!r} in text {index}")
+        tokens.append(EOS)
+        docs.append(tokens)
     if not docs:
         raise ValueError("empty corpus")
     return Corpus(docs=docs, vocab=vocab)

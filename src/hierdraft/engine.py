@@ -31,7 +31,7 @@ from .kgram import KGramModel, ModelCallCounter
 from .verification import StepOutcome, _add_tallies, verify_greedy, verify_sampling
 
 
-TRACE_SCHEMA = 1
+TRACE_SCHEMA = 2
 
 
 @dataclass
@@ -40,7 +40,6 @@ class DecodeConfig:
     temperature: float = 0.0
     seed: int = 0
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
-    recycle: bool = True  # T > 0 only: also ingest each verified position's argmax
     trace: bool = False
     model_call_cost_s: float = 0.0
 
@@ -169,9 +168,8 @@ def decode(
     """Speculative decode until EOS or ``max_tokens``.
 
     The context database is reset and fed the prompt up front, then after
-    every step it ingests the seam window (the last draft_len + 1 old
-    tokens plus the new emissions) and, when recycling is on and T > 0,
-    the model-preferred tokens computed during verification. A step whose
+    every step it ingests the seam window once: the last draft_len + 1 old
+    tokens plus the new emissions, at every temperature. A step whose
     emissions overshoot ``max_tokens`` is truncated in the output but kept
     whole in the trace.
 
@@ -209,15 +207,11 @@ def decode(
         emitted = outcome.emitted
         if records is not None:
             context_tail = context[-hier.tail_len:]
-        last = context[-1]
         context.extend(emitted)
         if use_context:
             # Both sequences hold at least two tokens: the prompt is
             # non-empty and every step emits at least one.
             dbs.context.ingest(context[-(seam_len + len(emitted)):])
-            # At T=0 recycled == emitted, whose pairs the seam just inserted.
-            if config.recycle and config.temperature > 0:
-                dbs.context.ingest([last] + outcome.recycled)
         if records is not None:
             records.append(
                 StepRecord(
@@ -262,7 +256,7 @@ def autoregressive_decode(
         if config.temperature == 0:
             token = model.argmax_token(context)
         else:
-            token = model.sample(context, config.temperature, rng)[0]
+            token = model.sample(context, config.temperature, rng)
         context.append(token)
         if token == EOS:
             break
@@ -324,7 +318,6 @@ def _trace_from_dict(d: dict) -> DecodeTrace:
     for step in trace.steps:
         _check_token_ids("context_tail", step.context_tail)
         _check_token_ids("emitted", step.outcome.emitted)
-        _check_token_ids("recycled", step.outcome.recycled)
     return trace
 
 

@@ -133,26 +133,25 @@ class KGramModel:
         found = self._backoff(context)
         return found[1] if found is not None else 0
 
-    def sample(
-        self, context: list[int], temperature: float, rng: np.random.Generator
-    ) -> tuple[int, int]:
-        """One draw at temperature T > 0, and the argmax after ``context``.
+    def sample(self, context: list[int], temperature: float, rng: np.random.Generator) -> int:
+        """One draw at temperature T > 0 after ``context``.
 
         The token is the inverse CDF, in token-id order, of
         ``apply_temperature(next_distribution(context), T)`` at one
         ``rng.random()``, as ``sample_token`` would draw it, without the
         vocabulary-sized vectors. Weights are relative to the table's
-        largest count ``c_max``: ``((c + alpha) / (c_max + alpha)) ** (1/T)``
-        for a seen token and ``(alpha / (c_max + alpha)) ** (1/T)`` for each
-        unseen one. Every weight is in [0, 1] and the argmax weighs 1, so no
-        power overflows and the total is at least 1 at every T > 0; an
-        unseen weight that underflows to 0 is never divided by.
+        largest count ``c_max``, read at its precompiled argmax:
+        ``((c + alpha) / (c_max + alpha)) ** (1/T)`` for a seen token and
+        ``(alpha / (c_max + alpha)) ** (1/T)`` for each unseen one. Every
+        weight is in [0, 1] and the argmax weighs 1, so no power overflows
+        and the total is at least 1 at every T > 0; an unseen weight that
+        underflows to 0 is never divided by.
         """
         u = rng.random()
         vocab_size = self.vocab_size
         found = self._backoff(context)
         if found is None:
-            return min(int(u * vocab_size), vocab_size - 1), 0
+            return min(int(u * vocab_size), vocab_size - 1)
         table, best = found
         alpha = self.alpha
         inv_t = 1.0 / temperature
@@ -167,12 +166,12 @@ class KGramModel:
         for j, (token, weight) in enumerate(zip(table, weights)):
             low = seen + (token - j) * unseen
             if x < low:
-                return _unseen_draw(x - seen, unseen, j, prev, token), best
+                return _unseen_draw(x - seen, unseen, j, prev, token)
             if x < low + weight:
-                return token, best
+                return token
             seen += weight
             prev = token
-        return _unseen_draw(x - seen, unseen, len(weights), prev, vocab_size), best
+        return _unseen_draw(x - seen, unseen, len(weights), prev, vocab_size)
 
 
 def _unseen_draw(offset: float, unseen: float, j: int, prev: int, nxt: int) -> int:

@@ -38,7 +38,6 @@ class StepOutcome:
     winner: int | None                  # index into the draft set, None if empty
     winner_source: str | None
     emitted: list[int]
-    recycled: list[int]                 # argmax at each emitted position
     drafted_total: int
     verify_elapsed_ns: int = 0
 
@@ -84,7 +83,6 @@ def _verify(
         winner=winner,
         winner_source=draft_set[winner].source if draft_set else None,
         emitted=emitted,
-        recycled=list(emitted),
         drafted_total=sum(len(c.tokens) for c in draft_set),
         verify_elapsed_ns=time.perf_counter_ns() - start,
     )
@@ -98,8 +96,7 @@ def verify_greedy(
 ) -> StepOutcome:
     """Accept the longest argmax-matching prefix; emit it plus one model token.
 
-    The step makes ``max(accepted) + 1`` argmax calls, and ``recycled``
-    equals ``emitted``.
+    The step makes ``max(accepted) + 1`` argmax calls.
     """
     return _verify(model, context, draft_set, counter, model.argmax_token)
 
@@ -119,21 +116,13 @@ def verify_sampling(
     under their proposal, so this emits the same law as speculative
     sampling with point-mass drafts, and therefore the same law as
     autoregressive sampling; a fully accepted candidate earns a bonus
-    draw, as in greedy mode. Each draw is one ``model.sample`` call, and
-    ``recycled`` holds the argmax it returns for each position.
+    draw, as in greedy mode. Each draw is one ``model.sample`` call.
     """
     if temperature <= 0:
         raise ValueError("verify_sampling requires temperature > 0; use verify_greedy")
-    recycled: list[int] = []
-
-    def draw(path: list[int]) -> int:
-        token, best = model.sample(path, temperature, rng)
-        recycled.append(best)
-        return token
-
-    outcome = _verify(model, context, draft_set, counter, draw)
-    outcome.recycled = recycled
-    return outcome
+    return _verify(
+        model, context, draft_set, counter, lambda path: model.sample(path, temperature, rng)
+    )
 
 
 def _add_tallies(

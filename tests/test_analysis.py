@@ -29,7 +29,6 @@ def _trace(prompt, step_specs, output=None):
             winner=0 if accepted is not None else None,
             winner_source="context" if accepted is not None else None,
             emitted=list(emitted),
-            recycled=list(emitted),
             drafted_total=max(accepted or 0, 1),
         )
         steps.append(

@@ -202,10 +202,11 @@ def test_analyze_locality_cli(workspace, tmp_path):
         ({"methods": [{"databases": "cm"}]}, "bad method"),
         ({"hierarchy": {"order": "smc"}}, "bad hierarchy.*'order'"),
         ({"hierarchy": {"enabled": "c"}}, "bad hierarchy.*'enabled'"),
+        ({"methods": [{"name": "hd", "recycle": False}]}, "error: bad method in bench config"),
     ],
     ids=["misspelt-hierarchy-key", "invalid-hierarchy-value", "misspelt-method-key",
          "method-without-name", "hierarchy-order-set-per-method",
-         "hierarchy-enabled-set-per-method"],
+         "hierarchy-enabled-set-per-method", "removed-recycle-method-key"],
 )
 def test_bench_config_key_errors_exit(workspace, tmp_path, change, match):
     setup = json.loads(workspace["configs"].read_text(encoding="utf-8"))

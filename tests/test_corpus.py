@@ -157,3 +157,11 @@ def test_load_corpus_rejects_oov_words(tmp_path, doc_per_line):
         load_corpus([path], vocab=vocab, doc_per_line=doc_per_line)
     # Without a given vocabulary every word is in the one built.
     assert load_corpus([path], doc_per_line=doc_per_line).n_tokens > 0
+
+
+def test_corpus_from_texts_rejects_oov_words():
+    vocab = build_vocab(["the cat"])
+    # The index counts every given text, blank ones included.
+    with pytest.raises(ValueError, match="out-of-vocabulary word 'dog' in text 2$"):
+        corpus_from_texts(["the cat", "  ", "the dog", "emu"], vocab=vocab)
+    assert corpus_from_texts(["the cat", "cat"], vocab=vocab).docs == [[3, 4, EOS], [4, EOS]]

@@ -18,6 +18,7 @@ from hierdraft import (
     save_traces,
     tokenize,
 )
+from hierdraft.engine import TRACE_SCHEMA
 
 from conftest import fresh_dbs, make_corpus, sample_prompts
 
@@ -305,16 +306,6 @@ def test_reset_makes_runs_order_independent(setup):
     assert b_after_a == b_alone
 
 
-def test_recycle_flag_keeps_losslessness(setup):
-    corpus, model, model_db, stats_db = setup
-    prompt = corpus.docs[7][:6]
-    for recycle in (True, False):
-        config = _hd_config(max_tokens=30, recycle=recycle)
-        output, _, _ = decode(model, prompt, fresh_dbs(model_db, stats_db), config)
-        ar_output, _ = autoregressive_decode(model, prompt, DecodeConfig(max_tokens=30))
-        assert output == ar_output
-
-
 @pytest.mark.parametrize("temperature", [0.3, 0.8, 1.0])
 def test_sampling_decode_equals_autoregressive_same_seed(setup, temperature):
     """Each emitted token is one in-order draw from the target distribution,
@@ -333,13 +324,12 @@ def test_sampling_decode_equals_autoregressive_same_seed(setup, temperature):
     assert tokens > steps  # some steps accepted draft tokens
 
 
-def test_recycled_tokens_ingested_only_when_sampling(setup, monkeypatch):
-    """At T=0 the recycled tokens are the emissions the seam just ingested,
-    so decode ingests the prompt plus one seam per step; at T > 0 it also
-    ingests the recycled tokens of every step."""
+def test_context_ingested_once_per_step(setup, monkeypatch):
+    """An untraced decode feeds the context DB the prompt, then one seam per
+    step, at T = 0 and at T > 0 alike."""
     corpus, model, model_db, stats_db = setup
     prompt = corpus.docs[3][:6]
-    for temperature, per_step in ((0.0, 1), (0.8, 2)):
+    for temperature in (0.0, 0.8):
         dbs = fresh_dbs(model_db, stats_db)
         real_ingest = dbs.context.ingest
         calls = []
@@ -351,7 +341,7 @@ def test_recycled_tokens_ingested_only_when_sampling(setup, monkeypatch):
         monkeypatch.setattr(dbs.context, "ingest", counting_ingest)
         config = _hd_config(max_tokens=60, temperature=temperature)
         _, metrics, _ = decode(model, prompt, dbs, config)
-        assert len(calls) == per_step * metrics.steps + 1
+        assert len(calls) == metrics.steps + 1
 
 
 def test_sampling_decode_is_seed_deterministic(setup):
@@ -399,7 +389,7 @@ def test_trace_round_trip_is_exact(setup, tmp_path, temperature):
     path = tmp_path / "trace.jsonl"
     save_traces([trace], path)
     assert load_traces(path) == [trace]
-    assert json.loads(path.read_text(encoding="utf-8"))["schema"] == 1
+    assert json.loads(path.read_text(encoding="utf-8"))["schema"] == TRACE_SCHEMA
 
 
 def _valid_trace_line(setup) -> dict:
@@ -420,7 +410,7 @@ def _drop_context_tail(d):
         lambda d: {"prompt": [1]},
         _drop_context_tail,
         lambda d: [1, 2],
-        lambda d: {**d, "schema": 2},
+        lambda d: {**d, "schema": TRACE_SCHEMA + 1},
         lambda d: {k: v for k, v in d.items() if k != "schema"},
         lambda d: {**d, "extra": 0},
         lambda d: {**d, "config": {**d["config"], "temprature": 0.5}},
@@ -434,14 +424,13 @@ def _drop_context_tail(d):
         lambda d: {**d, "steps": [{**d["steps"][0], "context_tail": [2.5]}]},
         lambda d: {**d, "steps": [{**d["steps"][0], "outcome": {
             **d["steps"][0]["outcome"], "emitted": ["4"]}}]},
-        lambda d: {**d, "steps": [{**d["steps"][0], "outcome": {
-            **d["steps"][0]["outcome"], "recycled": [-2]}}]},
+        lambda d: {**d, "schema": 1},
     ],
     ids=["prompt-only", "no-context-tail", "list", "unknown-schema", "no-schema",
          "unknown-field", "unknown-config-field", "string-temperature", "list-access",
          "partial-outcome", "not-json", "string-prompt-id", "negative-output-id",
          "bool-prompt-id", "float-context-tail-id", "string-emitted-id",
-         "negative-recycled-id"],
+         "schema-1"],
 )
 def test_load_traces_fails_closed(setup, tmp_path, mangle):
     path = tmp_path / "bad.jsonl"

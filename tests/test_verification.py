@@ -38,7 +38,6 @@ def test_empty_set_is_autoregressive_step(chain_model):
     assert counter.calls == 1
     assert outcome.winner is None
     assert outcome.emitted == [chain_model.argmax_token([3])] == [4]
-    assert outcome.recycled == [4]
 
 
 def test_full_acceptance_emits_bonus(chain_model):
@@ -74,11 +73,6 @@ def test_divergence_emits_correction(chain_model):
     assert outcome.accepted == [0]
     assert outcome.emitted == [4]  # the model's own token at the divergence
     assert len(outcome.emitted) == outcome.accepted[outcome.winner] + 1
-
-
-def test_recycled_equals_emitted_in_greedy(chain_model):
-    outcome = verify_greedy(chain_model, [3], [_cand([4, 9])], ModelCallCounter())
-    assert outcome.recycled == outcome.emitted
 
 
 def _ar_greedy(model, prompt, n):
@@ -153,7 +147,7 @@ def test_greedy_verify_walks_one_greedy_path(monkeypatch):
             outcome = verify(context, draft_set, ModelCallCounter())
             monkeypatch.undo()
             assert len(lengths) == max(outcome.accepted, default=0) + 1
-            assert len(outcome.emitted) == len(outcome.recycled) == len(lengths)
+            assert len(outcome.emitted) == len(lengths)
             assert max(lengths) <= model.k + draft_len
             context.extend(outcome.emitted)
 
