@@ -44,9 +44,12 @@ class MethodSpec:
     """One benchmark row: which databases, in what order, at what temperature."""
 
     name: str
-    databases: str = "cms"  # enabled database letters; "" means autoregressive
-    order: str = "cms"
+    databases: str = "cms"  # enabled letters in probe order; "" means autoregressive
     temperature: float = 0.0
+
+    def __post_init__(self) -> None:
+        # An unknown or repeated letter fails here, not after the baseline ran.
+        HierarchyConfig(order=self.databases, enabled=self.databases)
 
     @property
     def is_autoregressive(self) -> bool:
@@ -64,12 +67,9 @@ def _validate_methods(
 
 
 def _decode_config(method: MethodSpec, hier: HierarchyConfig, **kwargs) -> DecodeConfig:
-    # HierarchyConfig validation rejects any enabled database missing from
-    # the method's order, so nothing can be dropped silently here.
-    order = "".join(l for l in method.order if l in method.databases)
     return DecodeConfig(
         temperature=method.temperature,
-        hierarchy=replace(hier, order=order, enabled=method.databases),
+        hierarchy=replace(hier, order=method.databases, enabled=method.databases),
         **kwargs,
     )
 
@@ -212,7 +212,6 @@ def _run_method(
     row: dict = {
         "name": method.name,
         "databases": method.databases,
-        "order": method.order,
         "temperature": method.temperature,
         "tokens_per_sec": statistics.median(tps_runs),
         "tokens_per_sec_mean": statistics.fmean(tps_runs),
@@ -264,8 +263,8 @@ def ablate_order(
 ) -> dict:
     """Benchmark all six access-order permutations (all databases enabled)."""
     methods = [
-        MethodSpec(f"order-{''.join(p)}", databases="cms", order="".join(p), temperature=temperature)
-        for p in itertools.permutations("cms")
+        MethodSpec(f"order-{p}", databases=p, temperature=temperature)
+        for p in map("".join, itertools.permutations("cms"))
     ]
     return run_bench(
         model, prompts, methods, model_db=model_db, stats_db=stats_db, **bench_kwargs

@@ -117,10 +117,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit("error: provide --prompt or --prompt-file")
     if not prompt:
         raise SystemExit("error: empty prompt")
-    enabled = args.databases.replace(",", "")
+    databases = args.databases.replace(",", "")
     hier = HierarchyConfig(
-        order=args.order,
-        enabled=enabled,
+        order=databases,
+        enabled=databases,
         set_size=args.set_size,
         tail_len=args.tail_len,
         draft_len=args.draft_len,
@@ -178,7 +178,7 @@ def _bench_resources(setup: dict):
     if isinstance(spec, dict) and {"order", "enabled"} & spec.keys():
         raise SystemExit(
             "error: bad hierarchy in bench config: 'order' and 'enabled' are set "
-            "by each method's 'order' and 'databases'"
+            "by each method's 'databases'"
         )
     hier = _from_spec(HierarchyConfig, spec, "hierarchy")
     return vocab, model, model_db, stats_db, fingerprints, hier
@@ -300,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--model-db")
     p.add_argument("--stats-db")
-    p.add_argument("--databases", default="c,m,s", help="enabled databases, e.g. c,m,s")
-    p.add_argument("--order", default="cms")
+    p.add_argument("--databases", default="c,m,s", help="enabled databases in probe order")
     p.add_argument("--set-size", type=int, default=7)
     p.add_argument("--tail-len", type=int, default=2)
     p.add_argument("--draft-len", type=int, default=4)

@@ -105,3 +105,7 @@ class ContextDB:
         for value in reversed(taken):
             self._touch(key, value)
         return [list(v) for v in taken]
+
+    def drafter(self, hier) -> Callable[[list[int], int], list[list[int]]]:
+        """Draft source for one generation: values keyed on the last token."""
+        return lambda context, want: self.lookup(context[-1], want)

@@ -7,17 +7,19 @@ locality) source, and once the set is full the remaining databases are
 not touched at all. The per-database access log feeds both the latency
 breakdown and the draft/verify success attribution.
 
-The stats database is immutable, so within one generation a tail it has
-answered once is answered from a memo: ``decode`` passes a fresh dict per
-generation, keyed on the stats tail and holding the ``set_size`` best
-continuations. Ranking is a total order, so a probe for ``want`` reads the
-first ``want`` of them. A memo hit still counts as an attempted probe.
+Every database is one kind of draft source: ``db.drafter(hier)`` returns a
+``Drafter``, a ``draft(context, want)`` callable for one generation, and
+``DatabaseSet.drafters`` lists them in probe order. ``hierarchical_draft``
+only walks that list. Whatever a source keeps for the generation, such as
+the stats memo, lives in its drafter, and every call counts as an
+attempted probe whether or not the source answered it from memory.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from .context_db import ContextDB
 from .model_db import ModelDB
@@ -75,6 +77,8 @@ class AccessRecord:
 
 
 AccessLog = dict[str, AccessRecord]
+# draft(context, want) -> up to ``want`` continuations of ``context``.
+Drafter = Callable[[list[int], int], list[list[int]]]
 
 
 @dataclass
@@ -83,53 +87,43 @@ class DatabaseSet:
     model: ModelDB | None = None
     stats: StatsDB | None = None
 
-    def get(self, letter: str):
-        return getattr(self, SOURCE_NAMES[letter])
+    def drafters(self, hier: HierarchyConfig) -> list[tuple[str, Drafter]]:
+        """``(letter, drafter)`` for each enabled database in probe order,
+        fresh for one generation."""
+        out = []
+        for letter in hier.order:
+            if letter in hier.enabled:
+                db = getattr(self, SOURCE_NAMES[letter])
+                if db is None:
+                    raise ValueError(f"database {SOURCE_NAMES[letter]!r} enabled but not provided")
+                out.append((letter, db.drafter(hier)))
+        return out
 
 
 def hierarchical_draft(
     context: list[int],
-    dbs: DatabaseSet,
+    drafters: list[tuple[str, Drafter]],
     config: HierarchyConfig,
-    stats_memo: dict[tuple[int, ...], list] | None = None,
 ) -> tuple[list[DraftCandidate], AccessLog]:
     """Fill a draft set of at most ``set_size`` distinct candidates.
 
-    Context and model databases are keyed on the last context token; the
-    stats index matches the last ``tail_len`` tokens with shrinking-prefix
-    fallback. Databases later in the order are skipped entirely once the
-    set is full, which the access log records as attempted=False.
-    ``stats_memo`` may be shared by calls with the same stats database and
-    config only; without one, nothing is remembered between calls.
+    ``drafters`` come from ``DatabaseSet.drafters`` and are probed in list
+    order, each for the remaining quota. Drafters later in the list are
+    skipped entirely once the set is full, which the access log records as
+    attempted=False.
     """
     if not context:
         raise ValueError("context must be non-empty")
     log: AccessLog = {}
     candidates: list[DraftCandidate] = []
     seen: set[tuple[int, ...]] = set()
-    key = context[-1]
-    if stats_memo is None:
-        stats_memo = {}
-    for letter in config.order:
-        if letter not in config.enabled:
-            continue
+    for letter, draft in drafters:
         record = log[letter] = AccessRecord()
         want = config.set_size - len(candidates)
         if want == 0:
             continue
-        db = dbs.get(letter)
-        if db is None:
-            raise ValueError(f"database {SOURCE_NAMES[letter]!r} enabled but not provided")
         start = time.perf_counter_ns()
-        if letter == "s":
-            tail = tuple(context[-config.tail_len:])
-            ranked = stats_memo.get(tail)
-            if ranked is None:
-                ranked = db.retrieve(list(tail), config.draft_len, config.set_size)
-                stats_memo[tail] = ranked
-            values = [seq for seq, _count in ranked[:want]]
-        else:
-            values = db.lookup(key, want)
+        values = draft(context, want)
         record.elapsed_ns = time.perf_counter_ns() - start
         record.attempted = True
         record.returned = len(values)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .corpus import EOS
 from .drafting import (
+    DB_LETTERS,
     AccessLog,
     AccessRecord,
     DatabaseSet,
@@ -28,7 +29,9 @@ from .drafting import (
     hierarchical_draft,
 )
 from .kgram import KGramModel, ModelCallCounter
-from .verification import StepOutcome, _add_tallies, verify_greedy, verify_sampling
+from .verification import (
+    _SOURCE_TO_LETTER, StepOutcome, _add_tallies, verify_greedy, verify_sampling,
+)
 
 
 TRACE_SCHEMA = 2
@@ -175,13 +178,12 @@ def decode(
 
     One ``context`` list grows in place across steps, metrics accumulate
     step by step, ``StepRecord``s are built only when tracing, and the
-    stats-DB answers are memoized for this generation only.
+    databases hand out their drafters once, for this generation only.
     """
     _validate_prompt(prompt)
     hier = config.hierarchy
+    drafters = dbs.drafters(hier)
     use_context = "c" in hier.enabled
-    if use_context and dbs.context is None:
-        raise ValueError("context database enabled but not provided")
     counter = ModelCallCounter(cost_per_call_s=config.model_call_cost_s)
     rng = np.random.default_rng(config.seed)
     if use_context:
@@ -191,12 +193,11 @@ def decode(
     context = list(prompt)
     limit = len(prompt) + config.max_tokens
     seam_len = hier.draft_len + 1
-    stats_memo: dict = {}
     totals = _MetricsAccumulator()
     records: list[StepRecord] | None = [] if config.trace else None
     start = time.perf_counter()
     while len(context) < limit:
-        draft_set, log = hierarchical_draft(context, dbs, hier, stats_memo)
+        draft_set, log = hierarchical_draft(context, drafters, hier)
         if config.temperature == 0:
             outcome = verify_greedy(model, context, draft_set, counter)
         else:
@@ -313,26 +314,63 @@ def _trace_from_dict(d: dict) -> DecodeTrace:
         for step in d["steps"]
     ]
     trace = DecodeTrace(**d)
-    _check_token_ids("prompt", trace.prompt)
-    _check_token_ids("output", trace.output)
+    _check_naturals("prompt", trace.prompt)
+    _check_naturals("output", trace.output)
+    if type(trace.wall_time_s) not in (int, float) or not trace.wall_time_s >= 0:
+        raise ValueError(f"wall_time_s {trace.wall_time_s!r} is not a duration")
     for step in trace.steps:
-        _check_token_ids("context_tail", step.context_tail)
-        _check_token_ids("emitted", step.outcome.emitted)
+        _check_step(step)
     return trace
 
 
-def _check_token_ids(name: str, tokens) -> None:
-    # bool is an int subclass, and JSON true/false must not pass as ids.
-    if not isinstance(tokens, list) or not all(type(t) is int and t >= 0 for t in tokens):
-        raise ValueError(f"{name} must be a list of non-negative integer token ids")
+def _check_naturals(name: str, values) -> None:
+    # bool is an int subclass, and JSON true/false must not pass as numbers.
+    if not isinstance(values, list) or not all(type(v) is int and v >= 0 for v in values):
+        raise ValueError(f"{name} must be a list of non-negative integers")
+
+
+def _check_step(step: StepRecord) -> None:
+    """Reject a step that the metrics replay would fail on or miscount."""
+    outcome, access = step.outcome, step.access
+    _check_naturals("context_tail", step.context_tail)
+    for name in ("emitted", "accepted", "candidate_lens"):
+        _check_naturals(name, getattr(outcome, name))
+    numbers = [outcome.drafted_total, outcome.verify_elapsed_ns, step.ctx_db_size]
+    for letter, record in access.items():
+        if letter not in DB_LETTERS or type(record.attempted) is not bool:
+            raise ValueError(f"access key {letter!r} is not a probed database")
+        numbers += [record.returned, record.kept, record.elapsed_ns]
+    _check_naturals("step counts", numbers)
+    n = len(outcome.accepted)
+    if len(outcome.candidate_lens) != n:
+        raise ValueError(f"{n} accepted lengths but {len(outcome.candidate_lens)} candidates")
+    if outcome.winner is None:
+        consistent = n == 0 and outcome.winner_source is None
+    else:
+        consistent = (
+            type(outcome.winner) is int
+            and 0 <= outcome.winner < n
+            and _SOURCE_TO_LETTER.get(outcome.winner_source) in access
+        )
+    if not consistent:
+        raise ValueError(
+            f"winner {outcome.winner!r} from {outcome.winner_source!r} is not a drafted candidate"
+        )
+    kept = sum(record.kept for record in access.values())
+    if kept != n:
+        raise ValueError(f"access log kept {kept} candidates, step scored {n}")
 
 
 def load_traces(path: str | Path) -> list[DecodeTrace]:
     """Read a JSONL trace file.
 
     A line that is not a JSON object with ``"schema": TRACE_SCHEMA``, lacks
-    or adds a field, holds an invalid config, or holds a token id that is
-    not a non-negative integer raises ``ValueError``.
+    or adds a field, holds an invalid config, holds a token id or count
+    that is not a non-negative integer, or holds a step that does not
+    replay (a winner or access key that is no drafted candidate or
+    database, kept counts that disagree with the step) raises
+    ``ValueError``. Every trace it returns replays through
+    ``metrics_from_trace`` and ``aggregate_traces``.
     """
     traces = []
     with open(path, encoding="utf-8") as fh:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 from .corpus import Corpus
 
@@ -45,6 +46,10 @@ class ModelDB:
             raise ValueError("want must be >= 0")
         rows = self._entries.get(key, [])
         return [list(value) for value, _count in rows[:want]]
+
+    def drafter(self, hier) -> Callable[[list[int], int], list[list[int]]]:
+        """Draft source for one generation: values keyed on the last token."""
+        return lambda context, want: self.lookup(context[-1], want)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -118,17 +123,19 @@ def load_model_db(path: str | Path) -> ModelDB:
     if (
         not isinstance(header, dict)
         or header.get("magic") != MODEL_DB_MAGIC
+        or type(header.get("version")) is not int
         or header.get("version") != MODEL_DB_VERSION
     ):
         raise ValueError("unsupported model-db file")
     expected = header.get("records")
     records = lines[1:]
-    if expected is None or len(records) != expected:
+    # bool is an int subclass, and JSON true/false must not pass as counts.
+    if type(expected) is not int or len(records) != expected:
         raise ValueError(
             f"corrupt model-db file: expected {expected} records, found {len(records)}"
         )
     window = header.get("m")
-    if not isinstance(window, int) or window < 1:
+    if type(window) is not int or window < 1:
         raise ValueError(f"corrupt model-db file: header 'm' is {window!r}, not a window size")
     entries: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     prev = None

@@ -8,7 +8,9 @@ and provably never cross a document boundary.
 Retrieval uses a shrinking context: the longest suffix of the supplied
 tail that occurs in the text wins, its occurrences are collected, and the
 distinct continuations are ranked by occurrence count (ties by ascending
-token order, shorter continuations first).
+token order, shorter continuations first). In decoding the index is one
+of the draft sources: ``StatsDB.drafter`` gives each generation its own
+memo of the tails it has retrieved.
 
 Lookups are vectorized. Construction counts each token id once
 (``np.bincount``) and keeps the cumulative counts as first-token bucket
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 from pathlib import Path
 import struct
+from typing import Callable
 
 import numpy as np
 
@@ -162,6 +165,26 @@ class StatsDB:
                 continue
             return self._rank_continuations(lo, hi, length, draft_len, want)
         return []
+
+    def drafter(self, hier) -> Callable[[list[int], int], list[list[int]]]:
+        """Draft source for one generation, matching the last ``tail_len``
+        context tokens. The index is immutable, so a tail answered once is
+        answered again from a memo in the returned closure, which holds its
+        ``set_size`` best continuations; ranking is a total order, so a
+        probe for ``want`` reads the first ``want``. Each drafter starts
+        with an empty memo, and nothing is stored on the index.
+        """
+        memo: dict[tuple[int, ...], list[list[int]]] = {}
+
+        def draft(context: list[int], want: int) -> list[list[int]]:
+            tail = tuple(context[-hier.tail_len:])
+            ranked = memo.get(tail)
+            if ranked is None:
+                found = self.retrieve(list(tail), hier.draft_len, hier.set_size)
+                ranked = memo[tail] = [seq for seq, _count in found]
+            return ranked[:want]
+
+        return draft
 
     def _rank_continuations(
         self, lo: int, hi: int, match_len: int, draft_len: int, want: int

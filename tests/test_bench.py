@@ -112,6 +112,7 @@ def test_ablate_order_probe_counts(passage_setup):
     assert len(rows) == 6
     for name, row in rows.items():
         order = name.removeprefix("order-")
+        assert row["databases"] == order and "order" not in row
         if order.startswith("s"):
             assert row["probes"]["s"] == row["steps"]
         if order == "cms":

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from hierdraft import load_traces
 from hierdraft.cli import main
 
 from conftest import make_text
@@ -52,7 +53,7 @@ def workspace(tmp_path_factory):
                 "stats_db": str(stats_db),
                 "max_tokens": 24,
                 "seed": 7,
-                "methods": [{"name": "hd", "databases": "cms", "order": "cms"}],
+                "methods": [{"name": "hd", "databases": "cms"}],
             }
         ),
         encoding="utf-8",
@@ -95,7 +96,7 @@ def test_run_with_fit_corpus(workspace, capsys):
     code = main(
         ["run", "--prompt", "w0 w1 w2", "--vocab", str(workspace["vocab"]),
          "--fit-corpus", str(workspace["corpus"]), "--databases", "c",
-         "--order", "cms", "--max-tokens", "8"]
+         "--max-tokens", "8"]
     )
     assert code == 0
 
@@ -107,6 +108,19 @@ def test_run_missing_db_flag_fails(workspace):
              "--model", str(workspace["model"]), "--databases", "c,s",
              "--max-tokens", "4"]
         )
+
+
+def test_run_databases_set_the_probe_order(workspace, tmp_path, capsys):
+    trace = tmp_path / "run.trace.jsonl"
+    common = ["run", "--prompt", "w0 w1", "--vocab", str(workspace["vocab"]),
+              "--model", str(workspace["model"]), "--stats-db", str(workspace["stats_db"]),
+              "--max-tokens", "4"]
+    assert main([*common, "--databases", "s,c", "--trace", str(trace)]) == 0
+    hier = load_traces(trace)[0].config.hierarchy
+    assert (hier.order, hier.enabled) == ("sc", "sc")
+    with pytest.raises(SystemExit):  # --databases sets the order
+        main([*common, "--databases", "c,s", "--order", "sc"])
+    assert "unrecognized arguments: --order" in capsys.readouterr().err
 
 
 def test_run_rejects_oov_prompt_words(workspace, tmp_path):
@@ -203,10 +217,13 @@ def test_analyze_locality_cli(workspace, tmp_path):
         ({"hierarchy": {"order": "smc"}}, "bad hierarchy.*'order'"),
         ({"hierarchy": {"enabled": "c"}}, "bad hierarchy.*'enabled'"),
         ({"methods": [{"name": "hd", "recycle": False}]}, "error: bad method in bench config"),
+        ({"methods": [{"name": "hd", "order": "smc"}]}, "error: bad method in bench config"),
+        ({"methods": [{"name": "hd", "databases": "cmc"}]}, "bad method in bench config.*'cmc'"),
     ],
     ids=["misspelt-hierarchy-key", "invalid-hierarchy-value", "misspelt-method-key",
          "method-without-name", "hierarchy-order-set-per-method",
-         "hierarchy-enabled-set-per-method", "removed-recycle-method-key"],
+         "hierarchy-enabled-set-per-method", "removed-recycle-method-key",
+         "removed-order-method-key", "repeated-database"],
 )
 def test_bench_config_key_errors_exit(workspace, tmp_path, change, match):
     setup = json.loads(workspace["configs"].read_text(encoding="utf-8"))

@@ -31,7 +31,8 @@ def _empty_dbs():
 
 def test_all_dbs_miss_gives_empty_set():
     dbs = _empty_dbs()
-    candidates, log = hierarchical_draft([5], dbs, HierarchyConfig())
+    config = HierarchyConfig()
+    candidates, log = hierarchical_draft([5], dbs.drafters(config), config)
     assert candidates == []
     assert sorted(log) == ["c", "m", "s"]
     assert all(rec.attempted for rec in log.values())
@@ -42,7 +43,8 @@ def test_full_context_db_skips_later_dbs():
     dbs = _empty_dbs()
     for i in range(7):
         dbs.context.insert(5, (10 + i, 11 + i))
-    candidates, log = hierarchical_draft([5], dbs, HierarchyConfig())
+    config = HierarchyConfig()
+    candidates, log = hierarchical_draft([5], dbs.drafters(config), config)
     assert len(candidates) == 7
     assert all(c.source == "context" for c in candidates)
     assert log["c"].attempted and log["c"].returned == 7
@@ -59,7 +61,8 @@ def test_dedupe_first_source_wins():
         ),
     )
     dbs.context.insert(3, (5, 6))
-    candidates, log = hierarchical_draft([3], dbs, HierarchyConfig())
+    config = HierarchyConfig()
+    candidates, log = hierarchical_draft([3], dbs.drafters(config), config)
     assert [(list(c.tokens), c.source) for c in candidates] == [
         ([5, 6], "context"),
         ([7, 8], "stats"),
@@ -75,7 +78,8 @@ def test_stats_tail_respects_context_length():
         model=build_model_db(Corpus(docs=[[9, 9, 9, 9, 9]], vocab=vocab), window=4),
         stats=build_stats_db(Corpus(docs=[[3, 4, 5]], vocab=vocab)),
     )
-    candidates, _ = hierarchical_draft([3], dbs, HierarchyConfig(tail_len=2))
+    config = HierarchyConfig(tail_len=2)
+    candidates, _ = hierarchical_draft([3], dbs.drafters(config), config)
     assert [list(c.tokens) for c in candidates] == [[4, 5]]
 
 
@@ -125,7 +129,7 @@ def test_matches_reference_on_random_contents(seed):
     config = HierarchyConfig()
     for _ in range(40):
         context = [rng.randrange(corpus.vocab.size) for _ in range(rng.randint(1, 5))]
-        got, _log = hierarchical_draft(context, dbs, config)
+        got, _log = hierarchical_draft(context, dbs.drafters(config), config)
         want = _reference_draft(context, reference_dbs, config)
         assert [c.tokens for c in got] == want
 
@@ -135,6 +139,7 @@ def test_disabled_db_equals_empty_db():
     rng = random.Random(60)
     vocab = corpus.vocab
     no_stats = HierarchyConfig(order="cms", enabled="cm")
+    all_dbs = HierarchyConfig()
     empty_stats = DatabaseSet(
         context=dbs.context,
         model=dbs.model,
@@ -142,8 +147,8 @@ def test_disabled_db_equals_empty_db():
     )
     for _ in range(25):
         context = [rng.randrange(vocab.size) for _ in range(3)]
-        disabled, _ = hierarchical_draft(context, dbs, no_stats)
-        emptied, _ = hierarchical_draft(context, empty_stats, HierarchyConfig())
+        disabled, _ = hierarchical_draft(context, dbs.drafters(no_stats), no_stats)
+        emptied, _ = hierarchical_draft(context, empty_stats.drafters(all_dbs), all_dbs)
         assert [c.tokens for c in disabled] == [c.tokens for c in emptied]
 
 
@@ -152,7 +157,8 @@ def test_candidates_distinct_and_bounded():
     rng = random.Random(70)
     for _ in range(50):
         context = [rng.randrange(corpus.vocab.size) for _ in range(2)]
-        candidates, _ = hierarchical_draft(context, dbs, HierarchyConfig(set_size=5))
+        config = HierarchyConfig(set_size=5)
+        candidates, _ = hierarchical_draft(context, dbs.drafters(config), config)
         tokens = [c.tokens for c in candidates]
         assert len(tokens) == len(set(tokens)) <= 5
         assert all(1 <= len(t) <= 4 for t in tokens)
@@ -162,8 +168,9 @@ def test_order_permutation_changes_sources():
     corpus, dbs = _random_dbs(5)
     _, dbs2 = _random_dbs(5)
     context = corpus.docs[0][:3]
-    cms, _ = hierarchical_draft(context, dbs, HierarchyConfig(order="cms"))
-    smc, _ = hierarchical_draft(context, dbs2, HierarchyConfig(order="smc"))
+    cms_config, smc_config = HierarchyConfig(order="cms"), HierarchyConfig(order="smc")
+    cms, _ = hierarchical_draft(context, dbs.drafters(cms_config), cms_config)
+    smc, _ = hierarchical_draft(context, dbs2.drafters(smc_config), smc_config)
     assert {c.tokens for c in cms} and {c.tokens for c in smc}
     order_cms = [c.source for c in cms]
     assert order_cms == sorted(order_cms, key="context model stats".split().index)
@@ -183,10 +190,57 @@ def test_config_validation():
 def test_empty_context_rejected():
     dbs = _empty_dbs()
     with pytest.raises(ValueError):
-        hierarchical_draft([], dbs, HierarchyConfig())
+        hierarchical_draft([], dbs.drafters(HierarchyConfig()), HierarchyConfig())
 
 
 def test_missing_enabled_db_rejected():
     dbs = DatabaseSet(context=ContextDB(), model=None, stats=None)
-    with pytest.raises(ValueError, match="model"):
-        hierarchical_draft([3], dbs, HierarchyConfig())
+    with pytest.raises(ValueError, match="model.*enabled but not provided"):
+        dbs.drafters(HierarchyConfig())
+    assert [letter for letter, _ in dbs.drafters(HierarchyConfig(enabled="c"))] == ["c"]
+
+
+def _stub(values, calls, letter):
+    def draft(context, want):
+        calls.append((letter, want))
+        return values[:want]
+
+    return draft
+
+
+def test_stub_drafters_get_remaining_quota():
+    calls = []
+    drafters = [
+        ("m", _stub([[1], [2], [1]], calls, "m")),
+        ("c", _stub([[3], [4], [5], [6]], calls, "c")),
+        ("s", _stub([[7]], calls, "s")),
+    ]
+    candidates, log = hierarchical_draft([9], drafters, HierarchyConfig(set_size=5))
+    assert calls == [("m", 5), ("c", 3)]  # the duplicate [1] cost m its third slot
+    assert [(c.tokens, c.source) for c in candidates] == [
+        ((1,), "model"), ((2,), "model"), ((3,), "context"), ((4,), "context"), ((5,), "context"),
+    ]
+    assert [(log[l].attempted, log[l].returned, log[l].kept) for l in "mcs"] == [
+        (True, 3, 2), (True, 3, 3), (False, 0, 0),
+    ]
+    assert list(log) == ["m", "c", "s"]
+
+
+def test_stats_drafters_share_no_memo(monkeypatch):
+    vocab = _vocab(12)
+    stats = build_stats_db(Corpus(docs=[[3, 4, 5], [3, 4, 6]], vocab=vocab))
+    real_retrieve = stats.retrieve
+    tails = []
+
+    def counting_retrieve(tail, draft_len, want):
+        tails.append(tuple(tail))
+        return real_retrieve(tail, draft_len, want)
+
+    monkeypatch.setattr(stats, "retrieve", counting_retrieve)
+    config = HierarchyConfig(tail_len=1, set_size=3)
+    first, second = stats.drafter(config), stats.drafter(config)
+    assert first([3], 1) == [[4, 5]]
+    assert first([3], 3) == [[4, 5], [4, 6]]  # memo hit, read deeper
+    assert tails == [(3,)]
+    assert second([3], 2) == [[4, 5], [4, 6]]
+    assert tails == [(3,), (3,)]  # the second drafter retrieved afresh

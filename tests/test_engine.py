@@ -270,6 +270,29 @@ def test_stats_db_retrieved_once_per_distinct_tail(setup, monkeypatch):
     assert hits > 0
 
 
+def test_every_probe_goes_through_the_instance_lookup(setup, monkeypatch):
+    # hdbench's tracer wraps ``lookup`` on the instances, so drafters must
+    # reach the databases through those attributes.
+    corpus, model, model_db, stats_db = setup
+    calls = {"c": 0, "m": 0}
+
+    def counting(letter, lookup):
+        def wrapped(key, want):
+            calls[letter] += 1
+            return lookup(key, want)
+
+        return wrapped
+
+    dbs = fresh_dbs(model_db, stats_db)
+    monkeypatch.setattr(dbs.context, "lookup", counting("c", dbs.context.lookup))
+    monkeypatch.setattr(model_db, "lookup", counting("m", model_db.lookup))
+    for i, prompt in enumerate(sample_prompts(corpus, 6, seed=21)):
+        calls.update(c=0, m=0)
+        _, metrics, _ = decode(model, prompt, dbs, _hd_config(max_tokens=60, seed=i))
+        assert calls["c"] == metrics.probes["c"] > 0
+        assert calls["m"] == metrics.probes.get("m", 0)
+
+
 def test_autoregressive_contract(setup):
     corpus, model, *_ = setup
     prompt = corpus.docs[4][:4]
@@ -404,6 +427,39 @@ def _drop_context_tail(d):
     return d
 
 
+def _winning_step(d) -> dict:
+    """Cut the trace to the step whose winner accepted the most tokens."""
+    steps = [s for s in d["steps"] if s["outcome"]["winner"] is not None]
+    d["steps"] = [max(steps, key=lambda s: s["outcome"]["accepted"][s["outcome"]["winner"]])]
+    return d["steps"][0]
+
+
+def _mangle_outcome(d, **changes):
+    _winning_step(d)["outcome"].update(changes)
+    return d
+
+
+def _bump_kept(d):
+    step = _winning_step(d)
+    letter = next(l for l, rec in step["access"].items() if rec["attempted"])
+    step["access"][letter]["kept"] += 1
+    return d
+
+
+def _add_unknown_access_key(d):
+    _winning_step(d)["access"]["x"] = dict(attempted=True, returned=1, kept=0, elapsed_ns=5)
+    return d
+
+
+def test_winning_step_trace_loads_and_replays(setup, tmp_path):
+    path = tmp_path / "one-step.jsonl"
+    d = _valid_trace_line(setup)
+    step = _winning_step(d)
+    assert step["outcome"]["accepted"][step["outcome"]["winner"]] >= 1
+    path.write_text(json.dumps(d) + "\n", encoding="utf-8")
+    assert metrics_from_trace(load_traces(path)[0]).steps == 1
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -425,12 +481,20 @@ def _drop_context_tail(d):
         lambda d: {**d, "steps": [{**d["steps"][0], "outcome": {
             **d["steps"][0]["outcome"], "emitted": ["4"]}}]},
         lambda d: {**d, "schema": 1},
+        lambda d: _mangle_outcome(d, winner_source="bogus"),
+        lambda d: _mangle_outcome(d, winner=99),
+        lambda d: _mangle_outcome(d, candidate_lens=[]),
+        _bump_kept,
+        _add_unknown_access_key,
+        lambda d: _mangle_outcome(d, winner=True),
+        lambda d: {**d, "wall_time_s": "slow"},
     ],
     ids=["prompt-only", "no-context-tail", "list", "unknown-schema", "no-schema",
          "unknown-field", "unknown-config-field", "string-temperature", "list-access",
          "partial-outcome", "not-json", "string-prompt-id", "negative-output-id",
          "bool-prompt-id", "float-context-tail-id", "string-emitted-id",
-         "schema-1"],
+         "schema-1", "bogus-winner-source", "winner-out-of-range", "no-candidate-lens",
+         "kept-disagrees", "unknown-access-key", "bool-winner", "string-wall-time"],
 )
 def test_load_traces_fails_closed(setup, tmp_path, mangle):
     path = tmp_path / "bad.jsonl"

@@ -4,7 +4,8 @@ Small valid files of each on-disk format (HDKG, HDMD, HDSA loaded with
 ``verify=True``, vocab) and a trace file are truncated, bit-flipped,
 byte-replaced or partly overwritten with garbage. A load may succeed,
 as a flip inside a count or a token id can leave a well-formed file, but
-it may raise nothing other than ``ValueError``.
+it may raise nothing other than ``ValueError``. A trace file that loads
+must also replay through ``aggregate_traces``.
 """
 
 from functools import partial
@@ -17,6 +18,7 @@ from hierdraft import (
     DecodeConfig,
     HierarchyConfig,
     Vocab,
+    aggregate_traces,
     build_model_db,
     build_stats_db,
     corpus_from_texts,
@@ -80,6 +82,8 @@ def test_damaged_file_loads_or_raises_value_error(originals, tmp_path_factory, n
     path = tmp_path_factory.getbasetemp() / f"damaged-{name}"
     path.write_bytes(_damage(originals[name], data.draw))
     try:
-        LOADERS[name](path)
+        loaded = LOADERS[name](path)
     except ValueError:
-        pass
+        return
+    if name == "trace" and loaded:
+        aggregate_traces(loaded)  # a trace file that loads replays

@@ -180,3 +180,21 @@ def test_malformed_record_rejected(tmp_path, records, match):
     path.write_text("\n".join([_HEADER % len(records), *records]) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=match):
         load_model_db(path)
+
+
+@pytest.mark.parametrize(
+    "header, match",
+    [
+        ('{"magic":"HDMD","version":1,"m":true,"records":1}', "header 'm' is True"),
+        ('{"magic":"HDMD","version":1,"m":1,"records":true}', "expected True records"),
+        ('{"magic":"HDMD","version":true,"m":1,"records":1}', "unsupported model-db file"),
+    ],
+    ids=["bool-window", "bool-records", "bool-version"],
+)
+def test_bool_header_fields_rejected(tmp_path, header, match):
+    # bool is an int subclass, so JSON true would pass a plain isinstance
+    # or equality check as 1.
+    path = tmp_path / "db.jsonl"
+    path.write_text(header + '\n{"key":3,"values":[[4]],"counts":[2]}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=match):
+        load_model_db(path)
