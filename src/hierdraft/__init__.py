@@ -40,7 +40,6 @@ from .engine import (
     autoregressive_decode,
     decode,
     load_traces,
-    metrics_from_trace,
     save_traces,
 )
 from .kgram import (
@@ -108,7 +107,6 @@ __all__ = [
     "load_stats_db",
     "load_traces",
     "locality_stats",
-    "metrics_from_trace",
     "run_bench",
     "sample_token",
     "save_kgram",

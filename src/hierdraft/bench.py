@@ -187,11 +187,7 @@ def _run_method(
                     trace=trace,
                 )
                 dbs = DatabaseSet(
-                    context=ContextDB(
-                        window=hier.draft_len,
-                        per_key=hier.set_size,
-                        capacity=hier.capacity,
-                    ),
+                    context=ContextDB(window=hier.draft_len, per_key=hier.set_size),
                     model=model_db,
                     stats=stats_db,
                 )

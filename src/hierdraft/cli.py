@@ -88,11 +88,7 @@ def _load_databases(args: argparse.Namespace, hier: HierarchyConfig) -> Database
         if not args.stats_db:
             raise SystemExit("error: databases include 's' but --stats-db is missing")
         stats_db = load_stats_db(args.stats_db)
-    context = (
-        ContextDB(window=hier.draft_len, per_key=hier.set_size, capacity=hier.capacity)
-        if "c" in enabled
-        else None
-    )
+    context = ContextDB(window=hier.draft_len, per_key=hier.set_size) if "c" in enabled else None
     return DatabaseSet(context=context, model=model_db, stats=stats_db)
 
 

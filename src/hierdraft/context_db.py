@@ -2,9 +2,13 @@
 
 Keys are single tokens; values are the up-to-``window`` tokens that
 followed the key somewhere in the current prompt or generation. The table
-is rebuilt for every generation and bounded two ways: at most ``per_key``
-values under one key and at most ``capacity`` (key, value) pairs overall,
-both evicted least-recently-used first.
+is bounded two ways: at most ``per_key`` values under one key and at most
+``capacity`` (key, value) pairs overall, both evicted least-recently-used
+first.
+
+The table learns inside its drafter, so the whole per-generation learning
+schedule lives here and ``decode`` treats this database like any other
+draft source.
 
 Recency rules: inserting an existing pair refreshes it instead of
 duplicating; a lookup refreshes every returned pair, preserving their
@@ -107,5 +111,27 @@ class ContextDB:
         return [list(v) for v in taken]
 
     def drafter(self, hier) -> Callable[[list[int], int], list[list[int]]]:
-        """Draft source for one generation: values keyed on the last token."""
-        return lambda context, want: self.lookup(context[-1], want)
+        """Draft source for one generation; making it empties the table.
+
+        Each probe first ingests what ``context`` gained since this
+        drafter's previous probe: the whole prompt at the first (unless it
+        is one token), then the seam, the last ``hier.draft_len + 1`` tokens
+        seen before plus the new ones. A probe skipped because the draft set
+        was full is thus caught up in one seam at the next. Then it looks up
+        ``context[-1]``. Both calls read ``self.ingest`` and ``self.lookup``
+        at call time, so wrappers set on the instance see every one.
+        """
+        self.reset()
+        seam_len = hier.draft_len + 1
+        # Context length at this drafter's previous probe; a lone first
+        # token gives no pair, so the first probe ingests from two tokens.
+        seen = 1
+
+        def draft(context: list[int], want: int) -> list[list[int]]:
+            nonlocal seen
+            if len(context) > seen:
+                self.ingest(context[max(seen - seam_len, 0):])
+            seen = len(context)
+            return self.lookup(context[-1], want)
+
+        return draft

@@ -10,9 +10,11 @@ breakdown and the draft/verify success attribution.
 Every database is one kind of draft source: ``db.drafter(hier)`` returns a
 ``Drafter``, a ``draft(context, want)`` callable for one generation, and
 ``DatabaseSet.drafters`` lists them in probe order. ``hierarchical_draft``
-only walks that list. Whatever a source keeps for the generation, such as
-the stats memo, lives in its drafter, and every call counts as an
-attempted probe whether or not the source answered it from memory.
+only walks that list. Whatever a source keeps or learns for the
+generation, such as the stats memo or the context DB's table, lives in its
+drafter, and every call counts as an attempted probe whether or not the
+source answered it from memory. A probe's time is the whole call, so the
+context DB's ingest counts in its ``c`` probe.
 """
 
 from __future__ import annotations
@@ -51,11 +53,13 @@ class HierarchyConfig:
     set_size: int = 7
     tail_len: int = 2
     draft_len: int = 4
-    capacity: int = 4096
 
     def __post_init__(self) -> None:
-        if self.set_size < 1 or self.tail_len < 1 or self.draft_len < 1:
-            raise ValueError("set_size, tail_len and draft_len must be >= 1")
+        for name in ("set_size", "tail_len", "draft_len"):
+            value = getattr(self, name)
+            # bool is an int subclass, and JSON true must not pass as 1.
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
         for letter in self.enabled:
             if letter not in DB_LETTERS:
                 raise ValueError(f"unknown database letter: {letter!r}")

@@ -34,7 +34,7 @@ from .verification import (
 )
 
 
-TRACE_SCHEMA = 2
+TRACE_SCHEMA = 3
 
 
 @dataclass
@@ -47,8 +47,10 @@ class DecodeConfig:
     model_call_cost_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
+        for name, least in (("max_tokens", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
         for name in ("temperature", "model_call_cost_s"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
@@ -74,7 +76,6 @@ class StepRecord:
     context_tail: list[int]
     access: AccessLog
     outcome: StepOutcome
-    ctx_db_size: int
 
 
 @dataclass
@@ -100,10 +101,9 @@ class _MetricsAccumulator:
     """Running totals behind ``DecodeMetrics``, fed one step at a time.
 
     ``decode`` feeds it as it goes, so an untraced run keeps no per-step
-    records; ``metrics_from_trace`` and ``aggregate_traces`` replay trace
-    records into it, so the two agree exactly. Latency sums are Python
-    integers, so means and the standard deviation are exact up to the
-    final division.
+    records; ``aggregate_traces`` replays trace records into it, so the
+    two agree exactly. Latency sums are Python integers, so means and the
+    standard deviation are exact up to the final division.
     """
 
     def __init__(self) -> None:
@@ -170,29 +170,22 @@ def decode(
 ) -> tuple[list[int], DecodeMetrics, DecodeTrace | None]:
     """Speculative decode until EOS or ``max_tokens``.
 
-    The context database is reset and fed the prompt up front, then after
-    every step it ingests the seam window once: the last draft_len + 1 old
-    tokens plus the new emissions, at every temperature. A step whose
-    emissions overshoot ``max_tokens`` is truncated in the output but kept
-    whole in the trace.
+    The databases hand out their drafters once, for this generation only,
+    and ``decode`` reaches them through nothing else: whatever a source
+    learns from the growing context, such as the context DB's table, it
+    learns inside its drafter. A step whose emissions overshoot
+    ``max_tokens`` is truncated in the output but kept whole in the trace.
 
     One ``context`` list grows in place across steps, metrics accumulate
-    step by step, ``StepRecord``s are built only when tracing, and the
-    databases hand out their drafters once, for this generation only.
+    step by step, and ``StepRecord``s are built only when tracing.
     """
     _validate_prompt(prompt)
     hier = config.hierarchy
     drafters = dbs.drafters(hier)
-    use_context = "c" in hier.enabled
     counter = ModelCallCounter(cost_per_call_s=config.model_call_cost_s)
     rng = np.random.default_rng(config.seed)
-    if use_context:
-        dbs.context.reset()
-        if len(prompt) >= 2:
-            dbs.context.ingest(prompt)
     context = list(prompt)
     limit = len(prompt) + config.max_tokens
-    seam_len = hier.draft_len + 1
     totals = _MetricsAccumulator()
     records: list[StepRecord] | None = [] if config.trace else None
     start = time.perf_counter()
@@ -207,21 +200,8 @@ def decode(
         totals.add(log, outcome)
         emitted = outcome.emitted
         if records is not None:
-            context_tail = context[-hier.tail_len:]
+            records.append(StepRecord(context[-hier.tail_len:], log, outcome))
         context.extend(emitted)
-        if use_context:
-            # Both sequences hold at least two tokens: the prompt is
-            # non-empty and every step emits at least one.
-            dbs.context.ingest(context[-(seam_len + len(emitted)):])
-        if records is not None:
-            records.append(
-                StepRecord(
-                    context_tail=context_tail,
-                    access=log,
-                    outcome=outcome,
-                    ctx_db_size=len(dbs.context) if use_context else 0,
-                )
-            )
         if EOS in emitted:
             del context[len(context) - len(emitted) + emitted.index(EOS) + 1:]
             break
@@ -267,27 +247,21 @@ def autoregressive_decode(
     return generated, metrics
 
 
-def _replay(traces: list[DecodeTrace]) -> _MetricsAccumulator:
+def aggregate_traces(traces: list[DecodeTrace]) -> DecodeMetrics:
+    """Pool step records across traces; means weight every step equally.
+
+    One trace replays to exactly the metrics its ``decode`` returned.
+    """
+    if not traces:
+        raise ValueError("no traces to aggregate")
     totals = _MetricsAccumulator()
     for trace in traces:
         for record in trace.steps:
             totals.add(record.access, record.outcome)
-    return totals
-
-
-def metrics_from_trace(trace: DecodeTrace) -> DecodeMetrics:
-    """Recompute the decode metrics from a persisted trace, exactly."""
-    return _replay([trace]).metrics(len(trace.output), len(trace.steps), trace.wall_time_s)
-
-
-def aggregate_traces(traces: list[DecodeTrace]) -> DecodeMetrics:
-    """Pool step records across traces; means weight every step equally."""
-    if not traces:
-        raise ValueError("no traces to aggregate")
     tokens = sum(len(trace.output) for trace in traces)
     steps = sum(len(trace.steps) for trace in traces)
     wall = sum(trace.wall_time_s for trace in traces)
-    return _replay(traces).metrics(tokens, steps, wall)
+    return totals.metrics(tokens, steps, wall)
 
 
 def save_traces(traces: list[DecodeTrace], path: str | Path) -> None:
@@ -335,7 +309,7 @@ def _check_step(step: StepRecord) -> None:
     _check_naturals("context_tail", step.context_tail)
     for name in ("emitted", "accepted", "candidate_lens"):
         _check_naturals(name, getattr(outcome, name))
-    numbers = [outcome.drafted_total, outcome.verify_elapsed_ns, step.ctx_db_size]
+    numbers = [outcome.drafted_total, outcome.verify_elapsed_ns]
     for letter, record in access.items():
         if letter not in DB_LETTERS or type(record.attempted) is not bool:
             raise ValueError(f"access key {letter!r} is not a probed database")
@@ -370,7 +344,7 @@ def load_traces(path: str | Path) -> list[DecodeTrace]:
     replay (a winner or access key that is no drafted candidate or
     database, kept counts that disagree with the step) raises
     ``ValueError``. Every trace it returns replays through
-    ``metrics_from_trace`` and ``aggregate_traces``.
+    ``aggregate_traces``.
     """
     traces = []
     with open(path, encoding="utf-8") as fh:

@@ -36,7 +36,6 @@ def _trace(prompt, step_specs, output=None):
                 context_tail=[0],
                 access={"c": AccessRecord(True, 1, 1, 5)},
                 outcome=outcome,
-                ctx_db_size=1,
             )
         )
         emitted_all.extend(emitted)

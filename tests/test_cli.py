@@ -219,11 +219,15 @@ def test_analyze_locality_cli(workspace, tmp_path):
         ({"methods": [{"name": "hd", "recycle": False}]}, "error: bad method in bench config"),
         ({"methods": [{"name": "hd", "order": "smc"}]}, "error: bad method in bench config"),
         ({"methods": [{"name": "hd", "databases": "cmc"}]}, "bad method in bench config.*'cmc'"),
+        ({"hierarchy": {"set_size": 2.5}}, "error: bad hierarchy"),
+        ({"hierarchy": {"draft_len": True}}, "error: bad hierarchy"),
+        ({"hierarchy": {"capacity": 4096}}, "error: bad hierarchy"),
     ],
     ids=["misspelt-hierarchy-key", "invalid-hierarchy-value", "misspelt-method-key",
          "method-without-name", "hierarchy-order-set-per-method",
          "hierarchy-enabled-set-per-method", "removed-recycle-method-key",
-         "removed-order-method-key", "repeated-database"],
+         "removed-order-method-key", "repeated-database", "float-set-size",
+         "bool-draft-len", "removed-capacity-hierarchy-key"],
 )
 def test_bench_config_key_errors_exit(workspace, tmp_path, change, match):
     setup = json.loads(workspace["configs"].read_text(encoding="utf-8"))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hierdraft import ContextDB
+from hierdraft import ContextDB, HierarchyConfig
 
 
 class ReferenceLru:
@@ -182,3 +182,59 @@ def test_bounds_invariants_under_random_ops():
             per_key = db._values.get(key)
             if per_key is not None:
                 assert len(per_key) <= 3
+
+
+def _recording(db):
+    """Record every sequence the drafter ingests through the instance."""
+    calls = []
+    real_ingest = db.ingest
+
+    def ingest(seq):
+        calls.append(list(seq))
+        real_ingest(seq)
+
+    db.ingest = ingest
+    return calls
+
+
+def test_new_drafter_resets_table():
+    db = ContextDB(window=4)
+    db.ingest([3, 4, 5])
+    draft = db.drafter(HierarchyConfig())
+    assert len(db) == 0
+    assert draft([9], 7) == []
+
+
+@pytest.mark.parametrize("prompt_len", [1, 2, 6])
+def test_drafter_learns_prompt_then_one_seam_per_probe(prompt_len):
+    rng = random.Random(prompt_len)
+    hier = HierarchyConfig(draft_len=3)
+    seam_len = hier.draft_len + 1
+    context = [rng.randrange(10) for _ in range(prompt_len)]
+    db = ContextDB(window=3, per_key=4, capacity=40)
+    calls = _recording(db)
+    draft = db.drafter(hier)
+    ref = ContextDB(window=3, per_key=4, capacity=40)
+    if prompt_len >= 2:
+        ref.ingest(context)
+    for _ in range(30):
+        assert draft(context, 5) == ref.lookup(context[-1], 5)
+        assert list(db._order) == list(ref._order)
+        emitted = [rng.randrange(10) for _ in range(rng.randint(1, seam_len))]
+        context = context + emitted
+        ref.ingest(context[-(seam_len + len(emitted)):])
+    assert len(calls) == 30 - (prompt_len < 2)
+
+
+def test_skipped_probe_catches_up_in_one_seam():
+    hier = HierarchyConfig(draft_len=2)
+    db = ContextDB(window=2)
+    calls = _recording(db)
+    draft = db.drafter(hier)
+    context = list(range(3, 9))
+    draft(context, 7)
+    draft(context, 7)  # nothing new: no ingest
+    context += [9, 10]  # a step that did not probe the context DB
+    context += [11]
+    draft(context, 7)
+    assert calls == [list(range(3, 9)), list(range(6, 12))]

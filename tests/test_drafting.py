@@ -12,6 +12,7 @@ from hierdraft import (
     build_vocab,
     hierarchical_draft,
 )
+from hierdraft.drafting import SOURCE_NAMES
 
 from conftest import make_corpus
 
@@ -29,6 +30,19 @@ def _empty_dbs():
     )
 
 
+def _prefilled(dbs, config):
+    """Drafters in probe order with a lookup-only context drafter, so a
+    pre-filled context table is neither reset nor fed the context."""
+    def lookup(context, want):
+        return dbs.context.lookup(context[-1], want)
+
+    return [
+        (l, lookup if l == "c" else getattr(dbs, SOURCE_NAMES[l]).drafter(config))
+        for l in config.order
+        if l in config.enabled
+    ]
+
+
 def test_all_dbs_miss_gives_empty_set():
     dbs = _empty_dbs()
     config = HierarchyConfig()
@@ -44,7 +58,7 @@ def test_full_context_db_skips_later_dbs():
     for i in range(7):
         dbs.context.insert(5, (10 + i, 11 + i))
     config = HierarchyConfig()
-    candidates, log = hierarchical_draft([5], dbs.drafters(config), config)
+    candidates, log = hierarchical_draft([5], _prefilled(dbs, config), config)
     assert len(candidates) == 7
     assert all(c.source == "context" for c in candidates)
     assert log["c"].attempted and log["c"].returned == 7
@@ -62,7 +76,7 @@ def test_dedupe_first_source_wins():
     )
     dbs.context.insert(3, (5, 6))
     config = HierarchyConfig()
-    candidates, log = hierarchical_draft([3], dbs.drafters(config), config)
+    candidates, log = hierarchical_draft([3], _prefilled(dbs, config), config)
     assert [(list(c.tokens), c.source) for c in candidates] == [
         ([5, 6], "context"),
         ([7, 8], "stats"),
@@ -129,7 +143,7 @@ def test_matches_reference_on_random_contents(seed):
     config = HierarchyConfig()
     for _ in range(40):
         context = [rng.randrange(corpus.vocab.size) for _ in range(rng.randint(1, 5))]
-        got, _log = hierarchical_draft(context, dbs.drafters(config), config)
+        got, _log = hierarchical_draft(context, _prefilled(dbs, config), config)
         want = _reference_draft(context, reference_dbs, config)
         assert [c.tokens for c in got] == want
 
@@ -147,8 +161,8 @@ def test_disabled_db_equals_empty_db():
     )
     for _ in range(25):
         context = [rng.randrange(vocab.size) for _ in range(3)]
-        disabled, _ = hierarchical_draft(context, dbs.drafters(no_stats), no_stats)
-        emptied, _ = hierarchical_draft(context, empty_stats.drafters(all_dbs), all_dbs)
+        disabled, _ = hierarchical_draft(context, _prefilled(dbs, no_stats), no_stats)
+        emptied, _ = hierarchical_draft(context, _prefilled(empty_stats, all_dbs), all_dbs)
         assert [c.tokens for c in disabled] == [c.tokens for c in emptied]
 
 
@@ -158,7 +172,7 @@ def test_candidates_distinct_and_bounded():
     for _ in range(50):
         context = [rng.randrange(corpus.vocab.size) for _ in range(2)]
         config = HierarchyConfig(set_size=5)
-        candidates, _ = hierarchical_draft(context, dbs.drafters(config), config)
+        candidates, _ = hierarchical_draft(context, _prefilled(dbs, config), config)
         tokens = [c.tokens for c in candidates]
         assert len(tokens) == len(set(tokens)) <= 5
         assert all(1 <= len(t) <= 4 for t in tokens)
@@ -169,8 +183,8 @@ def test_order_permutation_changes_sources():
     _, dbs2 = _random_dbs(5)
     context = corpus.docs[0][:3]
     cms_config, smc_config = HierarchyConfig(order="cms"), HierarchyConfig(order="smc")
-    cms, _ = hierarchical_draft(context, dbs.drafters(cms_config), cms_config)
-    smc, _ = hierarchical_draft(context, dbs2.drafters(smc_config), smc_config)
+    cms, _ = hierarchical_draft(context, _prefilled(dbs, cms_config), cms_config)
+    smc, _ = hierarchical_draft(context, _prefilled(dbs2, smc_config), smc_config)
     assert {c.tokens for c in cms} and {c.tokens for c in smc}
     order_cms = [c.source for c in cms]
     assert order_cms == sorted(order_cms, key="context model stats".split().index)
@@ -185,6 +199,9 @@ def test_config_validation():
         HierarchyConfig(enabled="x")
     with pytest.raises(ValueError):
         HierarchyConfig(set_size=0)
+    for bad in ({"set_size": 2.5}, {"set_size": True, "draft_len": True}, {"tail_len": 1.5}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            HierarchyConfig(**bad)
 
 
 def test_empty_context_rejected():

@@ -6,15 +6,16 @@ import pytest
 
 from hierdraft import (
     EOS,
+    DatabaseSet,
     DecodeConfig,
     HierarchyConfig,
+    ModelDB,
     aggregate_traces,
     autoregressive_decode,
     corpus_from_texts,
     decode,
     fit_kgram,
     load_traces,
-    metrics_from_trace,
     save_traces,
     tokenize,
 )
@@ -135,17 +136,18 @@ def test_overshoot_truncated_but_traced(passage_model, passage_prompt, passage_c
 def test_eos_truncation_matches_autoregressive():
     corpus = corpus_from_texts(["a b c d"])
     model = fit_kgram(corpus, k=3, alpha=0.01)
-    prompt = tokenize("a b", corpus.vocab)
-    dbs = fresh_dbs()
-    dbs.context.insert(prompt[-1], (5, 6, 1, 3))  # continuation over EOS
+    a, b, c, d = tokenize("a b c d", corpus.vocab)
+    # The one candidate runs past EOS: the step accepts c, d, EOS and the
+    # output stops there.
+    dbs = DatabaseSet(model=ModelDB(4, {b: [((c, d, EOS, a), 1)]}))
     config = _hd_config(
-        hierarchy=HierarchyConfig(order="c", enabled="c"), max_tokens=50
+        hierarchy=HierarchyConfig(order="m", enabled="m"), max_tokens=50, trace=True
     )
-    output, _, _ = decode(model, prompt, dbs, config)
-    ar_output, _ = autoregressive_decode(model, prompt, DecodeConfig(max_tokens=50))
-    assert output == ar_output
-    assert output[-1] == EOS
-    assert output.count(EOS) == 1
+    output, _, trace = decode(model, [a, b], dbs, config)
+    ar_output, _ = autoregressive_decode(model, [a, b], DecodeConfig(max_tokens=50))
+    assert [r.outcome.candidate_lens for r in trace.steps] == [[4]]
+    assert [r.outcome.accepted for r in trace.steps] == [[3]]
+    assert output == ar_output == [c, d, EOS]
 
 
 def test_determinism_same_seed(setup):
@@ -174,13 +176,13 @@ def test_trace_replay_reproduces_metrics(setup, tmp_path):
     prompt = corpus.docs[1][:6]
     config = _hd_config(max_tokens=30, trace=True)
     _, metrics, trace = decode(model, prompt, fresh_dbs(model_db, stats_db), config)
-    replayed = metrics_from_trace(trace)
+    replayed = aggregate_traces([trace])
     assert dataclasses.asdict(replayed) == dataclasses.asdict(metrics)
     # Round trip through the JSONL persistence as well.
     path = tmp_path / "trace.jsonl"
     save_traces([trace], path)
     loaded = load_traces(path)[0]
-    assert dataclasses.asdict(metrics_from_trace(loaded)) == dataclasses.asdict(metrics)
+    assert dataclasses.asdict(aggregate_traces([loaded])) == dataclasses.asdict(metrics)
 
 
 def test_aggregate_single_trace_is_identity(setup):
@@ -348,8 +350,8 @@ def test_sampling_decode_equals_autoregressive_same_seed(setup, temperature):
 
 
 def test_context_ingested_once_per_step(setup, monkeypatch):
-    """An untraced decode feeds the context DB the prompt, then one seam per
-    step, at T = 0 and at T > 0 alike."""
+    """An untraced decode feeds the context DB once per probe: the prompt,
+    then one seam per later probe, at T = 0 and at T > 0 alike."""
     corpus, model, model_db, stats_db = setup
     prompt = corpus.docs[3][:6]
     for temperature in (0.0, 0.8):
@@ -364,7 +366,7 @@ def test_context_ingested_once_per_step(setup, monkeypatch):
         monkeypatch.setattr(dbs.context, "ingest", counting_ingest)
         config = _hd_config(max_tokens=60, temperature=temperature)
         _, metrics, _ = decode(model, prompt, dbs, config)
-        assert len(calls) == metrics.steps + 1
+        assert len(calls) == metrics.probes["c"] == metrics.steps
 
 
 def test_sampling_decode_is_seed_deterministic(setup):
@@ -374,16 +376,6 @@ def test_sampling_decode_is_seed_deterministic(setup):
     a, _, _ = decode(model, prompt, fresh_dbs(model_db, stats_db), config)
     b, _, _ = decode(model, prompt, fresh_dbs(model_db, stats_db), config)
     assert a == b
-
-
-def test_ctx_db_size_recorded_in_trace(setup):
-    corpus, model, model_db, stats_db = setup
-    prompt = corpus.docs[9][:8]
-    config = _hd_config(max_tokens=15, trace=True)
-    _, _, trace = decode(model, prompt, fresh_dbs(model_db, stats_db), config)
-    sizes = [r.ctx_db_size for r in trace.steps]
-    assert all(size > 0 for size in sizes)
-    assert sizes == sorted(sizes)  # growing context table during one decode
 
 
 @pytest.mark.parametrize(
@@ -396,6 +388,11 @@ def test_ctx_db_size_recorded_in_trace(setup):
         ("model_call_cost_s", math.nan),
         ("model_call_cost_s", math.inf),
         ("model_call_cost_s", -1e-3),
+        ("max_tokens", 2.5),
+        ("max_tokens", True),
+        ("seed", 1.5),
+        ("seed", False),
+        ("seed", -1),
     ],
 )
 def test_non_finite_or_negative_settings_rejected(field, value):
@@ -457,7 +454,7 @@ def test_winning_step_trace_loads_and_replays(setup, tmp_path):
     step = _winning_step(d)
     assert step["outcome"]["accepted"][step["outcome"]["winner"]] >= 1
     path.write_text(json.dumps(d) + "\n", encoding="utf-8")
-    assert metrics_from_trace(load_traces(path)[0]).steps == 1
+    assert aggregate_traces(load_traces(path)).steps == 1
 
 
 @pytest.mark.parametrize(
