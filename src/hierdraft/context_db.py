@@ -32,8 +32,10 @@ class ContextDB:
         capacity: int = 4096,
         on_evict: EvictionHook | None = None,
     ):
-        if window < 1 or per_key < 1 or capacity < 1:
-            raise ValueError("window, per_key and capacity must be >= 1")
+        for name, value in (("window", window), ("per_key", per_key), ("capacity", capacity)):
+            # bool is an int subclass, and True must not pass as 1.
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
         self.window = window
         self.per_key = per_key
         self.capacity = capacity

@@ -4,8 +4,10 @@ Databases are probed in a configured order (default: context, then model,
 then stats — highest temporal locality first). Each probe asks only for
 the remaining quota, duplicates keep the copy from the earlier (higher
 locality) source, and once the set is full the remaining databases are
-not touched at all. The per-database access log feeds both the latency
-breakdown and the draft/verify success attribution.
+not touched at all. One ``(letter, returned, kept, elapsed_ns)`` tuple per
+attempted probe feeds both the latency breakdown and the draft/verify
+success attribution; ``decode`` turns it into an ``AccessLog`` only for a
+trace.
 
 Every database is one kind of draft source: ``db.drafter(hier)`` returns a
 ``Drafter``, a ``draft(context, want)`` callable for one generation, and
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .context_db import ContextDB
 from .model_db import ModelDB
@@ -31,8 +33,10 @@ DB_LETTERS = "cms"
 SOURCE_NAMES = {"c": "context", "m": "model", "s": "stats"}
 
 
-@dataclass(slots=True)
-class DraftCandidate:
+class DraftCandidate(NamedTuple):
+    """Names the fields of a draft candidate; ``hierarchical_draft``
+    returns the same ``(tokens, source)`` pairs as plain tuples."""
+
     tokens: tuple[int, ...]
     source: str  # "context" | "model" | "stats"
 
@@ -81,6 +85,8 @@ class AccessRecord:
 
 
 AccessLog = dict[str, AccessRecord]
+# One attempted probe: (letter, returned, kept, elapsed_ns).
+Probe = tuple[str, int, int, int]
 # draft(context, want) -> up to ``want`` continuations of ``context``.
 Drafter = Callable[[list[int], int], list[list[int]]]
 
@@ -108,35 +114,34 @@ def hierarchical_draft(
     context: list[int],
     drafters: list[tuple[str, Drafter]],
     config: HierarchyConfig,
-) -> tuple[list[DraftCandidate], AccessLog]:
+) -> tuple[list[DraftCandidate], list[Probe]]:
     """Fill a draft set of at most ``set_size`` distinct candidates.
 
     ``drafters`` come from ``DatabaseSet.drafters`` and are probed in list
-    order, each for the remaining quota. Drafters later in the list are
-    skipped entirely once the set is full, which the access log records as
-    attempted=False.
+    order, each for the remaining quota. Candidates are plain ``(tokens,
+    source)`` pairs. Drafters later in the list are skipped entirely once
+    the set is full, so the probes, one ``(letter, returned, kept,
+    elapsed_ns)`` per attempted drafter, are a prefix of ``drafters``.
     """
     if not context:
         raise ValueError("context must be non-empty")
-    log: AccessLog = {}
     candidates: list[DraftCandidate] = []
+    probes: list[Probe] = []
     seen: set[tuple[int, ...]] = set()
+    clock = time.perf_counter_ns
     for letter, draft in drafters:
-        record = log[letter] = AccessRecord()
         want = config.set_size - len(candidates)
         if want == 0:
-            continue
-        start = time.perf_counter_ns()
+            break
+        start = clock()
         values = draft(context, want)
-        record.elapsed_ns = time.perf_counter_ns() - start
-        record.attempted = True
-        record.returned = len(values)
+        elapsed_ns = clock() - start
         source = SOURCE_NAMES[letter]
         before = len(candidates)
         for value in values:
             tokens = tuple(value)
             if tokens not in seen:
                 seen.add(tokens)
-                candidates.append(DraftCandidate(tokens, source))
-        record.kept = len(candidates) - before
-    return candidates, log
+                candidates.append((tokens, source))
+        probes.append((letter, len(values), len(candidates) - before, elapsed_ns))
+    return candidates, probes

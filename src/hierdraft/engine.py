@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -22,19 +23,20 @@ import numpy as np
 from .corpus import EOS
 from .drafting import (
     DB_LETTERS,
+    SOURCE_NAMES,
     AccessLog,
     AccessRecord,
     DatabaseSet,
     HierarchyConfig,
+    Probe,
     hierarchical_draft,
 )
 from .kgram import KGramModel, ModelCallCounter
-from .verification import (
-    _SOURCE_TO_LETTER, StepOutcome, _add_tallies, verify_greedy, verify_sampling,
-)
+from .verification import StepOutcome, verify_greedy, verify_sampling
 
 
 TRACE_SCHEMA = 3
+_SOURCE_TO_LETTER = {name: letter for letter, name in SOURCE_NAMES.items()}
 
 
 @dataclass
@@ -97,43 +99,74 @@ def _validate_prompt(prompt: list[int]) -> None:
         raise ValueError("malformed prompt: EOS mid-sequence")
 
 
+def _access_log(letters: list[str], probes: list[Probe]) -> AccessLog:
+    """A step's trace view: one record per drafter, attempted or skipped."""
+    log = {letter: AccessRecord() for letter in letters}
+    for letter, returned, kept, elapsed_ns in probes:
+        log[letter] = AccessRecord(True, returned, kept, elapsed_ns)
+    return log
+
+
 class _MetricsAccumulator:
     """Running totals behind ``DecodeMetrics``, fed one step at a time.
 
-    ``decode`` feeds it as it goes, so an untraced run keeps no per-step
-    records; ``aggregate_traces`` replays trace records into it, so the
-    two agree exactly. Latency sums are Python integers, so means and the
-    standard deviation are exact up to the final division.
+    ``decode`` feeds it each step's probes and outcome as it goes, so an
+    untraced run keeps no per-step records; ``aggregate_traces`` replays
+    trace records into it, so the two agree exactly. Every total is a
+    Python integer, so means and the standard deviation are exact up to the
+    final division.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, letters: Iterable[str] = ()) -> None:
         self.steps = 0
         self.accepted_won = 0
         self.drafted_won = 0
         self.drafted_all = 0
-        self.tallies: dict[str, dict[str, int]] = {}
         self.draft_ns = 0
         self.draft_ns_sq = 0
-        self.per_db_ns: dict[str, list[int]] = {}  # letter -> [sum, count]
         self.verify_ns = 0
+        # letter -> [probes, hits, wins, accepted tokens, probe ns], in probe order.
+        self.per_db: dict[str, list[int]] = {letter: [0] * 5 for letter in letters}
 
-    def add(self, access: AccessLog, outcome: StepOutcome) -> None:
+    def add(self, probes: list[Probe], outcome: StepOutcome) -> None:
+        """An attempted probe is a hit (draft success) when it returned
+        anything; a database wins the step (verify success) when it
+        sourced the winning candidate and at least one token was accepted."""
         self.steps += 1
-        if outcome.winner is not None:
-            self.accepted_won += outcome.accepted[outcome.winner]
-            self.drafted_won += outcome.candidate_lens[outcome.winner]
+        per_db = self.per_db
+        step_ns = 0
+        for letter, returned, _kept, elapsed_ns in probes:
+            counts = per_db[letter]
+            counts[0] += 1
+            if returned:
+                counts[1] += 1
+            counts[4] += elapsed_ns
+            step_ns += elapsed_ns
+        self.draft_ns += step_ns
+        self.draft_ns_sq += step_ns * step_ns
+        winner = outcome.winner
+        if winner is not None:
+            accepted = outcome.accepted[winner]
+            self.accepted_won += accepted
+            self.drafted_won += outcome.candidate_lens[winner]
+            if accepted:
+                counts = per_db[_SOURCE_TO_LETTER[outcome.winner_source]]
+                counts[2] += 1
+                counts[3] += accepted
         self.drafted_all += outcome.drafted_total
-        _add_tallies(self.tallies, outcome, access)
-        step_draft_ns = 0
-        for letter, rec in access.items():
-            if rec.attempted:
-                total = self.per_db_ns.setdefault(letter, [0, 0])
-                total[0] += rec.elapsed_ns
-                total[1] += 1
-                step_draft_ns += rec.elapsed_ns
-        self.draft_ns += step_draft_ns
-        self.draft_ns_sq += step_draft_ns * step_draft_ns
         self.verify_ns += outcome.verify_elapsed_ns
+
+    def replay(self, record: StepRecord) -> None:
+        """Add one trace step, rejecting one that would miscount."""
+        _check_step(record)
+        for letter in record.access:
+            self.per_db.setdefault(letter, [0] * 5)
+        probes = [
+            (letter, rec.returned, rec.kept, rec.elapsed_ns)
+            for letter, rec in record.access.items()
+            if rec.attempted
+        ]
+        self.add(probes, record.outcome)
 
     def metrics(self, tokens_generated: int, steps: int, wall_time_s: float) -> DecodeMetrics:
         n = self.steps
@@ -147,18 +180,23 @@ class _MetricsAccumulator:
                 "mean": self.draft_ns / n if n else 0.0,
                 "stddev": math.sqrt(n * self.draft_ns_sq - self.draft_ns**2) / n if n else 0.0,
                 "per_db": {
-                    letter: total / count
-                    for letter, (total, count) in sorted(self.per_db_ns.items())
+                    letter: counts[4] / counts[0]
+                    for letter, counts in sorted(self.per_db.items())
+                    if counts[0]
                 },
             },
             verify_latency_ns_mean=self.verify_ns / n if n else 0.0,
             wall_time_s=wall_time_s,
-            tallies=self.tallies,
-            # Every attempted probe either failed or succeeded.
-            probes={
-                letter: t["draft_failure"] + t["draft_success"]
-                for letter, t in self.tallies.items()
+            tallies={
+                letter: {
+                    "draft_failure": probes - hits,
+                    "draft_success": hits,
+                    "verify_success": wins,
+                    "accepted_tokens": accepted,
+                }
+                for letter, (probes, hits, wins, accepted, _ns) in self.per_db.items()
             },
+            probes={letter: counts[0] for letter, counts in self.per_db.items()},
         )
 
 
@@ -176,8 +214,9 @@ def decode(
     learns inside its drafter. A step whose emissions overshoot
     ``max_tokens`` is truncated in the output but kept whole in the trace.
 
-    One ``context`` list grows in place across steps, metrics accumulate
-    step by step, and ``StepRecord``s are built only when tracing.
+    One ``context`` list grows in place across steps, and each step adds
+    its probes and outcome to plain counters; the ``AccessRecord``s and
+    ``StepRecord`` that describe a step are built only when tracing.
     """
     _validate_prompt(prompt)
     hier = config.hierarchy
@@ -186,20 +225,22 @@ def decode(
     rng = np.random.default_rng(config.seed)
     context = list(prompt)
     limit = len(prompt) + config.max_tokens
-    totals = _MetricsAccumulator()
+    letters = [letter for letter, _ in drafters]
+    totals = _MetricsAccumulator(letters)
     records: list[StepRecord] | None = [] if config.trace else None
     start = time.perf_counter()
     while len(context) < limit:
-        draft_set, log = hierarchical_draft(context, drafters, hier)
+        draft_set, probes = hierarchical_draft(context, drafters, hier)
         if config.temperature == 0:
             outcome = verify_greedy(model, context, draft_set, counter)
         else:
             outcome = verify_sampling(
                 model, context, draft_set, config.temperature, rng, counter
             )
-        totals.add(log, outcome)
+        totals.add(probes, outcome)
         emitted = outcome.emitted
         if records is not None:
+            log = _access_log(letters, probes)
             records.append(StepRecord(context[-hier.tail_len:], log, outcome))
         context.extend(emitted)
         if EOS in emitted:
@@ -250,14 +291,16 @@ def autoregressive_decode(
 def aggregate_traces(traces: list[DecodeTrace]) -> DecodeMetrics:
     """Pool step records across traces; means weight every step equally.
 
-    One trace replays to exactly the metrics its ``decode`` returned.
+    One trace replays to exactly the metrics its ``decode`` returned. A
+    step that would not replay, as ``load_traces`` defines it, raises
+    ``ValueError``.
     """
     if not traces:
         raise ValueError("no traces to aggregate")
     totals = _MetricsAccumulator()
     for trace in traces:
         for record in trace.steps:
-            totals.add(record.access, record.outcome)
+            totals.replay(record)
     tokens = sum(len(trace.output) for trace in traces)
     steps = sum(len(trace.steps) for trace in traces)
     wall = sum(trace.wall_time_s for trace in traces)

@@ -9,9 +9,9 @@ its own.
 On-disk format is JSON lines: a header record {"magic": "HDMD",
 "version": 1, "m": ..., "records": K} followed by one record per key,
 keys ascending. Builds are deterministic, so equal inputs give
-byte-identical files. Loading raises ``ValueError`` unless every key is an
-integer above the one before and every value is ``m`` token ids with a
-positive count.
+byte-identical files. Loading raises ``ValueError`` unless every key is a
+token id (a non-negative integer) above the one before and every value is
+``m`` token ids with a positive count.
 """
 
 from __future__ import annotations
@@ -148,10 +148,12 @@ def load_model_db(path: str | Path) -> ModelDB:
             rows = [(tuple(v), c) for v, c in zip(values, counts)]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"corrupt model-db file: {exc}") from exc
-        if type(key) is not int or (prev is not None and key <= prev):
-            raise ValueError(f"corrupt model-db file: key {key!r} is not an integer above {prev}")
+        if type(key) is not int or key < 0 or (prev is not None and key <= prev):
+            raise ValueError(
+                f"corrupt model-db file: key {key!r} is not a token id above {prev}"
+            )
         for value, count in rows:
-            if len(value) != window or any(type(t) is not int for t in value):
+            if len(value) != window or any(type(t) is not int or t < 0 for t in value):
                 raise ValueError(f"corrupt model-db file: key {key} value {value} is not m ids")
             if type(count) is not int or count < 1:
                 raise ValueError(f"corrupt model-db file: key {key} count {count!r} not positive")

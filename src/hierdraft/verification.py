@@ -23,13 +23,11 @@ from typing import Callable
 
 import numpy as np
 
-from .drafting import AccessLog, DraftCandidate, SOURCE_NAMES
+from .drafting import DraftCandidate
 from .kgram import KGramModel, ModelCallCounter
 
-_SOURCE_TO_LETTER = {name: letter for letter, name in SOURCE_NAMES.items()}
 
-
-@dataclass
+@dataclass(slots=True)
 class StepOutcome:
     """Result of verifying one draft set."""
 
@@ -66,25 +64,22 @@ def _verify(
     base = len(path)
     path.append(draw(path))
     accepted: list[int] = []
-    for cand in draft_set:
+    lens: list[int] = []
+    for tokens, _source in draft_set:
+        lens.append(len(tokens))
         length = 0
-        for token in cand.tokens:
+        for token in tokens:
             if token != path[base + length]:
                 break
             length += 1
             if base + length == len(path):
                 path.append(draw(path))
         accepted.append(length)
-    winner = accepted.index(max(accepted)) if draft_set else None
-    emitted = path[base:]
+    winner = accepted.index(max(accepted)) if accepted else None
+    source = None if winner is None else draft_set[winner][1]
+    # Positional: keyword arguments double the cost of building the outcome.
     return StepOutcome(
-        accepted=accepted,
-        candidate_lens=[len(c.tokens) for c in draft_set],
-        winner=winner,
-        winner_source=draft_set[winner].source if draft_set else None,
-        emitted=emitted,
-        drafted_total=sum(len(c.tokens) for c in draft_set),
-        verify_elapsed_ns=time.perf_counter_ns() - start,
+        accepted, lens, winner, source, path[base:], sum(lens), time.perf_counter_ns() - start
     )
 
 
@@ -123,35 +118,3 @@ def verify_sampling(
     return _verify(
         model, context, draft_set, counter, lambda path: model.sample(path, temperature, rng)
     )
-
-
-def _add_tallies(
-    tallies: dict[str, dict[str, int]], step: StepOutcome, log: AccessLog
-) -> dict[str, dict[str, int]]:
-    """Add one step's per-database tallies into ``tallies``.
-
-    An attempted database scores a draft failure when it returned nothing
-    and a draft success otherwise; it additionally scores a verify success
-    when it sourced the winning candidate and at least one token was
-    accepted.
-    """
-    total_kept = sum(rec.kept for rec in log.values())
-    if total_kept != len(step.accepted):
-        raise ValueError(
-            f"step/log mismatch: log kept {total_kept} candidates, "
-            f"step scored {len(step.accepted)}"
-        )
-    winner_letter = None
-    if step.winner is not None and step.accepted[step.winner] >= 1:
-        winner_letter = _SOURCE_TO_LETTER[step.winner_source]
-        if winner_letter not in log:
-            raise ValueError(f"winner source {step.winner_source!r} missing from access log")
-    for letter, record in log.items():
-        entry = tallies.get(letter)
-        if entry is None:
-            entry = tallies[letter] = {"draft_failure": 0, "draft_success": 0, "verify_success": 0}
-        if record.attempted:
-            entry["draft_success" if record.returned else "draft_failure"] += 1
-            if letter == winner_letter:
-                entry["verify_success"] += 1
-    return tallies

@@ -130,6 +130,16 @@ def test_ingest_rejects_short_sequences():
         db.ingest([3])
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [{"window": 2.5}, {"per_key": True, "capacity": True}, {"capacity": 0}, {"window": "4"}],
+    ids=["float-window", "bool-per-key-capacity", "zero-capacity", "string-window"],
+)
+def test_non_integer_settings_rejected(settings):
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        ContextDB(**settings)
+
+
 def test_lookup_rejects_negative_want():
     db = ContextDB()
     with pytest.raises(ValueError):

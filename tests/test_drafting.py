@@ -46,11 +46,10 @@ def _prefilled(dbs, config):
 def test_all_dbs_miss_gives_empty_set():
     dbs = _empty_dbs()
     config = HierarchyConfig()
-    candidates, log = hierarchical_draft([5], dbs.drafters(config), config)
+    candidates, probes = hierarchical_draft([5], dbs.drafters(config), config)
     assert candidates == []
-    assert sorted(log) == ["c", "m", "s"]
-    assert all(rec.attempted for rec in log.values())
-    assert all(rec.returned == 0 for rec in log.values())
+    assert [probe[:3] for probe in probes] == [("c", 0, 0), ("m", 0, 0), ("s", 0, 0)]
+    assert all(type(probe[3]) is int and probe[3] >= 0 for probe in probes)
 
 
 def test_full_context_db_skips_later_dbs():
@@ -58,11 +57,10 @@ def test_full_context_db_skips_later_dbs():
     for i in range(7):
         dbs.context.insert(5, (10 + i, 11 + i))
     config = HierarchyConfig()
-    candidates, log = hierarchical_draft([5], _prefilled(dbs, config), config)
+    candidates, probes = hierarchical_draft([5], _prefilled(dbs, config), config)
     assert len(candidates) == 7
-    assert all(c.source == "context" for c in candidates)
-    assert log["c"].attempted and log["c"].returned == 7
-    assert not log["m"].attempted and not log["s"].attempted
+    assert all(source == "context" for _tokens, source in candidates)
+    assert [probe[:3] for probe in probes] == [("c", 7, 7)]  # m and s not probed
 
 
 def test_dedupe_first_source_wins():
@@ -76,13 +74,10 @@ def test_dedupe_first_source_wins():
     )
     dbs.context.insert(3, (5, 6))
     config = HierarchyConfig()
-    candidates, log = hierarchical_draft([3], _prefilled(dbs, config), config)
-    assert [(list(c.tokens), c.source) for c in candidates] == [
-        ([5, 6], "context"),
-        ([7, 8], "stats"),
-    ]
-    assert log["s"].returned == 2  # raw return, before dedupe
-    assert log["s"].kept == 1
+    candidates, probes = hierarchical_draft([3], _prefilled(dbs, config), config)
+    assert candidates == [((5, 6), "context"), ((7, 8), "stats")]
+    # s returned 2 (raw return, before dedupe) and kept 1.
+    assert [probe[:3] for probe in probes] == [("c", 1, 1), ("m", 0, 0), ("s", 2, 1)]
 
 
 def test_stats_tail_respects_context_length():
@@ -94,7 +89,7 @@ def test_stats_tail_respects_context_length():
     )
     config = HierarchyConfig(tail_len=2)
     candidates, _ = hierarchical_draft([3], dbs.drafters(config), config)
-    assert [list(c.tokens) for c in candidates] == [[4, 5]]
+    assert candidates == [((4, 5), "stats")]
 
 
 def _reference_draft(context, dbs, config):
@@ -143,9 +138,9 @@ def test_matches_reference_on_random_contents(seed):
     config = HierarchyConfig()
     for _ in range(40):
         context = [rng.randrange(corpus.vocab.size) for _ in range(rng.randint(1, 5))]
-        got, _log = hierarchical_draft(context, _prefilled(dbs, config), config)
+        got, _probes = hierarchical_draft(context, _prefilled(dbs, config), config)
         want = _reference_draft(context, reference_dbs, config)
-        assert [c.tokens for c in got] == want
+        assert [tokens for tokens, _source in got] == want
 
 
 def test_disabled_db_equals_empty_db():
@@ -163,7 +158,7 @@ def test_disabled_db_equals_empty_db():
         context = [rng.randrange(vocab.size) for _ in range(3)]
         disabled, _ = hierarchical_draft(context, _prefilled(dbs, no_stats), no_stats)
         emptied, _ = hierarchical_draft(context, _prefilled(empty_stats, all_dbs), all_dbs)
-        assert [c.tokens for c in disabled] == [c.tokens for c in emptied]
+        assert [t for t, _ in disabled] == [t for t, _ in emptied]
 
 
 def test_candidates_distinct_and_bounded():
@@ -173,7 +168,7 @@ def test_candidates_distinct_and_bounded():
         context = [rng.randrange(corpus.vocab.size) for _ in range(2)]
         config = HierarchyConfig(set_size=5)
         candidates, _ = hierarchical_draft(context, _prefilled(dbs, config), config)
-        tokens = [c.tokens for c in candidates]
+        tokens = [t for t, _source in candidates]
         assert len(tokens) == len(set(tokens)) <= 5
         assert all(1 <= len(t) <= 4 for t in tokens)
 
@@ -185,8 +180,8 @@ def test_order_permutation_changes_sources():
     cms_config, smc_config = HierarchyConfig(order="cms"), HierarchyConfig(order="smc")
     cms, _ = hierarchical_draft(context, _prefilled(dbs, cms_config), cms_config)
     smc, _ = hierarchical_draft(context, _prefilled(dbs2, smc_config), smc_config)
-    assert {c.tokens for c in cms} and {c.tokens for c in smc}
-    order_cms = [c.source for c in cms]
+    assert {t for t, _ in cms} and {t for t, _ in smc}
+    order_cms = [source for _tokens, source in cms]
     assert order_cms == sorted(order_cms, key="context model stats".split().index)
 
 
@@ -232,15 +227,12 @@ def test_stub_drafters_get_remaining_quota():
         ("c", _stub([[3], [4], [5], [6]], calls, "c")),
         ("s", _stub([[7]], calls, "s")),
     ]
-    candidates, log = hierarchical_draft([9], drafters, HierarchyConfig(set_size=5))
+    candidates, probes = hierarchical_draft([9], drafters, HierarchyConfig(set_size=5))
     assert calls == [("m", 5), ("c", 3)]  # the duplicate [1] cost m its third slot
-    assert [(c.tokens, c.source) for c in candidates] == [
+    assert candidates == [
         ((1,), "model"), ((2,), "model"), ((3,), "context"), ((4,), "context"), ((5,), "context"),
     ]
-    assert [(log[l].attempted, log[l].returned, log[l].kept) for l in "mcs"] == [
-        (True, 3, 2), (True, 3, 3), (False, 0, 0),
-    ]
-    assert list(log) == ["m", "c", "s"]
+    assert [probe[:3] for probe in probes] == [("m", 3, 2), ("c", 3, 3)]  # s skipped
 
 
 def test_stats_drafters_share_no_memo(monkeypatch):

@@ -19,6 +19,7 @@ from hierdraft import (
     save_traces,
     tokenize,
 )
+from hierdraft.drafting import SOURCE_NAMES
 from hierdraft.engine import TRACE_SCHEMA
 
 from conftest import fresh_dbs, make_corpus, sample_prompts
@@ -216,6 +217,15 @@ def test_aggregate_matches_flat_recompute(setup):
                 accepted += o.accepted[o.winner]
                 drafted += o.candidate_lens[o.winner]
     assert agg.alpha == (accepted / drafted if drafted else None)
+    letter_of = {source: letter for letter, source in SOURCE_NAMES.items()}
+    won = {letter: 0 for letter in "cms"}
+    for trace in traces:
+        for record in trace.steps:
+            o = record.outcome
+            if o.winner is not None:
+                won[letter_of[o.winner_source]] += o.accepted[o.winner]
+    assert {l: t["accepted_tokens"] for l, t in agg.tallies.items()} == won
+    assert sum(won.values()) == accepted > 0
     for letter in "cms":
         probe_oracle = sum(
             1
@@ -226,24 +236,38 @@ def test_aggregate_matches_flat_recompute(setup):
         assert agg.probes.get(letter, 0) == probe_oracle
 
 
-def test_untraced_decode_builds_no_step_records(setup, monkeypatch):
+@pytest.mark.parametrize("order", ["cms", "mcs", "smc"])
+@pytest.mark.parametrize("temperature", [0.0, 0.8])
+def test_untraced_decode_builds_no_step_records(setup, monkeypatch, temperature, order):
+    import hierdraft.drafting as drafting
     import hierdraft.engine as engine
 
     corpus, model, model_db, stats_db = setup
     prompt = corpus.docs[4][:6]
-    config = _hd_config(max_tokens=30, trace=True)
-    traced_out, traced_metrics, _ = decode(model, prompt, fresh_dbs(model_db, stats_db), config)
+    config = _hd_config(
+        hierarchy=HierarchyConfig(order=order),
+        max_tokens=30,
+        temperature=temperature,
+        seed=3,
+        trace=True,
+    )
+    traced_out, traced, _ = decode(model, prompt, fresh_dbs(model_db, stats_db), config)
 
-    def no_records(*args, **kwargs):
-        raise AssertionError("StepRecord built without tracing")
+    def forbidden(name):
+        def build(*args, **kwargs):
+            raise AssertionError(f"{name} built without tracing")
 
-    monkeypatch.setattr(engine, "StepRecord", no_records)
+        return build
+
+    for module, name in ((engine, "StepRecord"), (engine, "AccessRecord"), (drafting, "AccessRecord")):
+        monkeypatch.setattr(module, name, forbidden(name))
     untraced = dataclasses.replace(config, trace=False)
     out, metrics, trace = decode(model, prompt, fresh_dbs(model_db, stats_db), untraced)
     assert trace is None
     assert out == traced_out
-    assert metrics.probes == traced_metrics.probes
-    assert metrics.tallies == traced_metrics.tallies
+    for name in ("steps", "tau", "alpha", "alpha_all", "tallies", "probes"):
+        assert getattr(metrics, name) == getattr(traced, name), name
+    assert sorted(metrics.draft_latency_ns["per_db"]) == sorted(traced.draft_latency_ns["per_db"])
 
 
 def test_stats_db_retrieved_once_per_distinct_tail(setup, monkeypatch):

@@ -159,9 +159,11 @@ _HEADER = '{"magic":"HDMD","version":1,"m":2,"records":%d}'
     [
         (['{"key":"3","values":[[4,5]],"counts":[1]}'], "key '3'"),
         (['{"key":3,"values":[[4,5]],"counts":[2]}', '{"key":3,"values":[[6,7]],"counts":[1]}'],
-         "key 3 is not an integer above 3"),
+         "key 3 is not a token id above 3"),
         (['{"key":5,"values":[[4,5]],"counts":[2]}', '{"key":3,"values":[[6,7]],"counts":[1]}'],
-         "key 3 is not an integer above 5"),
+         "key 3 is not a token id above 5"),
+        (['{"key":-3,"values":[[1,2]],"counts":[1]}'], "key -3 is not a token id"),
+        (['{"key":3,"values":[[-1,-2]],"counts":[1]}'], "is not m ids"),
         (['{"key":3,"values":[[4,5,6]],"counts":[1]}'], "is not m ids"),
         (['{"key":3,"values":[[4]],"counts":[1]}'], "is not m ids"),
         (['{"key":3,"values":["ab"],"counts":[1]}'], "is not m ids"),
@@ -171,7 +173,8 @@ _HEADER = '{"magic":"HDMD","version":1,"m":2,"records":%d}'
         (['[3]'], "corrupt model-db file"),
         (['{"key":3,"values":7,"counts":[1]}'], "corrupt model-db file"),
     ],
-    ids=["string-key", "duplicate-key", "descending-keys", "long-value", "short-value",
+    ids=["string-key", "duplicate-key", "descending-keys", "negative-key", "negative-value-ids",
+         "long-value", "short-value",
          "string-value", "zero-count", "negative-count", "float-count", "list-record",
          "int-values"],
 )

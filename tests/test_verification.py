@@ -7,8 +7,11 @@ import pytest
 from hierdraft import (
     AccessRecord,
     DecodeConfig,
+    DecodeTrace,
     DraftCandidate,
     ModelCallCounter,
+    StepRecord,
+    aggregate_traces,
     apply_temperature,
     autoregressive_decode,
     corpus_from_texts,
@@ -16,7 +19,6 @@ from hierdraft import (
     verify_greedy,
     verify_sampling,
 )
-from hierdraft.verification import _add_tallies
 
 from conftest import make_corpus
 
@@ -251,35 +253,44 @@ def test_sampling_full_acceptance_emits_bonus(chain_model):
     assert full > 0
 
 
-def _log(**kwargs):
-    log = {}
-    for letter, (attempted, returned, kept) in kwargs.items():
-        log[letter] = AccessRecord(
-            attempted=attempted, returned=returned, kept=kept, elapsed_ns=10
-        )
-    return log
+def _tallies(outcome, **log):
+    """Tallies of a one-step trace: ``outcome`` with the access ``log``
+    given per letter as (attempted, returned, kept)."""
+    access = {
+        letter: AccessRecord(attempted=attempted, returned=returned, kept=kept, elapsed_ns=10)
+        for letter, (attempted, returned, kept) in log.items()
+    }
+    step = StepRecord(context_tail=[3], access=access, outcome=outcome)
+    trace = DecodeTrace([3], outcome.emitted, [step], DecodeConfig(), wall_time_s=0.0)
+    return aggregate_traces([trace]).tallies
 
 
 def test_attribute_winner_scores_verify_success(chain_model):
     outcome = verify_greedy(
         chain_model, [3], [_cand([4, 5], "context")], ModelCallCounter()
     )
-    log = _log(c=(True, 1, 1), m=(True, 0, 0), s=(False, 0, 0))
-    tallies = _add_tallies({}, outcome, log)
-    assert tallies["c"] == {"draft_failure": 0, "draft_success": 1, "verify_success": 1}
-    assert tallies["m"] == {"draft_failure": 1, "draft_success": 0, "verify_success": 0}
-    assert tallies["s"] == {"draft_failure": 0, "draft_success": 0, "verify_success": 0}
+    tallies = _tallies(outcome, c=(True, 1, 1), m=(True, 0, 0), s=(False, 0, 0))
+    assert tallies["c"] == {
+        "draft_failure": 0, "draft_success": 1, "verify_success": 1, "accepted_tokens": 2,
+    }
+    assert tallies["m"] == {
+        "draft_failure": 1, "draft_success": 0, "verify_success": 0, "accepted_tokens": 0,
+    }
+    assert tallies["s"] == {
+        "draft_failure": 0, "draft_success": 0, "verify_success": 0, "accepted_tokens": 0,
+    }
 
 
 def test_attribute_zero_accept_scores_no_verify_success(chain_model):
     outcome = verify_greedy(chain_model, [3], [_cand([9], "model")], ModelCallCounter())
     assert outcome.accepted == [0]
-    tallies = _add_tallies({}, outcome, _log(m=(True, 1, 1)))
+    tallies = _tallies(outcome, m=(True, 1, 1))
     assert tallies["m"]["verify_success"] == 0
+    assert tallies["m"]["accepted_tokens"] == 0
     assert tallies["m"]["draft_success"] == 1
 
 
 def test_attribute_mismatched_lengths_error(chain_model):
     outcome = verify_greedy(chain_model, [3], [_cand([4])], ModelCallCounter())
-    with pytest.raises(ValueError, match="mismatch"):
-        _add_tallies({}, outcome, _log(c=(True, 0, 0)))
+    with pytest.raises(ValueError, match="kept 0 candidates, step scored 1"):
+        _tallies(outcome, c=(True, 0, 0))
