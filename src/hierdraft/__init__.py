@@ -48,7 +48,6 @@ from .kgram import (
     apply_temperature,
     fit_kgram,
     load_kgram,
-    sample_token,
     save_kgram,
 )
 from .model_db import ModelDB, build_model_db, load_model_db, save_model_db
@@ -108,7 +107,6 @@ __all__ = [
     "load_traces",
     "locality_stats",
     "run_bench",
-    "sample_token",
     "save_kgram",
     "save_model_db",
     "save_stats_db",

@@ -126,14 +126,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         temperature=args.temperature,
         seed=args.seed,
         hierarchy=hier,
-        trace=args.trace is not None,
+        trace=True,  # latencies are measured only on a traced decode
         model_call_cost_s=args.model_cost_ms / 1e3,
     )
     dbs = _load_databases(args, hier)
     output, metrics, trace = decode(model, prompt, dbs, config)
     print(detokenize(output, vocab))
     print(json.dumps(asdict(metrics), indent=2, sort_keys=True), file=sys.stderr)
-    if args.trace is not None and trace is not None:
+    if args.trace is not None:
         save_traces([trace], args.trace)
     return 0
 

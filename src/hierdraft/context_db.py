@@ -117,14 +117,15 @@ class ContextDB:
 
         Each probe first ingests what ``context`` gained since this
         drafter's previous probe: the whole prompt at the first (unless it
-        is one token), then the seam, the last ``hier.draft_len + 1`` tokens
-        seen before plus the new ones. A probe skipped because the draft set
+        is one token), then the seam, the last ``window + 1`` tokens seen
+        before plus the new ones, so every value that reached into the new
+        tokens is completed. A probe skipped because the draft set
         was full is thus caught up in one seam at the next. Then it looks up
         ``context[-1]``. Both calls read ``self.ingest`` and ``self.lookup``
         at call time, so wrappers set on the instance see every one.
         """
         self.reset()
-        seam_len = hier.draft_len + 1
+        seam_len = self.window + 1
         # Context length at this drafter's previous probe; a lone first
         # token gives no pair, so the first probe ingests from two tokens.
         seen = 1

@@ -4,10 +4,10 @@ Databases are probed in a configured order (default: context, then model,
 then stats — highest temporal locality first). Each probe asks only for
 the remaining quota, duplicates keep the copy from the earlier (higher
 locality) source, and once the set is full the remaining databases are
-not touched at all. One ``(letter, returned, kept, elapsed_ns)`` tuple per
-attempted probe feeds both the latency breakdown and the draft/verify
-success attribution; ``decode`` turns it into an ``AccessLog`` only for a
-trace.
+not touched at all. One ``(letter, returned, kept)`` tuple per attempted
+probe feeds the draft/verify success attribution; ``decode`` turns it into
+an ``AccessLog`` only for a trace. Drafting reads no clock: a traced
+``decode`` times each probe by wrapping the drafters it hands in.
 
 Every database is one kind of draft source: ``db.drafter(hier)`` returns a
 ``Drafter``, a ``draft(context, want)`` callable for one generation, and
@@ -15,13 +15,12 @@ Every database is one kind of draft source: ``db.drafter(hier)`` returns a
 only walks that list. Whatever a source keeps or learns for the
 generation, such as the stats memo or the context DB's table, lives in its
 drafter, and every call counts as an attempted probe whether or not the
-source answered it from memory. A probe's time is the whole call, so the
-context DB's ingest counts in its ``c`` probe.
+source answered it from memory. A traced probe's time is the whole call,
+so the context DB's ingest counts in its ``c`` probe.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -64,16 +63,15 @@ class HierarchyConfig:
             # bool is an int subclass, and JSON true must not pass as 1.
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+        for name in ("order", "enabled"):
+            letters = getattr(self, name)
+            if not isinstance(letters, str) or not set(letters) <= set(DB_LETTERS):
+                raise ValueError(f"{name} {letters!r} is not made of letters from {DB_LETTERS!r}")
+            if len(set(letters)) != len(letters):
+                raise ValueError(f"{name} {letters!r} repeats a database")
         for letter in self.enabled:
-            if letter not in DB_LETTERS:
-                raise ValueError(f"unknown database letter: {letter!r}")
-            if self.order.count(letter) != 1:
-                raise ValueError(
-                    f"order {self.order!r} must contain enabled database "
-                    f"{letter!r} exactly once"
-                )
-        if len(set(self.order)) != len(self.order):
-            raise ValueError(f"order {self.order!r} repeats a database")
+            if letter not in self.order:
+                raise ValueError(f"order {self.order!r} must contain enabled database {letter!r}")
 
 
 @dataclass
@@ -85,8 +83,8 @@ class AccessRecord:
 
 
 AccessLog = dict[str, AccessRecord]
-# One attempted probe: (letter, returned, kept, elapsed_ns).
-Probe = tuple[str, int, int, int]
+# One attempted probe: (letter, returned, kept).
+Probe = tuple[str, int, int]
 # draft(context, want) -> up to ``want`` continuations of ``context``.
 Drafter = Callable[[list[int], int], list[list[int]]]
 
@@ -120,22 +118,19 @@ def hierarchical_draft(
     ``drafters`` come from ``DatabaseSet.drafters`` and are probed in list
     order, each for the remaining quota. Candidates are plain ``(tokens,
     source)`` pairs. Drafters later in the list are skipped entirely once
-    the set is full, so the probes, one ``(letter, returned, kept,
-    elapsed_ns)`` per attempted drafter, are a prefix of ``drafters``.
+    the set is full, so the probes, one ``(letter, returned, kept)`` per
+    attempted drafter, are a prefix of ``drafters``.
     """
     if not context:
         raise ValueError("context must be non-empty")
     candidates: list[DraftCandidate] = []
     probes: list[Probe] = []
     seen: set[tuple[int, ...]] = set()
-    clock = time.perf_counter_ns
     for letter, draft in drafters:
         want = config.set_size - len(candidates)
         if want == 0:
             break
-        start = clock()
         values = draft(context, want)
-        elapsed_ns = clock() - start
         source = SOURCE_NAMES[letter]
         before = len(candidates)
         for value in values:
@@ -143,5 +138,5 @@ def hierarchical_draft(
             if tokens not in seen:
                 seen.add(tokens)
                 candidates.append((tokens, source))
-        probes.append((letter, len(values), len(candidates) - before, elapsed_ns))
+        probes.append((letter, len(values), len(candidates) - before))
     return candidates, probes

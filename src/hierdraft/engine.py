@@ -27,6 +27,7 @@ from .drafting import (
     AccessLog,
     AccessRecord,
     DatabaseSet,
+    Drafter,
     HierarchyConfig,
     Probe,
     hierarchical_draft,
@@ -66,8 +67,8 @@ class DecodeMetrics:
     tau: float
     alpha: float | None
     alpha_all: float | None
-    draft_latency_ns: dict
-    verify_latency_ns_mean: float
+    draft_latency_ns: dict | None       # None: not measured (untraced)
+    verify_latency_ns_mean: float | None
     wall_time_s: float
     tallies: dict[str, dict[str, int]]
     probes: dict[str, int]
@@ -99,25 +100,39 @@ def _validate_prompt(prompt: list[int]) -> None:
         raise ValueError("malformed prompt: EOS mid-sequence")
 
 
-def _access_log(letters: list[str], probes: list[Probe]) -> AccessLog:
+def _access_log(letters: list[str], probes: list[Probe], probe_ns: list[int]) -> AccessLog:
     """A step's trace view: one record per drafter, attempted or skipped."""
     log = {letter: AccessRecord() for letter in letters}
-    for letter, returned, kept, elapsed_ns in probes:
+    for (letter, returned, kept), elapsed_ns in zip(probes, probe_ns):
         log[letter] = AccessRecord(True, returned, kept, elapsed_ns)
     return log
+
+
+def _timed(draft: Drafter, probe_ns: list[int]) -> Drafter:
+    """``draft``, appending the duration of every call to ``probe_ns``."""
+    clock = time.perf_counter_ns
+
+    def timed(context: list[int], want: int) -> list[list[int]]:
+        start = clock()
+        values = draft(context, want)
+        probe_ns.append(clock() - start)
+        return values
+
+    return timed
 
 
 class _MetricsAccumulator:
     """Running totals behind ``DecodeMetrics``, fed one step at a time.
 
-    ``decode`` feeds it each step's probes and outcome as it goes, so an
-    untraced run keeps no per-step records; ``aggregate_traces`` replays
-    trace records into it, so the two agree exactly. Every total is a
-    Python integer, so means and the standard deviation are exact up to the
-    final division.
+    An untraced ``decode`` adds each step's probes and outcome and leaves
+    the latencies ``None`` (not measured); a traced one and
+    ``aggregate_traces`` replay trace records into it, times included, so
+    the two agree exactly. Every total is a Python integer, so means and
+    the standard deviation are exact up to the final division.
     """
 
-    def __init__(self, letters: Iterable[str] = ()) -> None:
+    def __init__(self, letters: Iterable[str] = (), timed: bool = True) -> None:
+        self.timed = timed
         self.steps = 0
         self.accepted_won = 0
         self.drafted_won = 0
@@ -134,16 +149,11 @@ class _MetricsAccumulator:
         sourced the winning candidate and at least one token was accepted."""
         self.steps += 1
         per_db = self.per_db
-        step_ns = 0
-        for letter, returned, _kept, elapsed_ns in probes:
+        for letter, returned, _kept in probes:
             counts = per_db[letter]
             counts[0] += 1
             if returned:
                 counts[1] += 1
-            counts[4] += elapsed_ns
-            step_ns += elapsed_ns
-        self.draft_ns += step_ns
-        self.draft_ns_sq += step_ns * step_ns
         winner = outcome.winner
         if winner is not None:
             accepted = outcome.accepted[winner]
@@ -154,29 +164,27 @@ class _MetricsAccumulator:
                 counts[2] += 1
                 counts[3] += accepted
         self.drafted_all += outcome.drafted_total
-        self.verify_ns += outcome.verify_elapsed_ns
 
     def replay(self, record: StepRecord) -> None:
-        """Add one trace step, rejecting one that would miscount."""
-        _check_step(record)
-        for letter in record.access:
-            self.per_db.setdefault(letter, [0] * 5)
-        probes = [
-            (letter, rec.returned, rec.kept, rec.elapsed_ns)
-            for letter, rec in record.access.items()
-            if rec.attempted
-        ]
+        """Add one trace step with its probe and verify times."""
+        probes = []
+        step_ns = 0
+        for letter, rec in record.access.items():
+            counts = self.per_db.setdefault(letter, [0] * 5)
+            if rec.attempted:
+                probes.append((letter, rec.returned, rec.kept))
+                counts[4] += rec.elapsed_ns
+                step_ns += rec.elapsed_ns
         self.add(probes, record.outcome)
+        self.draft_ns += step_ns
+        self.draft_ns_sq += step_ns * step_ns
+        self.verify_ns += record.outcome.verify_elapsed_ns
 
     def metrics(self, tokens_generated: int, steps: int, wall_time_s: float) -> DecodeMetrics:
         n = self.steps
-        return DecodeMetrics(
-            steps=steps,
-            tokens_generated=tokens_generated,
-            tau=tokens_generated / steps if steps else 0.0,
-            alpha=self.accepted_won / self.drafted_won if self.drafted_won else None,
-            alpha_all=self.accepted_won / self.drafted_all if self.drafted_all else None,
-            draft_latency_ns={
+        draft_latency = verify_latency = None
+        if self.timed:
+            draft_latency = {
                 "mean": self.draft_ns / n if n else 0.0,
                 "stddev": math.sqrt(n * self.draft_ns_sq - self.draft_ns**2) / n if n else 0.0,
                 "per_db": {
@@ -184,8 +192,16 @@ class _MetricsAccumulator:
                     for letter, counts in sorted(self.per_db.items())
                     if counts[0]
                 },
-            },
-            verify_latency_ns_mean=self.verify_ns / n if n else 0.0,
+            }
+            verify_latency = self.verify_ns / n if n else 0.0
+        return DecodeMetrics(
+            steps=steps,
+            tokens_generated=tokens_generated,
+            tau=tokens_generated / steps if steps else 0.0,
+            alpha=self.accepted_won / self.drafted_won if self.drafted_won else None,
+            alpha_all=self.accepted_won / self.drafted_all if self.drafted_all else None,
+            draft_latency_ns=draft_latency,
+            verify_latency_ns_mean=verify_latency,
             wall_time_s=wall_time_s,
             tallies={
                 letter: {
@@ -214,9 +230,11 @@ def decode(
     learns inside its drafter. A step whose emissions overshoot
     ``max_tokens`` is truncated in the output but kept whole in the trace.
 
-    One ``context`` list grows in place across steps, and each step adds
-    its probes and outcome to plain counters; the ``AccessRecord``s and
-    ``StepRecord`` that describe a step are built only when tracing.
+    One ``context`` list grows in place across steps. An untraced step
+    reads no clock and only adds to plain counters. Only a traced step is
+    timed, each probe through a wrapped drafter and then the verify call,
+    and builds its ``AccessRecord``s and ``StepRecord``; the metrics
+    replay those records, as ``aggregate_traces`` does.
     """
     _validate_prompt(prompt)
     hier = config.hierarchy
@@ -226,22 +244,31 @@ def decode(
     context = list(prompt)
     limit = len(prompt) + config.max_tokens
     letters = [letter for letter, _ in drafters]
-    totals = _MetricsAccumulator(letters)
+    totals = _MetricsAccumulator(letters, timed=config.trace)
     records: list[StepRecord] | None = [] if config.trace else None
+    probe_ns: list[int] = []  # a traced step's probe times, in probe order
+    if config.trace:
+        drafters = [(letter, _timed(draft, probe_ns)) for letter, draft in drafters]
     start = time.perf_counter()
     while len(context) < limit:
         draft_set, probes = hierarchical_draft(context, drafters, hier)
+        if records is not None:
+            verify_start = time.perf_counter_ns()
         if config.temperature == 0:
             outcome = verify_greedy(model, context, draft_set, counter)
         else:
             outcome = verify_sampling(
                 model, context, draft_set, config.temperature, rng, counter
             )
-        totals.add(probes, outcome)
-        emitted = outcome.emitted
-        if records is not None:
-            log = _access_log(letters, probes)
+        if records is None:
+            totals.add(probes, outcome)
+        else:
+            outcome.verify_elapsed_ns = time.perf_counter_ns() - verify_start
+            log = _access_log(letters, probes, probe_ns)
+            probe_ns.clear()
             records.append(StepRecord(context[-hier.tail_len:], log, outcome))
+            totals.replay(records[-1])
+        emitted = outcome.emitted
         context.extend(emitted)
         if EOS in emitted:
             del context[len(context) - len(emitted) + emitted.index(EOS) + 1:]
@@ -300,6 +327,7 @@ def aggregate_traces(traces: list[DecodeTrace]) -> DecodeMetrics:
     totals = _MetricsAccumulator()
     for trace in traces:
         for record in trace.steps:
+            _check_step(record)
             totals.replay(record)
     tokens = sum(len(trace.output) for trace in traces)
     steps = sum(len(trace.steps) for trace in traces)

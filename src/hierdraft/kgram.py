@@ -14,9 +14,9 @@ draw is then a backoff walk of dict reads, and a sampling draw
 (``KGramModel.sample``) reads only the backed-off count table: every
 unseen token has the same closed-form weight, so the inverse CDF walks
 the table in id order and steps over each run of unseen ids in one
-division, O(table) instead of O(vocab). ``next_distribution``,
-``apply_temperature`` and ``sample_token`` build the full
-vocabulary-sized law; they are the reference the sampler is tested
+division, O(table) instead of O(vocab). ``next_distribution`` and
+``apply_temperature`` build the full vocabulary-sized law; with an
+inverse-CDF draw over it, they are the reference the sampler is tested
 against.
 
 HDKG loads fail closed: anything but a well-formed model raises
@@ -138,9 +138,10 @@ class KGramModel:
 
         The token is the inverse CDF, in token-id order, of
         ``apply_temperature(next_distribution(context), T)`` at one
-        ``rng.random()``, as ``sample_token`` would draw it, without the
-        vocabulary-sized vectors. Weights are relative to the table's
-        largest count ``c_max``, read at its precompiled argmax:
+        ``rng.random()`` (the first token whose cumulative probability
+        exceeds it), without the vocabulary-sized vectors. Weights are
+        relative to the table's largest count ``c_max``, read at its
+        precompiled argmax:
         ``((c + alpha) / (c_max + alpha)) ** (1/T)`` for a seen token and
         ``(alpha / (c_max + alpha)) ** (1/T)`` for each unseen one. Every
         weight is in [0, 1] and the argmax weighs 1, so no power overflows
@@ -229,14 +230,6 @@ def apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
         powered = np.power(probs / probs.max(), 1.0 / temperature)
         total = powered.sum()
     return powered / total
-
-
-def sample_token(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw; deterministic for a given generator state."""
-    u = rng.random()
-    cdf = np.cumsum(probs)
-    idx = int(np.searchsorted(cdf, u, side="right"))
-    return min(idx, len(probs) - 1)
 
 
 def save_kgram(model: KGramModel, path: str | Path) -> None:

@@ -215,7 +215,7 @@ class StatsDB:
             return []
         # Only groups whose count reaches the k-th largest can be returned;
         # order those by count, then by encoded continuation. A single one
-        # (the usual case for want = 1) needs no sort.
+        # (a range with one distinct continuation) needs no sort.
         if k < len(counts):
             pick = (counts >= np.sort(counts)[-k]).nonzero()[0]
             starts, counts = starts[pick], counts[pick]

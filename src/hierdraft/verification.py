@@ -13,11 +13,12 @@ sampling draws from the exact temperature-scaled target distribution
 through ``KGramModel.sample``, as ``autoregressive_decode`` does, one
 ``rng.random()`` per emitted token in order, so the output law and even
 the tokens for a given seed equal plain autoregressive decoding.
+Verification reads no clock; a traced ``decode`` times each call and
+writes ``StepOutcome.verify_elapsed_ns``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,7 +38,7 @@ class StepOutcome:
     winner_source: str | None
     emitted: list[int]
     drafted_total: int
-    verify_elapsed_ns: int = 0
+    verify_elapsed_ns: int = 0          # set by a traced ``decode`` only
 
 
 def _verify(
@@ -58,7 +59,6 @@ def _verify(
     its last ``k - 1`` tokens, so the path starts from the last ``k`` of
     ``context`` instead of a copy of all of it.
     """
-    start = time.perf_counter_ns()
     counter.bump()
     path = context[-model.k:]
     base = len(path)
@@ -78,9 +78,7 @@ def _verify(
     winner = accepted.index(max(accepted)) if accepted else None
     source = None if winner is None else draft_set[winner][1]
     # Positional: keyword arguments double the cost of building the outcome.
-    return StepOutcome(
-        accepted, lens, winner, source, path[base:], sum(lens), time.perf_counter_ns() - start
-    )
+    return StepOutcome(accepted, lens, winner, source, path[base:], sum(lens))
 
 
 def verify_greedy(

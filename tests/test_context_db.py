@@ -248,3 +248,17 @@ def test_skipped_probe_catches_up_in_one_seam():
     context += [11]
     draft(context, 7)
     assert calls == [list(range(3, 9)), list(range(6, 12))]
+
+
+@pytest.mark.parametrize("window", [2, 4, 7])
+def test_stepwise_probes_complete_every_value(window):
+    """The seam follows the table's own ``window``, not the hierarchy's
+    ``draft_len``, so a value cut short at one probe is completed later."""
+    context = list(range(10, 30))
+    db = ContextDB(window=window)
+    draft = db.drafter(HierarchyConfig())
+    for n in range(1, len(context) + 1):
+        draft(context[:n], 7)
+    once = ContextDB(window=window)
+    once.ingest(context)
+    assert set(once._order) <= set(db._order)

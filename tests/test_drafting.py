@@ -49,7 +49,6 @@ def test_all_dbs_miss_gives_empty_set():
     candidates, probes = hierarchical_draft([5], dbs.drafters(config), config)
     assert candidates == []
     assert [probe[:3] for probe in probes] == [("c", 0, 0), ("m", 0, 0), ("s", 0, 0)]
-    assert all(type(probe[3]) is int and probe[3] >= 0 for probe in probes)
 
 
 def test_full_context_db_skips_later_dbs():
@@ -194,6 +193,14 @@ def test_config_validation():
         HierarchyConfig(enabled="x")
     with pytest.raises(ValueError):
         HierarchyConfig(set_size=0)
+    for bad in (
+        {"order": "xyz", "enabled": ""},  # letters outside "cms", nothing enabled
+        {"order": "cmsq", "enabled": "cms"},  # unknown letter in the order only
+        {"enabled": "cc"},  # repeated enabled database
+        {"order": ["c", "m"], "enabled": "cm"},  # not a string
+    ):
+        with pytest.raises(ValueError):
+            HierarchyConfig(**bad)
     for bad in ({"set_size": 2.5}, {"set_size": True, "draft_len": True}, {"tail_len": 1.5}):
         with pytest.raises(ValueError, match="must be an integer"):
             HierarchyConfig(**bad)

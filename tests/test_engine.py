@@ -267,7 +267,31 @@ def test_untraced_decode_builds_no_step_records(setup, monkeypatch, temperature,
     assert out == traced_out
     for name in ("steps", "tau", "alpha", "alpha_all", "tallies", "probes"):
         assert getattr(metrics, name) == getattr(traced, name), name
-    assert sorted(metrics.draft_latency_ns["per_db"]) == sorted(traced.draft_latency_ns["per_db"])
+    assert metrics.draft_latency_ns is None and metrics.verify_latency_ns_mean is None
+
+
+@pytest.mark.parametrize("order", ["cms", "smc"])
+@pytest.mark.parametrize("temperature", [0.0, 0.8])
+def test_untraced_decode_reads_no_clock(setup, monkeypatch, temperature, order):
+    """Only a traced decode times its probes and verify calls."""
+    import time
+
+    corpus, model, model_db, stats_db = setup
+    prompt = corpus.docs[4][:6]
+    config = _hd_config(
+        hierarchy=HierarchyConfig(order=order), max_tokens=30, temperature=temperature, seed=3
+    )
+    expected, _, _ = decode(model, prompt, fresh_dbs(model_db, stats_db), config)
+
+    def no_clock():
+        raise AssertionError("untraced decode read time.perf_counter_ns")
+
+    monkeypatch.setattr(time, "perf_counter_ns", no_clock)
+    out, metrics, _ = decode(model, prompt, fresh_dbs(model_db, stats_db), config)
+    assert out == expected and metrics.steps > 0
+    traced = dataclasses.replace(config, trace=True)
+    with pytest.raises(AssertionError, match="perf_counter_ns"):
+        decode(model, prompt, fresh_dbs(model_db, stats_db), traced)
 
 
 def test_stats_db_retrieved_once_per_distinct_tail(setup, monkeypatch):
@@ -509,13 +533,16 @@ def test_winning_step_trace_loads_and_replays(setup, tmp_path):
         _add_unknown_access_key,
         lambda d: _mangle_outcome(d, winner=True),
         lambda d: {**d, "wall_time_s": "slow"},
+        lambda d: {**d, "config": {**d["config"], "hierarchy": {
+            **d["config"]["hierarchy"], "order": "cq", "enabled": "cc"}}},
     ],
     ids=["prompt-only", "no-context-tail", "list", "unknown-schema", "no-schema",
          "unknown-field", "unknown-config-field", "string-temperature", "list-access",
          "partial-outcome", "not-json", "string-prompt-id", "negative-output-id",
          "bool-prompt-id", "float-context-tail-id", "string-emitted-id",
          "schema-1", "bogus-winner-source", "winner-out-of-range", "no-candidate-lens",
-         "kept-disagrees", "unknown-access-key", "bool-winner", "string-wall-time"],
+         "kept-disagrees", "unknown-access-key", "bool-winner", "string-wall-time",
+         "bad-hierarchy-letters"],
 )
 def test_load_traces_fails_closed(setup, tmp_path, mangle):
     path = tmp_path / "bad.jsonl"

