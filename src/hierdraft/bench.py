@@ -20,7 +20,6 @@ import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .analysis import accepted_events
 from .context_db import ContextDB
 from .drafting import DatabaseSet, HierarchyConfig
 from .engine import (
@@ -29,7 +28,6 @@ from .engine import (
     aggregate_traces,
     autoregressive_decode,
     decode,
-    load_traces,
     save_traces,
 )
 from .kgram import KGramModel
@@ -44,12 +42,12 @@ class MethodSpec:
     """One benchmark row: which databases, in what order, at what temperature."""
 
     name: str
-    databases: str = "cms"  # enabled letters in probe order; "" means autoregressive
+    databases: str = "cms"  # the hierarchy's order; "" means autoregressive
     temperature: float = 0.0
 
     def __post_init__(self) -> None:
-        # An unknown or repeated letter fails here, not after the baseline ran.
-        HierarchyConfig(order=self.databases, enabled=self.databases)
+        # A bad letter or temperature fails here, not after the baseline ran.
+        DecodeConfig(temperature=self.temperature, hierarchy=HierarchyConfig(order=self.databases))
 
     @property
     def is_autoregressive(self) -> bool:
@@ -69,7 +67,7 @@ def _validate_methods(
 def _decode_config(method: MethodSpec, hier: HierarchyConfig, **kwargs) -> DecodeConfig:
     return DecodeConfig(
         temperature=method.temperature,
-        hierarchy=replace(hier, order=method.databases, enabled=method.databases),
+        hierarchy=replace(hier, order=method.databases),
         **kwargs,
     )
 
@@ -134,10 +132,8 @@ def run_bench(
             "max_tokens": max_tokens,
             "model_call_cost_s": model_call_cost_s,
             "prompt_count": len(prompts),
-            # Each row sets its own order and databases.
-            "hierarchy": {
-                k: v for k, v in asdict(hier).items() if k not in ("order", "enabled")
-            },
+            # Each row sets its own order.
+            "hierarchy": {k: v for k, v in asdict(hier).items() if k != "order"},
             "fingerprints": fingerprints or {},
         },
         "rows": rows,
@@ -254,13 +250,11 @@ def ablate_order(
     *,
     model_db: ModelDB,
     stats_db: StatsDB,
-    temperature: float = 0.0,
     **bench_kwargs,
 ) -> dict:
-    """Benchmark all six access-order permutations (all databases enabled)."""
+    """Benchmark all six access orders of the three databases, greedily."""
     methods = [
-        MethodSpec(f"order-{p}", databases=p, temperature=temperature)
-        for p in map("".join, itertools.permutations("cms"))
+        MethodSpec(f"order-{p}", databases=p) for p in map("".join, itertools.permutations("cms"))
     ]
     return run_bench(
         model, prompts, methods, model_db=model_db, stats_db=stats_db, **bench_kwargs
@@ -273,39 +267,20 @@ def ablate_dbs(
     *,
     model_db: ModelDB,
     stats_db: StatsDB,
-    temperature: float = 0.0,
-    trace_dir: str | Path | None = None,
     **bench_kwargs,
 ) -> dict:
-    """Benchmark all seven non-empty database subsets.
+    """Benchmark all seven non-empty database subsets, greedily.
 
-    Single-database rows carry their accepted-token events so token
-    coverage can be intersected across sources afterwards.
+    With a ``trace_dir``, the single-database rows' trace files
+    (``db-c``, ``db-m``, ``db-s``) feed ``hd analyze coverage``.
     """
     subsets = []
     for r in (1, 2, 3):
         subsets.extend("".join(c) for c in itertools.combinations("cms", r))
-    methods = [
-        MethodSpec(f"db-{subset}", databases=subset, temperature=temperature)
-        for subset in subsets
-    ]
-    trace_dir = Path(trace_dir) if trace_dir is not None else None
-    report = run_bench(
-        model,
-        prompts,
-        methods,
-        model_db=model_db,
-        stats_db=stats_db,
-        trace_dir=trace_dir,
-        **bench_kwargs,
+    methods = [MethodSpec(f"db-{subset}", databases=subset) for subset in subsets]
+    return run_bench(
+        model, prompts, methods, model_db=model_db, stats_db=stats_db, **bench_kwargs
     )
-    if trace_dir is not None:
-        for row in report["rows"]:
-            if len(row["databases"]) == 1:
-                traces = load_traces(trace_dir / f"{row['name']}.traces.jsonl")
-                events = sorted(accepted_events(traces))
-                row["accepted_events"] = [list(e) for e in events]
-    return report
 
 
 def file_fingerprint(path: str | Path) -> str:

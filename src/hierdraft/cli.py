@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -78,17 +79,17 @@ def _cmd_build_stats_db(args: argparse.Namespace) -> int:
 
 
 def _load_databases(args: argparse.Namespace, hier: HierarchyConfig) -> DatabaseSet:
-    enabled = hier.enabled
+    order = hier.order
     model_db = stats_db = None
-    if "m" in enabled:
+    if "m" in order:
         if not args.model_db:
             raise SystemExit("error: databases include 'm' but --model-db is missing")
         model_db = load_model_db(args.model_db)
-    if "s" in enabled:
+    if "s" in order:
         if not args.stats_db:
             raise SystemExit("error: databases include 's' but --stats-db is missing")
         stats_db = load_stats_db(args.stats_db)
-    context = ContextDB(window=hier.draft_len, per_key=hier.set_size) if "c" in enabled else None
+    context = ContextDB(window=hier.draft_len, per_key=hier.set_size) if "c" in order else None
     return DatabaseSet(context=context, model=model_db, stats=stats_db)
 
 
@@ -113,10 +114,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit("error: provide --prompt or --prompt-file")
     if not prompt:
         raise SystemExit("error: empty prompt")
-    databases = args.databases.replace(",", "")
     hier = HierarchyConfig(
-        order=databases,
-        enabled=databases,
+        order=args.databases.replace(",", ""),
         set_size=args.set_size,
         tail_len=args.tail_len,
         draft_len=args.draft_len,
@@ -156,14 +155,28 @@ def _from_spec(cls, spec, what: str):
         raise SystemExit(f"error: bad {what} in bench config: {exc}")
 
 
+def _bench_model(spec, vocab: Vocab):
+    """``{"path": file}``, or ``{"fit_corpus": [files]}`` with optional
+    integer ``k`` and number ``alpha``; anything else stops the command."""
+    if isinstance(spec, dict):
+        if spec.keys() == {"path"} and isinstance(spec["path"], str):
+            return load_kgram(spec["path"])
+        paths, k, alpha = spec.get("fit_corpus"), spec.get("k", 3), spec.get("alpha", 0.01)
+        if (
+            spec.keys() <= {"fit_corpus", "k", "alpha"}
+            and isinstance(paths, list)
+            and all(isinstance(path, str) for path in paths)
+            and type(k) is int
+            and type(alpha) in (int, float)
+            and math.isfinite(alpha)
+        ):
+            return fit_kgram(load_corpus(paths, vocab=vocab, doc_per_line=True), k, alpha)
+    raise SystemExit(f"error: bad model in bench config: {spec!r}")
+
+
 def _bench_resources(setup: dict):
     vocab = Vocab.load(setup["vocab"])
-    model_spec = setup["model"]
-    if "path" in model_spec:
-        model = load_kgram(model_spec["path"])
-    else:
-        corpus = load_corpus(model_spec["fit_corpus"], vocab=vocab, doc_per_line=True)
-        model = fit_kgram(corpus, model_spec.get("k", 3), model_spec.get("alpha", 0.01))
+    model = _bench_model(setup["model"], vocab)
     model_db = load_model_db(setup["model_db"]) if setup.get("model_db") else None
     stats_db = load_stats_db(setup["stats_db"]) if setup.get("stats_db") else None
     fingerprints = {}
@@ -171,10 +184,9 @@ def _bench_resources(setup: dict):
         if setup.get(key):
             fingerprints[key] = bench.file_fingerprint(setup[key])
     spec = setup.get("hierarchy", {})
-    if isinstance(spec, dict) and {"order", "enabled"} & spec.keys():
+    if isinstance(spec, dict) and "order" in spec:
         raise SystemExit(
-            "error: bad hierarchy in bench config: 'order' and 'enabled' are set "
-            "by each method's 'databases'"
+            "error: bad hierarchy in bench config: 'order' is set by each method's 'databases'"
         )
     hier = _from_spec(HierarchyConfig, spec, "hierarchy")
     return vocab, model, model_db, stats_db, fingerprints, hier
@@ -296,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--model-db")
     p.add_argument("--stats-db")
-    p.add_argument("--databases", default="c,m,s", help="enabled databases in probe order")
+    p.add_argument("--databases", default="c,m,s", help="databases to draft from, in probe order")
     p.add_argument("--set-size", type=int, default=7)
     p.add_argument("--tail-len", type=int, default=2)
     p.add_argument("--draft-len", type=int, default=4)

@@ -44,15 +44,14 @@ class DraftCandidate(NamedTuple):
 class HierarchyConfig:
     """Knobs of the drafting hierarchy.
 
-    order: probe order over database letters (subset or permutation of "cms")
-    enabled: which databases participate
+    order: the databases that take part, as letters from "cms" in probe
+        order (highest locality first); "" means none
     set_size: draft-set capacity (candidates verified per step)
     tail_len: how many trailing context tokens the stats index matches on
     draft_len: maximum candidate length / stored value length
     """
 
     order: str = "cms"
-    enabled: str = "cms"
     set_size: int = 7
     tail_len: int = 2
     draft_len: int = 4
@@ -63,15 +62,11 @@ class HierarchyConfig:
             # bool is an int subclass, and JSON true must not pass as 1.
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
-        for name in ("order", "enabled"):
-            letters = getattr(self, name)
-            if not isinstance(letters, str) or not set(letters) <= set(DB_LETTERS):
-                raise ValueError(f"{name} {letters!r} is not made of letters from {DB_LETTERS!r}")
-            if len(set(letters)) != len(letters):
-                raise ValueError(f"{name} {letters!r} repeats a database")
-        for letter in self.enabled:
-            if letter not in self.order:
-                raise ValueError(f"order {self.order!r} must contain enabled database {letter!r}")
+        order = self.order
+        if not isinstance(order, str) or not set(order) <= set(DB_LETTERS):
+            raise ValueError(f"order {order!r} is not made of letters from {DB_LETTERS!r}")
+        if len(set(order)) != len(order):
+            raise ValueError(f"order {order!r} repeats a database")
 
 
 @dataclass
@@ -96,15 +91,14 @@ class DatabaseSet:
     stats: StatsDB | None = None
 
     def drafters(self, hier: HierarchyConfig) -> list[tuple[str, Drafter]]:
-        """``(letter, drafter)`` for each enabled database in probe order,
-        fresh for one generation."""
+        """``(letter, drafter)`` for each database in ``hier.order``, in
+        that order, fresh for one generation."""
         out = []
         for letter in hier.order:
-            if letter in hier.enabled:
-                db = getattr(self, SOURCE_NAMES[letter])
-                if db is None:
-                    raise ValueError(f"database {SOURCE_NAMES[letter]!r} enabled but not provided")
-                out.append((letter, db.drafter(hier)))
+            db = getattr(self, SOURCE_NAMES[letter])
+            if db is None:
+                raise ValueError(f"database {SOURCE_NAMES[letter]!r} ordered but not provided")
+            out.append((letter, db.drafter(hier)))
         return out
 
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .corpus import EOS
 from .drafting import (
-    DB_LETTERS,
     SOURCE_NAMES,
     AccessLog,
     AccessRecord,
@@ -36,7 +35,7 @@ from .kgram import KGramModel, ModelCallCounter
 from .verification import StepOutcome, verify_greedy, verify_sampling
 
 
-TRACE_SCHEMA = 3
+TRACE_SCHEMA = 4
 _SOURCE_TO_LETTER = {name: letter for letter, name in SOURCE_NAMES.items()}
 
 
@@ -56,8 +55,10 @@ class DecodeConfig:
                 raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
         for name in ("temperature", "model_call_cost_s"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, not {value}")
+            # bool is an int subclass, and JSON true must not pass as 1.
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not number or not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be a finite number >= 0, not {value!r}")
 
 
 @dataclass
@@ -327,7 +328,7 @@ def aggregate_traces(traces: list[DecodeTrace]) -> DecodeMetrics:
     totals = _MetricsAccumulator()
     for trace in traces:
         for record in trace.steps:
-            _check_step(record)
+            _check_step(record, trace.config.hierarchy.order)
             totals.replay(record)
     tokens = sum(len(trace.output) for trace in traces)
     steps = sum(len(trace.steps) for trace in traces)
@@ -364,7 +365,7 @@ def _trace_from_dict(d: dict) -> DecodeTrace:
     if type(trace.wall_time_s) not in (int, float) or not trace.wall_time_s >= 0:
         raise ValueError(f"wall_time_s {trace.wall_time_s!r} is not a duration")
     for step in trace.steps:
-        _check_step(step)
+        _check_step(step, trace.config.hierarchy.order)
     return trace
 
 
@@ -374,36 +375,53 @@ def _check_naturals(name: str, values) -> None:
         raise ValueError(f"{name} must be a list of non-negative integers")
 
 
-def _check_step(step: StepRecord) -> None:
-    """Reject a step that the metrics replay would fail on or miscount."""
+def _check_step(step: StepRecord, order: str) -> None:
+    """Reject a step that the metrics replay would fail on or miscount.
+
+    ``order`` is the trace's ``config.hierarchy.order``: the access log is
+    keyed by database, and its candidates were kept in probe order.
+    """
     outcome, access = step.outcome, step.access
     _check_naturals("context_tail", step.context_tail)
     for name in ("emitted", "accepted", "candidate_lens"):
         _check_naturals(name, getattr(outcome, name))
     numbers = [outcome.drafted_total, outcome.verify_elapsed_ns]
     for letter, record in access.items():
-        if letter not in DB_LETTERS or type(record.attempted) is not bool:
-            raise ValueError(f"access key {letter!r} is not a probed database")
+        if letter not in set(order) or type(record.attempted) is not bool:
+            raise ValueError(f"access key {letter!r} is not a database in order {order!r}")
         numbers += [record.returned, record.kept, record.elapsed_ns]
     _check_naturals("step counts", numbers)
-    n = len(outcome.accepted)
-    if len(outcome.candidate_lens) != n:
-        raise ValueError(f"{n} accepted lengths but {len(outcome.candidate_lens)} candidates")
+    accepted, lens = outcome.accepted, outcome.candidate_lens
+    n = len(accepted)
+    if len(lens) != n:
+        raise ValueError(f"{n} accepted lengths but {len(lens)} candidates")
+    if outcome.drafted_total != sum(lens):
+        raise ValueError(f"drafted_total {outcome.drafted_total} is not {sum(lens)}")
+    if any(a > length for a, length in zip(accepted, lens)):
+        raise ValueError(f"accepted lengths {accepted} exceed candidate lengths {lens}")
+    # Each database's kept candidates take the next slots, in probe order.
+    sources = []
+    for letter in order:
+        if letter in access:
+            sources += [SOURCE_NAMES[letter]] * access[letter].kept
+    if len(sources) != n:
+        raise ValueError(f"access log kept {len(sources)} candidates, step scored {n}")
     if outcome.winner is None:
         consistent = n == 0 and outcome.winner_source is None
     else:
         consistent = (
             type(outcome.winner) is int
-            and 0 <= outcome.winner < n
-            and _SOURCE_TO_LETTER.get(outcome.winner_source) in access
+            and outcome.winner == accepted.index(max(accepted))
+            and outcome.winner_source == sources[outcome.winner]
         )
     if not consistent:
         raise ValueError(
-            f"winner {outcome.winner!r} from {outcome.winner_source!r} is not a drafted candidate"
+            f"winner {outcome.winner!r} from {outcome.winner_source!r} is not the best "
+            "drafted candidate"
         )
-    kept = sum(record.kept for record in access.values())
-    if kept != n:
-        raise ValueError(f"access log kept {kept} candidates, step scored {n}")
+    longest = max(accepted) if n else 0
+    if len(outcome.emitted) != longest + 1:
+        raise ValueError(f"{len(outcome.emitted)} emitted tokens after {longest} accepted")
 
 
 def load_traces(path: str | Path) -> list[DecodeTrace]:
@@ -412,10 +430,14 @@ def load_traces(path: str | Path) -> list[DecodeTrace]:
     A line that is not a JSON object with ``"schema": TRACE_SCHEMA``, lacks
     or adds a field, holds an invalid config, holds a token id or count
     that is not a non-negative integer, or holds a step that does not
-    replay (a winner or access key that is no drafted candidate or
-    database, kept counts that disagree with the step) raises
-    ``ValueError``. Every trace it returns replays through
-    ``aggregate_traces``.
+    replay or contradicts itself raises ``ValueError``. A step contradicts
+    itself when an access key is not in the hierarchy's order, the kept
+    counts disagree with the candidates, ``drafted_total`` is not the sum
+    of the candidate lengths, a candidate accepted more tokens than it
+    has, the winner is not the first candidate with the most accepted
+    tokens or its source did not keep that candidate, or the step did not
+    emit one token more than the winner accepted. Every trace it returns
+    replays through ``aggregate_traces``.
     """
     traces = []
     with open(path, encoding="utf-8") as fh:

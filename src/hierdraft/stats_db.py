@@ -51,6 +51,8 @@ STATS_VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")
 _MAX_TOKENS = 2**32 - 1
 _FULL_CHECK_LIMIT = 20_000
+_SAMPLED_PAIRS = 10_000
+_SAMPLE_SEED = 0
 
 
 def build_suffix_array(tokens: np.ndarray) -> np.ndarray:
@@ -284,12 +286,13 @@ def _suffix_less(tokens: np.ndarray, i: int, j: int) -> bool:
     return i == n and j < n
 
 
-def verify_stats_db(db: StatsDB, *, min_pairs: int = 10_000, seed: int = 0) -> None:
+def verify_stats_db(db: StatsDB) -> None:
     """Check permutation and suffix ordering; raise on failure.
 
     Token and position ranges are checked by every construction already.
-    Ordering is checked over every adjacent pair on small indexes and over
-    at least ``min_pairs`` sampled adjacent pairs on large ones.
+    Ordering is checked over every adjacent pair when there are at most
+    20,000 of them, and otherwise over 10,000 adjacent pairs sampled with
+    seed 0, so a given index always gets the same check.
     """
     n = db.n_tokens
     sa = db.suffix_array
@@ -297,11 +300,11 @@ def verify_stats_db(db: StatsDB, *, min_pairs: int = 10_000, seed: int = 0) -> N
         raise ValueError("stats-db verification failed: suffix array is not a permutation")
     if n < 2:
         return
-    if n - 1 <= max(_FULL_CHECK_LIMIT, min_pairs):
+    if n - 1 <= _FULL_CHECK_LIMIT:
         pairs = np.arange(n - 1)
     else:
-        rng = np.random.default_rng(seed)
-        pairs = rng.choice(n - 1, size=min_pairs, replace=False)
+        rng = np.random.default_rng(_SAMPLE_SEED)
+        pairs = rng.choice(n - 1, size=_SAMPLED_PAIRS, replace=False)
     tokens = db.tokens
     for p in pairs:
         if not _suffix_less(tokens, int(sa[p]), int(sa[p + 1])):

@@ -70,7 +70,7 @@ def test_greedy_losslessness_all_orders_and_subsets(
         for name, order, enabled in configs:
             config = DecodeConfig(
                 max_tokens=16,
-                hierarchy=HierarchyConfig(order=order, enabled=enabled),
+                hierarchy=HierarchyConfig(order=order),
                 seed=i,
             )
             output, metrics, _ = decode(
@@ -322,7 +322,7 @@ def test_hierarchy_probe_invariant(big_corpus, big_model, big_model_db, big_stat
                 max_tokens=20,
                 seed=i,
                 trace=True,
-                hierarchy=HierarchyConfig(order=order, enabled=enabled),
+                hierarchy=HierarchyConfig(order=order),
             )
             _, _, trace = decode(
                 big_model, prompt, fresh_dbs(big_model_db, big_stats_db), config
@@ -354,7 +354,7 @@ def test_metric_bounds_every_run(big_corpus, big_model, big_model_db, big_stats_
                 max_tokens=18,
                 seed=i,
                 hierarchy=HierarchyConfig(
-                    order="cms", enabled=enabled
+                    order=enabled
                 ),
             )
             _, metrics, _ = decode(

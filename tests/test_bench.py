@@ -62,14 +62,14 @@ def test_env_hierarchy_leaves_out_per_method_keys(passage_setup):
     report = run_bench(
         model, prompts, [MethodSpec("hd", databases="cms")],
         model_db=model_db, stats_db=stats_db,
-        hierarchy=HierarchyConfig(order="c", enabled="c", set_size=5),
+        hierarchy=HierarchyConfig(order="c", set_size=5),
         runs=1, max_tokens=20,
     )
     env = report["env"]["hierarchy"]
-    assert "order" not in env and "enabled" not in env
+    assert "order" not in env
     assert env["set_size"] == 5
     hd = next(r for r in report["rows"] if r["name"] == "hd")
-    assert hd["probes"]["m"] > 0  # the row's own databases, not hierarchy.enabled
+    assert hd["probes"]["m"] > 0  # the row's own databases, not hierarchy.order
 
 
 def test_missing_db_fails_before_any_run(passage_setup):
@@ -160,14 +160,6 @@ def test_ablate_dbs_subsets_and_tau(passage_setup, tmp_path):
     }
     taus = {r["name"]: r["tau"] for r in report["rows"]}
     assert taus["db-cms"] >= max(taus["db-c"], taus["db-m"], taus["db-s"])
-    singles = [r for r in report["rows"] if r["name"] in ("db-c", "db-m", "db-s")]
-    for row in singles:
-        assert "accepted_events" in row
-        # Coverage sets recomputable from the persisted traces.
-        from hierdraft import accepted_events
-
-        traces = load_traces(tmp_path / f"{row['name']}.traces.jsonl")
-        assert sorted(accepted_events(traces)) == [tuple(e) for e in row["accepted_events"]]
 
 
 def test_report_deterministic_modulo_wallclock(passage_setup, tmp_path):

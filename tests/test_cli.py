@@ -117,7 +117,7 @@ def test_run_databases_set_the_probe_order(workspace, tmp_path, capsys):
               "--max-tokens", "4"]
     assert main([*common, "--databases", "s,c", "--trace", str(trace)]) == 0
     hier = load_traces(trace)[0].config.hierarchy
-    assert (hier.order, hier.enabled) == ("sc", "sc")
+    assert hier.order == "sc"
     with pytest.raises(SystemExit):  # --databases sets the order
         main([*common, "--databases", "c,s", "--order", "sc"])
     assert "unrecognized arguments: --order" in capsys.readouterr().err
@@ -222,14 +222,27 @@ def test_analyze_locality_cli(workspace, tmp_path):
         ({"hierarchy": {"set_size": 2.5}}, "error: bad hierarchy"),
         ({"hierarchy": {"draft_len": True}}, "error: bad hierarchy"),
         ({"hierarchy": {"capacity": 4096}}, "error: bad hierarchy"),
+        ({"methods": [{"name": "hd", "temperature": "hot"}]}, "error: bad method.*'hot'"),
+        ({"methods": [{"name": "hd", "temperature": -1}]}, "error: bad method.*temperature"),
+        ({"methods": [{"name": "hd", "temperature": True}]}, "error: bad method.*temperature"),
+        ({"model": {"pth": "model.hdkg"}}, "error: bad model in bench config"),
+        ({"model": "model.hdkg"}, "error: bad model in bench config"),
+        (lambda ws: {"model": {"fit_corpus": [str(ws["corpus"])], "alpah": 5}},
+         "error: bad model in bench config"),
+        (lambda ws: {"model": {"fit_corpus": [str(ws["corpus"])], "k": "3"}},
+         "error: bad model in bench config"),
     ],
     ids=["misspelt-hierarchy-key", "invalid-hierarchy-value", "misspelt-method-key",
          "method-without-name", "hierarchy-order-set-per-method",
          "hierarchy-enabled-set-per-method", "removed-recycle-method-key",
          "removed-order-method-key", "repeated-database", "float-set-size",
-         "bool-draft-len", "removed-capacity-hierarchy-key"],
+         "bool-draft-len", "removed-capacity-hierarchy-key", "string-temperature",
+         "negative-temperature", "bool-temperature", "misspelt-model-path-key",
+         "model-not-an-object", "misspelt-model-alpha-key", "string-model-k"],
 )
 def test_bench_config_key_errors_exit(workspace, tmp_path, change, match):
+    if callable(change):
+        change = change(workspace)
     setup = json.loads(workspace["configs"].read_text(encoding="utf-8"))
     configs = tmp_path / "bench.json"
     configs.write_text(json.dumps({**setup, **change}), encoding="utf-8")

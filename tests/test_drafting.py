@@ -39,7 +39,6 @@ def _prefilled(dbs, config):
     return [
         (l, lookup if l == "c" else getattr(dbs, SOURCE_NAMES[l]).drafter(config))
         for l in config.order
-        if l in config.enabled
     ]
 
 
@@ -96,7 +95,7 @@ def _reference_draft(context, dbs, config):
     out = []
     seen = set()
     for letter in config.order:
-        if letter not in config.enabled or len(out) >= config.set_size:
+        if len(out) >= config.set_size:
             continue
         want = config.set_size - len(out)
         if letter == "c":
@@ -146,7 +145,7 @@ def test_disabled_db_equals_empty_db():
     corpus, dbs = _random_dbs(9)
     rng = random.Random(60)
     vocab = corpus.vocab
-    no_stats = HierarchyConfig(order="cms", enabled="cm")
+    no_stats = HierarchyConfig(order="cm")
     all_dbs = HierarchyConfig()
     empty_stats = DatabaseSet(
         context=dbs.context,
@@ -186,18 +185,16 @@ def test_order_permutation_changes_sources():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        HierarchyConfig(order="cm", enabled="cms")  # s enabled but not ordered
-    with pytest.raises(ValueError):
         HierarchyConfig(order="cmsc")  # repeated database
     with pytest.raises(ValueError):
-        HierarchyConfig(enabled="x")
+        HierarchyConfig(order="x")
     with pytest.raises(ValueError):
         HierarchyConfig(set_size=0)
     for bad in (
-        {"order": "xyz", "enabled": ""},  # letters outside "cms", nothing enabled
-        {"order": "cmsq", "enabled": "cms"},  # unknown letter in the order only
-        {"enabled": "cc"},  # repeated enabled database
-        {"order": ["c", "m"], "enabled": "cm"},  # not a string
+        {"order": "xyz"},  # letters outside "cms"
+        {"order": "cmsq"},  # one unknown letter among known ones
+        {"order": "cc"},  # repeated database
+        {"order": ["c", "m"]},  # not a string
     ):
         with pytest.raises(ValueError):
             HierarchyConfig(**bad)
@@ -212,11 +209,11 @@ def test_empty_context_rejected():
         hierarchical_draft([], dbs.drafters(HierarchyConfig()), HierarchyConfig())
 
 
-def test_missing_enabled_db_rejected():
+def test_ordered_but_missing_db_rejected():
     dbs = DatabaseSet(context=ContextDB(), model=None, stats=None)
-    with pytest.raises(ValueError, match="model.*enabled but not provided"):
+    with pytest.raises(ValueError, match="model.*ordered but not provided"):
         dbs.drafters(HierarchyConfig())
-    assert [letter for letter, _ in dbs.drafters(HierarchyConfig(enabled="c"))] == ["c"]
+    assert [letter for letter, _ in dbs.drafters(HierarchyConfig(order="c"))] == ["c"]
 
 
 def _stub(values, calls, letter):

@@ -43,7 +43,7 @@ def test_disabled_dbs_match_autoregressive(setup):
     corpus, model, *_ = setup
     prompt = corpus.docs[0][:6]
     config = _hd_config(
-        hierarchy=HierarchyConfig(order="cms", enabled=""), max_tokens=30
+        hierarchy=HierarchyConfig(order=""), max_tokens=30
     )
     output, metrics, _ = decode(model, prompt, fresh_dbs(), config)
     ar_output, ar_metrics = autoregressive_decode(
@@ -142,7 +142,7 @@ def test_eos_truncation_matches_autoregressive():
     # output stops there.
     dbs = DatabaseSet(model=ModelDB(4, {b: [((c, d, EOS, a), 1)]}))
     config = _hd_config(
-        hierarchy=HierarchyConfig(order="m", enabled="m"), max_tokens=50, trace=True
+        hierarchy=HierarchyConfig(order="m"), max_tokens=50, trace=True
     )
     output, _, trace = decode(model, [a, b], dbs, config)
     ar_output, _ = autoregressive_decode(model, [a, b], DecodeConfig(max_tokens=50))
@@ -305,7 +305,7 @@ def test_stats_db_retrieved_once_per_distinct_tail(setup, monkeypatch):
 
     monkeypatch.setattr(stats_db, "retrieve", counting_retrieve)
     config = _hd_config(
-        hierarchy=HierarchyConfig(order="s", enabled="s"), max_tokens=200, trace=True
+        hierarchy=HierarchyConfig(order="s"), max_tokens=200, trace=True
     )
     hits = 0
     for prompt in sample_prompts(corpus, 8, seed=12):
@@ -441,6 +441,9 @@ def test_sampling_decode_is_seed_deterministic(setup):
         ("seed", 1.5),
         ("seed", False),
         ("seed", -1),
+        ("temperature", "hot"),
+        ("temperature", True),
+        ("model_call_cost_s", True),
     ],
 )
 def test_non_finite_or_negative_settings_rejected(field, value):
@@ -491,6 +494,60 @@ def _bump_kept(d):
     return d
 
 
+def _slot_sources(d, step):
+    """Each kept candidate's source: the databases' kept counts, in probe order."""
+    sources = []
+    for letter in d["config"]["hierarchy"]["order"]:
+        if letter in step["access"]:
+            sources += [SOURCE_NAMES[letter]] * step["access"][letter]["kept"]
+    return sources
+
+
+def _overshoot_accepted(d):
+    """The winner accepted one token more than its candidate holds."""
+    outcome = _winning_step(d)["outcome"]
+    winner = outcome["winner"]
+    outcome["candidate_lens"][winner] = outcome["accepted"][winner] - 1
+    outcome["drafted_total"] = sum(outcome["candidate_lens"])
+    return d
+
+
+def _demote_winner(d):
+    """Name a candidate that accepted fewer tokens, with its own source, the winner."""
+    step = _winning_step(d)
+    outcome = step["outcome"]
+    accepted = outcome["accepted"]
+    loser = next(i for i, a in enumerate(accepted) if a < max(accepted))
+    outcome.update(winner=loser, winner_source=_slot_sources(d, step)[loser])
+    return d
+
+
+def _credit_other_source(d):
+    """Credit the win to a probed database that did not keep the winner."""
+    step = _winning_step(d)
+    outcome = step["outcome"]
+    true_source = _slot_sources(d, step)[outcome["winner"]]
+    _kept, letter = min(
+        (rec["kept"], letter)
+        for letter, rec in step["access"].items()
+        if SOURCE_NAMES[letter] != true_source
+    )
+    outcome["winner_source"] = SOURCE_NAMES[letter]
+    return d
+
+
+def _emit_one_more(d):
+    emitted = _winning_step(d)["outcome"]["emitted"]
+    emitted.append(emitted[-1])
+    return d
+
+
+def _with_enabled(d, schema):
+    """The line with ``hierarchy.enabled`` back, as schema 3 wrote it, tagged ``schema``."""
+    d["config"]["hierarchy"]["enabled"] = d["config"]["hierarchy"]["order"]
+    return {**d, "schema": schema}
+
+
 def _add_unknown_access_key(d):
     _winning_step(d)["access"]["x"] = dict(attempted=True, returned=1, kept=0, elapsed_ns=5)
     return d
@@ -534,7 +591,14 @@ def test_winning_step_trace_loads_and_replays(setup, tmp_path):
         lambda d: _mangle_outcome(d, winner=True),
         lambda d: {**d, "wall_time_s": "slow"},
         lambda d: {**d, "config": {**d["config"], "hierarchy": {
-            **d["config"]["hierarchy"], "order": "cq", "enabled": "cc"}}},
+            **d["config"]["hierarchy"], "order": "cq"}}},
+        lambda d: _mangle_outcome(d, drafted_total=10**6),
+        _overshoot_accepted,
+        _demote_winner,
+        _credit_other_source,
+        _emit_one_more,
+        lambda d: _with_enabled(d, 3),
+        lambda d: _with_enabled(d, TRACE_SCHEMA),
     ],
     ids=["prompt-only", "no-context-tail", "list", "unknown-schema", "no-schema",
          "unknown-field", "unknown-config-field", "string-temperature", "list-access",
@@ -542,7 +606,9 @@ def test_winning_step_trace_loads_and_replays(setup, tmp_path):
          "bool-prompt-id", "float-context-tail-id", "string-emitted-id",
          "schema-1", "bogus-winner-source", "winner-out-of-range", "no-candidate-lens",
          "kept-disagrees", "unknown-access-key", "bool-winner", "string-wall-time",
-         "bad-hierarchy-letters"],
+         "bad-hierarchy-letters", "drafted-total-not-sum", "accepted-past-candidate",
+         "winner-not-best", "winner-source-kept-nothing-there", "emitted-past-accepted",
+         "schema-3", "schema-4-with-enabled"],
 )
 def test_load_traces_fails_closed(setup, tmp_path, mangle):
     path = tmp_path / "bad.jsonl"

@@ -54,7 +54,7 @@ def originals(tmp_path_factory) -> dict[str, bytes]:
     save_model_db(build_model_db(corpus, window=2), root / "hdmd")
     save_stats_db(build_stats_db(corpus), root / "hdsa")
     corpus.vocab.save(root / "vocab")
-    config = DecodeConfig(max_tokens=6, hierarchy=HierarchyConfig(enabled="c"), trace=True)
+    config = DecodeConfig(max_tokens=6, hierarchy=HierarchyConfig(order="c"), trace=True)
     _, _, trace = decode(model, corpus.docs[0][:3], fresh_dbs(), config)
     save_traces([trace], root / "trace")
     for name, load in LOADERS.items():
