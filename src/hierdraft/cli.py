@@ -144,6 +144,10 @@ def _load_bench_setup(config_path: str) -> dict:
     for key in required:
         if key not in setup:
             raise SystemExit(f"error: bench config missing {key!r}")
+    cost = setup.get("model_call_cost_ms", 0.0)
+    # bool is an int subclass, and JSON true must not pass as 1 ms.
+    if type(cost) not in (int, float) or not math.isfinite(cost) or cost < 0:
+        raise SystemExit(f"error: bad model_call_cost_ms in bench config: {cost!r}")
     return setup
 
 
@@ -357,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise SystemExit(f"error: {exc}")
 
 

@@ -91,7 +91,8 @@ class ContextDB:
 
         Position ``i`` contributes key ``seq[i]`` with the following
         ``min(window, remaining)`` tokens as the value; the final position
-        has no followers and is skipped.
+        has no followers and is skipped. Each pair goes through ``insert``
+        in turn, with its refreshes, evictions and ``on_evict`` calls.
         """
         if len(seq) < 2:
             raise ValueError("ingest needs a sequence of at least 2 tokens")
@@ -99,7 +100,10 @@ class ContextDB:
             self.insert(seq[i], seq[i + 1:i + 1 + self.window])
 
     def lookup(self, key: int, want: int) -> list[list[int]]:
-        """Up to ``want`` values for ``key``, most recently used first."""
+        """Up to ``want`` values for ``key``, most recently used first.
+
+        Each value is a fresh list, a copy of the stored tuple.
+        """
         if want < 0:
             raise ValueError("want must be >= 0")
         per_key = self._values.get(key)

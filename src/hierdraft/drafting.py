@@ -22,7 +22,7 @@ so the context DB's ingest counts in its ``c`` probe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .context_db import ContextDB
 from .model_db import ModelDB
@@ -80,8 +80,10 @@ class AccessRecord:
 AccessLog = dict[str, AccessRecord]
 # One attempted probe: (letter, returned, kept).
 Probe = tuple[str, int, int]
-# draft(context, want) -> up to ``want`` continuations of ``context``.
-Drafter = Callable[[list[int], int], list[list[int]]]
+# draft(context, want) -> a fresh list of up to ``want`` continuations of
+# ``context``. The model and stats drafters list their stored tuples
+# themselves, which no caller can change; the context drafter lists copies.
+Drafter = Callable[[list[int], int], list[Sequence[int]]]
 
 
 @dataclass
@@ -111,22 +113,24 @@ def hierarchical_draft(
 
     ``drafters`` come from ``DatabaseSet.drafters`` and are probed in list
     order, each for the remaining quota. Candidates are plain ``(tokens,
-    source)`` pairs. Drafters later in the list are skipped entirely once
-    the set is full, so the probes, one ``(letter, returned, kept)`` per
-    attempted drafter, are a prefix of ``drafters``.
+    source)`` pairs; a drafter's tuples become the candidates' tokens as
+    they are, since ``tuple()`` of a tuple is that tuple, and only other
+    sequences are copied. Drafters later in the list are skipped entirely
+    once the set is full, so the probes, one ``(letter, returned, kept)``
+    per attempted drafter, are a prefix of ``drafters``.
     """
     if not context:
         raise ValueError("context must be non-empty")
     candidates: list[DraftCandidate] = []
     probes: list[Probe] = []
     seen: set[tuple[int, ...]] = set()
+    set_size = config.set_size
     for letter, draft in drafters:
-        want = config.set_size - len(candidates)
-        if want == 0:
-            break
-        values = draft(context, want)
-        source = SOURCE_NAMES[letter]
         before = len(candidates)
+        if before == set_size:
+            break
+        values = draft(context, set_size - before)
+        source = SOURCE_NAMES[letter]
         for value in values:
             tokens = tuple(value)
             if tokens not in seen:

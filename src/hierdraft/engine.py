@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -113,7 +113,7 @@ def _timed(draft: Drafter, probe_ns: list[int]) -> Drafter:
     """``draft``, appending the duration of every call to ``probe_ns``."""
     clock = time.perf_counter_ns
 
-    def timed(context: list[int], want: int) -> list[list[int]]:
+    def timed(context: list[int], want: int) -> list[Sequence[int]]:
         start = clock()
         values = draft(context, want)
         probe_ns.append(clock() - start)
@@ -235,13 +235,16 @@ def decode(
     reads no clock and only adds to plain counters. Only a traced step is
     timed, each probe through a wrapped drafter and then the verify call,
     and builds its ``AccessRecord``s and ``StepRecord``; the metrics
-    replay those records, as ``aggregate_traces`` does.
+    replay those records, as ``aggregate_traces`` does. The RNG behind
+    sampling verification is made from ``config.seed`` only at T > 0; a
+    greedy generation draws nothing and builds none.
     """
     _validate_prompt(prompt)
     hier = config.hierarchy
     drafters = dbs.drafters(hier)
     counter = ModelCallCounter(cost_per_call_s=config.model_call_cost_s)
-    rng = np.random.default_rng(config.seed)
+    greedy = config.temperature == 0
+    rng = None if greedy else np.random.default_rng(config.seed)
     context = list(prompt)
     limit = len(prompt) + config.max_tokens
     letters = [letter for letter, _ in drafters]
@@ -255,7 +258,7 @@ def decode(
         draft_set, probes = hierarchical_draft(context, drafters, hier)
         if records is not None:
             verify_start = time.perf_counter_ns()
-        if config.temperature == 0:
+        if greedy:
             outcome = verify_greedy(model, context, draft_set, counter)
         else:
             outcome = verify_sampling(
@@ -294,16 +297,21 @@ def autoregressive_decode(
     prompt: list[int],
     config: DecodeConfig,
 ) -> tuple[list[int], DecodeMetrics]:
-    """Token-by-token baseline: one model call per emitted token."""
+    """Token-by-token baseline: one model call per emitted token.
+
+    At T > 0 each token is one ``KGramModel.sample`` draw from an RNG made
+    from ``config.seed``; at T = 0 it is the argmax, and no RNG is made.
+    """
     _validate_prompt(prompt)
     counter = ModelCallCounter(cost_per_call_s=config.model_call_cost_s)
-    rng = np.random.default_rng(config.seed)
+    greedy = config.temperature == 0
+    rng = None if greedy else np.random.default_rng(config.seed)
     context = list(prompt)
     limit = len(prompt) + config.max_tokens
     start = time.perf_counter()
     while len(context) < limit:
         counter.bump()
-        if config.temperature == 0:
+        if greedy:
             token = model.argmax_token(context)
         else:
             token = model.sample(context, config.temperature, rng)

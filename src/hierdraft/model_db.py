@@ -10,8 +10,10 @@ On-disk format is JSON lines: a header record {"magic": "HDMD",
 "version": 1, "m": ..., "records": K} followed by one record per key,
 keys ascending. Builds are deterministic, so equal inputs give
 byte-identical files. Loading raises ``ValueError`` unless every key is a
-token id (a non-negative integer) above the one before and every value is
-``m`` token ids with a positive count.
+token id (a non-negative integer) above the one before and holds at least
+one value, every value is ``m`` token ids with a positive count, no key
+repeats a value, and each key's rows are in lookup order: count
+descending, value ascending.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ class ModelDB:
         self.window = window
         # key -> [(value, count), ...] sorted by count desc, value asc.
         self._entries = entries
+        # key -> [value, ...] in the same order; ``lookup`` slices it.
+        self._values = {key: [value for value, _count in rows] for key, rows in entries.items()}
 
     @property
     def n_sequences(self) -> int:
@@ -40,14 +44,17 @@ class ModelDB:
     def keys(self) -> list[int]:
         return sorted(self._entries)
 
-    def lookup(self, key: int, want: int) -> list[list[int]]:
-        """Up to ``want`` values for ``key`` in stored (count-descending) order."""
+    def lookup(self, key: int, want: int) -> list[tuple[int, ...]]:
+        """Up to ``want`` values for ``key`` in stored (count-descending) order.
+
+        The list is a fresh slice; its values are the stored tuples
+        themselves, not copies, which is safe because tuples are immutable.
+        """
         if want < 0:
             raise ValueError("want must be >= 0")
-        rows = self._entries.get(key, [])
-        return [list(value) for value, _count in rows[:want]]
+        return self._values.get(key, [])[:want]
 
-    def drafter(self, hier) -> Callable[[list[int], int], list[list[int]]]:
+    def drafter(self, hier) -> Callable[[list[int], int], list[tuple[int, ...]]]:
         """Draft source for one generation: values keyed on the last token."""
         return lambda context, want: self.lookup(context[-1], want)
 
@@ -72,8 +79,10 @@ def build_model_db(
     deterministic. After the global cut, each key keeps at most ``per_key``
     values (count descending, value ascending).
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    for name, value in (("top_k", top_k), ("window", window), ("per_key", per_key)):
+        # bool is an int subclass, and True must not pass as 1.
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
     if not generations.docs:
         raise ValueError("empty generations corpus")
     size = 1 + window
@@ -152,11 +161,20 @@ def load_model_db(path: str | Path) -> ModelDB:
             raise ValueError(
                 f"corrupt model-db file: key {key!r} is not a token id above {prev}"
             )
+        if not rows:
+            raise ValueError(f"corrupt model-db file: key {key} has no values")
         for value, count in rows:
             if len(value) != window or any(type(t) is not int or t < 0 for t in value):
                 raise ValueError(f"corrupt model-db file: key {key} value {value} is not m ids")
             if type(count) is not int or count < 1:
                 raise ValueError(f"corrupt model-db file: key {key} count {count!r} not positive")
+        if len({value for value, _count in rows}) != len(rows):
+            raise ValueError(f"corrupt model-db file: key {key} repeats a value")
+        ranks = [(-count, value) for value, count in rows]
+        if ranks != sorted(ranks):
+            raise ValueError(
+                f"corrupt model-db file: key {key} rows are not count-descending, value-ascending"
+            )
         entries[key] = rows
         prev = key
     return ModelDB(window, entries)

@@ -168,22 +168,23 @@ class StatsDB:
             return self._rank_continuations(lo, hi, length, draft_len, want)
         return []
 
-    def drafter(self, hier) -> Callable[[list[int], int], list[list[int]]]:
+    def drafter(self, hier) -> Callable[[list[int], int], list[tuple[int, ...]]]:
         """Draft source for one generation, matching the last ``tail_len``
         context tokens. The index is immutable, so a tail answered once is
         answered again from a memo in the returned closure, which holds its
-        ``set_size`` best continuations; ranking is a total order, so a
-        probe for ``want`` reads the first ``want``. Each drafter starts
-        with an empty memo, and nothing is stored on the index.
+        ``set_size`` best continuations as tuples; ranking is a total order,
+        so a probe for ``want`` reads a fresh slice of the first ``want``.
+        Each drafter starts with an empty memo, and nothing is stored on the
+        index.
         """
-        memo: dict[tuple[int, ...], list[list[int]]] = {}
+        memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
-        def draft(context: list[int], want: int) -> list[list[int]]:
+        def draft(context: list[int], want: int) -> list[tuple[int, ...]]:
             tail = tuple(context[-hier.tail_len:])
             ranked = memo.get(tail)
             if ranked is None:
                 found = self.retrieve(list(tail), hier.draft_len, hier.set_size)
-                ranked = memo[tail] = [seq for seq, _count in found]
+                ranked = memo[tail] = [tuple(seq) for seq, _count in found]
             return ranked[:want]
 
         return draft

@@ -231,6 +231,12 @@ def test_analyze_locality_cli(workspace, tmp_path):
          "error: bad model in bench config"),
         (lambda ws: {"model": {"fit_corpus": [str(ws["corpus"])], "k": "3"}},
          "error: bad model in bench config"),
+        ({"model_call_cost_ms": "x"}, "error: bad model_call_cost_ms in bench config"),
+        ({"model_call_cost_ms": True}, "error: bad model_call_cost_ms in bench config"),
+        ({"model_call_cost_ms": -1}, "error: bad model_call_cost_ms in bench config"),
+        (lambda ws: {"vocab": str(ws["root"] / "nope.json")}, "error: .*nope.json"),
+        (lambda ws: {"model": {"path": str(ws["root"] / "missing.hdkg")}},
+         "error: .*missing.hdkg"),
     ],
     ids=["misspelt-hierarchy-key", "invalid-hierarchy-value", "misspelt-method-key",
          "method-without-name", "hierarchy-order-set-per-method",
@@ -238,7 +244,9 @@ def test_analyze_locality_cli(workspace, tmp_path):
          "removed-order-method-key", "repeated-database", "float-set-size",
          "bool-draft-len", "removed-capacity-hierarchy-key", "string-temperature",
          "negative-temperature", "bool-temperature", "misspelt-model-path-key",
-         "model-not-an-object", "misspelt-model-alpha-key", "string-model-k"],
+         "model-not-an-object", "misspelt-model-alpha-key", "string-model-k",
+         "string-model-call-cost", "bool-model-call-cost", "negative-model-call-cost",
+         "missing-vocab", "missing-model"],
 )
 def test_bench_config_key_errors_exit(workspace, tmp_path, change, match):
     if callable(change):

@@ -182,6 +182,33 @@ def test_random_trace_matches_reference(seed):
     assert len(db) == len(ref.entries)
 
 
+@pytest.mark.parametrize(
+    "per_key, capacity",
+    [(2, 4096), (50, 12), (2, 12)],
+    ids=["per-key-evictions", "global-evictions", "both-evictions"],
+)
+def test_ingest_equals_insert_pair_by_pair(per_key, capacity):
+    """``ingest`` leaves the table, its recency and its evictions exactly as
+    inserting each of its pairs in turn would."""
+    rng = random.Random(per_key * capacity)
+    window = 3
+    fast_evicted, slow_evicted = [], []
+    fast = ContextDB(window=window, per_key=per_key, capacity=capacity,
+                     on_evict=lambda k, v: fast_evicted.append((k, v)))
+    slow = ContextDB(window=window, per_key=per_key, capacity=capacity,
+                     on_evict=lambda k, v: slow_evicted.append((k, v)))
+    for _ in range(40):
+        seq = [rng.randrange(6) for _ in range(rng.randint(2, 12))]
+        fast.ingest(seq)
+        for i in range(len(seq) - 1):
+            slow.insert(seq[i], seq[i + 1:i + 1 + window])
+        assert list(fast._order) == list(slow._order)
+    assert fast_evicted == slow_evicted
+    assert fast_evicted  # the sequences forced evictions
+    for key in range(6):
+        assert fast.lookup(key, 7) == slow.lookup(key, 7)
+
+
 def test_bounds_invariants_under_random_ops():
     rng = random.Random(99)
     db = ContextDB(window=3, per_key=3, capacity=25)

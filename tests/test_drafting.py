@@ -252,8 +252,8 @@ def test_stats_drafters_share_no_memo(monkeypatch):
     monkeypatch.setattr(stats, "retrieve", counting_retrieve)
     config = HierarchyConfig(tail_len=1, set_size=3)
     first, second = stats.drafter(config), stats.drafter(config)
-    assert first([3], 1) == [[4, 5]]
-    assert first([3], 3) == [[4, 5], [4, 6]]  # memo hit, read deeper
+    assert first([3], 1) == [(4, 5)]
+    assert first([3], 3) == [(4, 5), (4, 6)]  # memo hit, read deeper
     assert tails == [(3,)]
-    assert second([3], 2) == [[4, 5], [4, 6]]
+    assert second([3], 2) == [(4, 5), (4, 6)]
     assert tails == [(3,), (3,)]  # the second drafter retrieved afresh

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hierdraft import (
@@ -395,6 +396,23 @@ def test_sampling_decode_equals_autoregressive_same_seed(setup, temperature):
         tokens += metrics.tokens_generated
         steps += metrics.steps
     assert tokens > steps  # some steps accepted draft tokens
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_greedy_decoding_builds_no_rng(setup, monkeypatch, trace):
+    """Nothing draws at T = 0, so neither decoder makes a generator there."""
+    corpus, model, model_db, stats_db = setup
+
+    def no_rng(*_args, **_kwargs):
+        raise AssertionError("a greedy decode built an RNG")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    prompt = corpus.docs[2][:8]
+    config = _hd_config(max_tokens=40, trace=trace)
+    output, metrics, _ = decode(model, prompt, fresh_dbs(model_db, stats_db), config)
+    ar_output, _ = autoregressive_decode(model, prompt, DecodeConfig(max_tokens=40))
+    assert output == ar_output
+    assert metrics.tokens_generated > metrics.steps  # the drafters were used
 
 
 def test_context_ingested_once_per_step(setup, monkeypatch):

@@ -3,7 +3,14 @@ from collections import Counter
 
 import pytest
 
-from hierdraft import Corpus, build_model_db, build_vocab, load_model_db, save_model_db
+from hierdraft import (
+    Corpus,
+    HierarchyConfig,
+    build_model_db,
+    build_vocab,
+    load_model_db,
+    save_model_db,
+)
 
 from conftest import make_corpus
 
@@ -15,7 +22,7 @@ def _vocab(n):
 def test_single_window_doc(tmp_path):
     corpus = Corpus(docs=[[3, 4, 5, 6, 1]], vocab=_vocab(10))
     db = build_model_db(corpus, window=4)
-    assert db.lookup(3, 7) == [[4, 5, 6, 1]]
+    assert db.lookup(3, 7) == [(4, 5, 6, 1)]
     assert db.n_sequences == 1
     path = tmp_path / "db.jsonl"
     save_model_db(db, path)
@@ -28,7 +35,7 @@ def test_top_k_keeps_most_frequent():
     corpus = Corpus(docs=docs, vocab=_vocab(20))
     db = build_model_db(corpus, top_k=1, window=4)
     assert db.keys() == [7]
-    assert db.lookup(7, 7) == [[8, 9, 9, 9]]
+    assert db.lookup(7, 7) == [(8, 9, 9, 9)]
 
 
 def _oracle_top_k(docs, top_k, window):
@@ -60,7 +67,7 @@ def test_lookup_order_matches_oracle_counts():
     expected = _oracle_top_k(corpus.docs, 10_000, 2)
     by_key = {}
     for gram, count in expected:
-        by_key.setdefault(gram[0], []).append((list(gram[1:]), count))
+        by_key.setdefault(gram[0], []).append((gram[1:], count))
     for key in db.keys():
         want = [v for v, _c in by_key[key][:7]]
         assert db.lookup(key, 7) == want
@@ -82,6 +89,29 @@ def test_values_never_cross_doc_boundary():
             all_grams.add((key,) + tuple(value))
     assert all_grams == {(3, 4, 1), (5, 6, 1)}
     assert all(len(v) == 2 for k in db.keys() for v in db.lookup(k, 100))
+
+
+def test_drafter_hands_out_the_stored_tuples():
+    corpus = Corpus(docs=[[3, 4, 5, 6, 1], [3, 7, 8, 9, 1]], vocab=_vocab(12))
+    db = build_model_db(corpus, window=4)
+    draft = db.drafter(HierarchyConfig())
+    first, second = draft([9, 3], 7), draft([3], 7)
+    assert first == second == [(4, 5, 6, 1), (7, 8, 9, 1)]
+    assert all(a is b for a, b in zip(first, second))
+    first[0] = (0, 0, 0, 0)
+    first.append((2, 2, 2, 2))
+    assert draft([3], 7) == [(4, 5, 6, 1), (7, 8, 9, 1)]
+
+
+@pytest.mark.parametrize(
+    "setting, value",
+    [("top_k", 0), ("top_k", True), ("window", True), ("window", 2.5), ("per_key", -1),
+     ("per_key", 0)],
+)
+def test_build_rejects_bad_sizes(setting, value):
+    corpus = Corpus(docs=[[3, 4, 5, 6, 1]], vocab=_vocab(10))
+    with pytest.raises(ValueError, match=f"{setting} must be an integer >= 1"):
+        build_model_db(corpus, **{setting: value})
 
 
 def test_per_key_cap():
@@ -172,11 +202,16 @@ _HEADER = '{"magic":"HDMD","version":1,"m":2,"records":%d}'
         (['{"key":3,"values":[[4,5]],"counts":[1.5]}'], "key 3 count 1.5 not"),
         (['[3]'], "corrupt model-db file"),
         (['{"key":3,"values":7,"counts":[1]}'], "corrupt model-db file"),
+        (['{"key":3,"values":[[4,5],[4,5]],"counts":[1,1]}'], "key 3 repeats a value"),
+        (['{"key":3,"values":[[4,5],[6,7]],"counts":[1,2]}'], "key 3 rows are not count-desc"),
+        (['{"key":3,"values":[[6,7],[4,5]],"counts":[1,1]}'], "key 3 rows are not count-desc"),
+        (['{"key":3,"values":[],"counts":[]}'], "key 3 has no values"),
     ],
     ids=["string-key", "duplicate-key", "descending-keys", "negative-key", "negative-value-ids",
          "long-value", "short-value",
          "string-value", "zero-count", "negative-count", "float-count", "list-record",
-         "int-values"],
+         "int-values", "repeated-value", "count-ascending", "value-descending-at-tie",
+         "no-values"],
 )
 def test_malformed_record_rejected(tmp_path, records, match):
     path = tmp_path / "db.jsonl"
