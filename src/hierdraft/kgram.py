@@ -7,14 +7,20 @@ break toward the lowest token id. That makes greedy decoding a total
 deterministic function, which is what makes speculative losslessness
 directly testable.
 
-The model is immutable, so its per-token work is precompiled once, at
-construction: count tables are kept in ascending token-id order, and the
-argmax of every table is found (a one-entry table's is its key). A greedy
-draw is then a backoff walk of dict reads, and a sampling draw
+The model is immutable, so its per-token work is precompiled: count
+tables are kept in ascending token-id order, and the argmax of every table
+is found at construction (a one-entry table's is its key). A greedy draw is
+then a backoff walk of dict reads. A sampling draw
 (``KGramModel.sample``) reads only the backed-off count table: every
-unseen token has the same closed-form weight, so the inverse CDF walks
+unseen token has the same closed-form weight, so the inverse CDF runs over
 the table in id order and steps over each run of unseen ids in one
-division, O(table) instead of O(vocab). ``next_distribution`` and
+division. A table of two or more entries is compiled into two flat arrays
+on its first draw at a temperature, and every later draw from it is one
+``bisect``; a one-entry table is drawn from inline and never stored. The
+model keeps the compiled tables of the one temperature it last sampled at
+and drops them when it samples at another; greedy decoding compiles
+nothing. On the hdbench world, sampling 60 generations at T = 0.8
+compiles 5,046 tables, about 5.5 MB. ``next_distribution`` and
 ``apply_temperature`` build the full vocabulary-sized law; with an
 inverse-CDF draw over it, they are the reference the sampler is tested
 against.
@@ -26,8 +32,11 @@ HDKG loads fail closed: anything but a well-formed model raises
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 import time
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import lt
 from pathlib import Path
@@ -95,6 +104,13 @@ class KGramModel:
                     if ids != sorted(ids):
                         table = tables[ctx] = dict(sorted(table.items()))
                     self._argmax[ctx] = max(table, key=table.__getitem__)
+        # Sampling state: the last temperature drawn at (at first an object
+        # no caller holds), 1 / it, and the tables compiled at it, keyed by
+        # the id of the count table: an id is smaller to keep than a
+        # context, and the record holds the table, so a reused id is caught.
+        self._temperature: object = object()
+        self._inv_t = 0.0
+        self._compiled: dict[int, tuple[dict[int, int], array, array]] = {}
 
     def _backoff(self, context: list[int]) -> tuple[dict[int, int], int] | None:
         """The non-empty table at the longest order whose context suffix has
@@ -147,32 +163,93 @@ class KGramModel:
         weight is in [0, 1] and the argmax weighs 1, so no power overflows
         and the total is at least 1 at every T > 0; an unseen weight that
         underflows to 0 is never divided by.
+
+        A table of two or more entries is compiled on its first draw at T
+        (``_compile``) and kept on the model, so a later draw is one
+        ``bisect``. The model keeps the tables of the one temperature it
+        last sampled at: a draw at another drops them. A one-entry table is
+        never stored; its draw is one power. A temperature that is not a
+        finite, non-bool number > 0 raises ``ValueError``; it is checked
+        when it differs from the last one.
         """
+        if temperature is not self._temperature:
+            self._set_temperature(temperature)
         u = rng.random()
         vocab_size = self.vocab_size
         found = self._backoff(context)
         if found is None:
             return min(int(u * vocab_size), vocab_size - 1)
         table, best = found
+        if len(table) == 1:
+            # The one seen token weighs exactly 1 and has `best` unseen ids
+            # below it: a compiled draw's arithmetic, done inline.
+            unseen = (self.alpha / (table[best] + self.alpha)) ** self._inv_t
+            x = u * (1.0 + (vocab_size - 1) * unseen)
+            low = best * unseen
+            if x < low:
+                return _unseen_draw(x, unseen, 0, -1, best)
+            if x < low + 1.0:
+                return best
+            return _unseen_draw(x - 1.0, unseen, 1, best, vocab_size)
+        compiled = self._compiled.get(id(table))
+        if compiled is None or compiled[0] is not table:
+            compiled = self._compiled[id(table)] = self._compile(table, best)
+        _, floats, tokens = compiled
+        n = len(tokens)
+        unseen = floats[0]
+        x = u * floats[1]
+        j = bisect_right(floats, x, 2, n + 2) - 2
+        seen = floats[n + 2 + j]
+        if j < n:
+            token = tokens[j]
+            if not x < seen + (token - j) * unseen:
+                return token
+        else:
+            token = vocab_size
+        return _unseen_draw(x - seen, unseen, j, tokens[j - 1] if j else -1, token)
+
+    def _set_temperature(self, temperature: float) -> None:
+        """Check a new temperature; a new value drops the compiled tables."""
+        _check_temperature(temperature, positive=True)
+        if temperature != self._temperature:
+            self._compiled = {}
+            self._inv_t = 1.0 / temperature
+        self._temperature = temperature
+
+    def _compile(
+        self, table: dict[int, int], best: int
+    ) -> tuple[dict[int, int], array, array]:
+        """A table's inverse CDF at the current temperature: the table, the
+        floats ``[unseen, total, bounds[0..n-1], seen[0..n]]`` and the ids.
+
+        A walk over the table in id order would return at entry ``j`` when
+        ``x < low_j`` (an unseen id below ``tokens[j]``) or
+        ``x < low_j + w_j`` (``tokens[j]`` itself), where
+        ``low_j = seen[j] + (tokens[j] - j) * unseen`` and ``seen[j]`` sums
+        the weights before ``j``. Since ``low_j <= low_j + w_j``, it returns
+        at the first ``j`` with ``x < low_j + w_j``: the first of ``bounds``
+        above ``x``, as ``bounds`` holds the running maximum of those sums.
+        Each float is computed with the walk's operations in the walk's
+        order, so a draw is bit-identical to it. ``low_j`` is not stored;
+        a draw recomputes it at the ``j`` it finds.
+        """
         alpha = self.alpha
-        inv_t = 1.0 / temperature
+        inv_t = self._inv_t
         top = table[best] + alpha
         unseen = (alpha / top) ** inv_t
-        weights = [((c + alpha) / top) ** inv_t for c in table.values()]
-        x = u * (sum(weights) + (vocab_size - len(weights)) * unseen)
-        # seen: weight of the seen tokens below `token`; `token - j` unseen
-        # ids lie below it too.
-        seen = 0.0
-        prev = -1
+        weights = array("d", (((c + alpha) / top) ** inv_t for c in table.values()))
+        n = len(weights)
+        floats = array("d", [0.0]) * (2 * n + 3)  # sized once: no spare capacity
+        floats[0] = unseen
+        floats[1] = sum(weights) + (self.vocab_size - n) * unseen
+        seen = bound = 0.0
         for j, (token, weight) in enumerate(zip(table, weights)):
-            low = seen + (token - j) * unseen
-            if x < low:
-                return _unseen_draw(x - seen, unseen, j, prev, token)
-            if x < low + weight:
-                return token
+            floats[n + 2 + j] = seen
+            bound = max(bound, seen + (token - j) * unseen + weight)
+            floats[2 + j] = bound
             seen += weight
-            prev = token
-        return _unseen_draw(x - seen, unseen, len(weights), prev, vocab_size)
+        floats[2 * n + 2] = seen
+        return table, floats, array("I", list(table))
 
 
 def _unseen_draw(offset: float, unseen: float, j: int, prev: int, nxt: int) -> int:
@@ -212,9 +289,12 @@ def fit_kgram(corpus: Corpus, k: int, alpha: float) -> KGramModel:
 
 
 def apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
-    """Rescale a distribution; T == 0 collapses to argmax (lowest id wins ties)."""
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
+    """Rescale a distribution; T == 0 collapses to argmax (lowest id wins ties).
+
+    A temperature that is not a finite, non-bool number >= 0 raises
+    ``ValueError``.
+    """
+    _check_temperature(temperature, positive=False)
     if temperature == 1.0:
         return probs
     if temperature == 0.0:
@@ -230,6 +310,17 @@ def apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
         powered = np.power(probs / probs.max(), 1.0 / temperature)
         total = powered.sum()
     return powered / total
+
+
+def _check_temperature(temperature: float, positive: bool) -> None:
+    """Raise ``ValueError`` unless ``temperature`` is a finite real number,
+    not a bool, and > 0 (``positive``) or >= 0."""
+    number = isinstance(temperature, numbers.Real) and not isinstance(temperature, bool)
+    if not (number and math.isfinite(temperature)) or temperature < 0 or (
+        positive and temperature == 0
+    ):
+        least = "> 0" if positive else ">= 0"
+        raise ValueError(f"temperature must be a finite number {least}, not {temperature!r}")
 
 
 def save_kgram(model: KGramModel, path: str | Path) -> None:

@@ -7,17 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hierdraft.kgram as kgram
 from hierdraft import (
+    DecodeConfig,
+    HierarchyConfig,
     KGramModel,
     ModelCallCounter,
     apply_temperature,
+    autoregressive_decode,
     corpus_from_texts,
+    decode,
     fit_kgram,
     load_kgram,
     save_kgram,
 )
+from hierdraft.kgram import _unseen_draw
 
-from conftest import make_corpus
+from conftest import fresh_dbs, make_corpus, sample_prompts
 
 
 def _sample_token(probs, rng):
@@ -26,6 +32,60 @@ def _sample_token(probs, rng):
     cdf = np.cumsum(probs)
     idx = int(np.searchsorted(cdf, u, side="right"))
     return min(idx, len(probs) - 1)
+
+
+def _walk_weights(model, table, best, temperature):
+    """The backed-off table's unseen weight, seen weights and total, with
+    the float operations ``KGramModel.sample`` compiles, in their order."""
+    alpha = model.alpha
+    inv_t = 1.0 / temperature
+    top = table[best] + alpha
+    unseen = (alpha / top) ** inv_t
+    weights = [((c + alpha) / top) ** inv_t for c in table.values()]
+    return unseen, weights, sum(weights) + (model.vocab_size - len(weights)) * unseen
+
+
+def _walk_sample(model, context, temperature, rng):
+    """Reference draw: the O(table) walk that ``KGramModel.sample`` compiles
+    away. Every weight is recomputed and the table walked in id order."""
+    u = rng.random()
+    vocab_size = model.vocab_size
+    found = model._backoff(context)
+    if found is None:
+        return min(int(u * vocab_size), vocab_size - 1)
+    table, best = found
+    unseen, weights, total = _walk_weights(model, table, best, temperature)
+    x = u * total
+    # seen: weight of the seen tokens below `token`; `token - j` unseen ids
+    # lie below it too.
+    seen = 0.0
+    prev = -1
+    for j, (token, weight) in enumerate(zip(table, weights)):
+        low = seen + (token - j) * unseen
+        if x < low:
+            return _unseen_draw(x - seen, unseen, j, prev, token)
+        if x < low + weight:
+            return token
+        seen += weight
+        prev = token
+    return _unseen_draw(x - seen, unseen, len(weights), prev, vocab_size)
+
+
+def _walk_boundaries(model, context, temperature):
+    """Every value the walk compares ``x`` with, over the total it scales
+    ``u`` by: the u at which the walk's answer can change."""
+    found = model._backoff(context)
+    if found is None:
+        return []
+    table, best = found
+    unseen, weights, total = _walk_weights(model, table, best, temperature)
+    points = []
+    seen = 0.0
+    for j, (token, weight) in enumerate(zip(table, weights)):
+        low = seen + (token - j) * unseen
+        points += [low, low + weight]
+        seen += weight
+    return [point / total for point in points]
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +214,62 @@ def test_apply_temperature_tie_breaks_low_id():
 def test_apply_temperature_negative_is_error():
     with pytest.raises(ValueError):
         apply_temperature(np.array([1.0]), -0.5)
+
+
+@pytest.mark.parametrize(
+    "temperature", [math.nan, math.inf, -math.inf, True, False, np.bool_(False), "1", None]
+)
+def test_apply_temperature_rejects_non_finite_or_non_number(temperature):
+    with pytest.raises(ValueError, match="temperature must be a finite number >= 0"):
+        apply_temperature(np.array([0.2, 0.8]), temperature)
+
+
+@pytest.mark.parametrize("temperature", [0, 2, np.float64(0.5)])
+def test_apply_temperature_takes_any_real_number(temperature):
+    scaled = apply_temperature(np.array([0.2, 0.8]), temperature)
+    assert scaled.sum() == pytest.approx(1.0)
+
+
+_BAD_SAMPLING_TEMPERATURES = [
+    0, 0.0, -1, -0.5, math.nan, math.inf, -math.inf, True, False, np.bool_(True), "0.8", None
+]
+
+
+@pytest.mark.parametrize("temperature", _BAD_SAMPLING_TEMPERATURES)
+def test_sample_rejects_bad_temperature(abab_model, temperature):
+    model, _ = abab_model
+    rng = _FixedU(0.5)
+    with pytest.raises(ValueError, match="temperature must be a finite number > 0"):
+        model.sample([3], temperature, rng)
+    assert rng.calls == 0
+
+
+@pytest.mark.parametrize("temperature", _BAD_SAMPLING_TEMPERATURES)
+def test_sample_rejects_bad_temperature_after_a_good_one(temperature):
+    # True == 1 and a NaN equals nothing: the check must not lean on ==.
+    corpus = corpus_from_texts(["a b a b"])
+    model = fit_kgram(corpus, k=2, alpha=0.01)
+    for good in (1.0, 1):
+        model.sample([4], good, _FixedU(0.5))
+        with pytest.raises(ValueError, match="temperature must be a finite number > 0"):
+            model.sample([4], temperature, _FixedU(0.5))
+
+
+def test_sample_checks_the_temperature_only_when_it_changes(monkeypatch):
+    corpus = make_corpus(seed=4, n_docs=3, doc_words=80, vocab_words=20)
+    model = fit_kgram(corpus, k=3, alpha=0.01)
+    checked = []
+
+    def check(temperature, positive):
+        checked.append(temperature)
+
+    monkeypatch.setattr(kgram, "_check_temperature", check)
+    rng = np.random.default_rng(0)
+    doc = corpus.docs[0]
+    temperatures = [0.7] * 50 + [1.3] * 50 + [0.7] * 50
+    for i, temperature in enumerate(temperatures):
+        model.sample(doc[i % 60:i % 60 + 2], temperature, rng)
+    assert checked == [0.7, 1.3, 0.7]
 
 
 def test_sample_point_mass_any_seed():
@@ -320,6 +436,114 @@ def test_sample_is_the_reference_inverse_cdf(model_context, temperature, data):
     if np.min(np.abs(cdf - u)) < 1e-9:
         return
     assert token == _sample_token(probs, _FixedU(u))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    model_context=_model_and_context(),
+    temperature=st.one_of(st.sampled_from([0.0005, 10.0]), st.floats(0.0, 10.0, exclude_min=True)),
+    data=st.data(),
+)
+def test_sample_is_bit_identical_to_the_walk(model_context, temperature, data):
+    """``sample`` returns the token ``_walk_sample`` returns for the same u,
+    with u at every boundary of the walk (over the total), at its
+    ``math.nextafter`` neighbours, at both ends of [0, 1) and at random."""
+    model, context = model_context
+    us = [0.0, 1 - 2**-53, data.draw(st.floats(0.0, 1.0, exclude_max=True))]
+    for point in _walk_boundaries(model, context, temperature):
+        us += [math.nextafter(point, 0.0), point, math.nextafter(point, 1.0)]
+    for u in us:
+        if 0.0 <= u < 1.0:
+            assert model.sample(context, temperature, _FixedU(u)) == _walk_sample(
+                model, context, temperature, _FixedU(u)
+            ), u
+
+
+@pytest.mark.parametrize(
+    "vocab_size, table, temperature",
+    [
+        (1914, {1159: 3, 1160: 10**6, 1161: 2, 1162: 3}, 0.32961693320443386),
+        (438, {268: 10**6, 390: 10**6, 407: 2}, 0.35363219540104235),
+    ],
+)
+def test_sample_is_the_walk_where_rounding_breaks_bound_order(vocab_size, table, temperature):
+    """Rounding can put an entry's upper bound ``low_j + w_j`` below the one
+    before it; the walk still returns at the first bound above x, which is
+    why ``bisect`` runs over their running maximum."""
+    model = KGramModel(1, 0.5, vocab_size, [{}, {(): table}])
+    unseen, weights, _ = _walk_weights(model, table, max(table, key=table.get), temperature)
+    seen, bounds = 0.0, []
+    for j, (token, weight) in enumerate(zip(table, weights)):
+        bounds.append(seen + (token - j) * unseen + weight)
+        seen += weight
+    assert bounds != sorted(bounds)
+    for point in _walk_boundaries(model, [], temperature):
+        for u in (math.nextafter(point, 0.0), point, math.nextafter(point, 1.0)):
+            assert model.sample([], temperature, _FixedU(u)) == _walk_sample(
+                model, [], temperature, _FixedU(u)
+            ), u
+
+
+def test_sample_after_a_temperature_switch_equals_a_fresh_model():
+    """One model drawing at alternating temperatures draws what a model
+    that only ever saw each temperature draws: no table compiled at one
+    temperature serves another."""
+    corpus = make_corpus(seed=6, n_docs=6, doc_words=150, vocab_words=40)
+    model = fit_kgram(corpus, k=3, alpha=0.01)
+    fresh = {}
+    rng = random.Random(9)
+    doc = corpus.docs[0]
+    contexts = [doc[i:i + 2] for i in range(0, 40, 2)] + [doc[i:i + 1] for i in range(10)]
+    for temperature in [0.8, 2.5, 0.8, 0.05, 2.5, 0.8]:
+        if temperature not in fresh:
+            fresh[temperature] = KGramModel(model.k, model.alpha, model.vocab_size, model._counts)
+        for context in contexts:
+            u = rng.random()
+            token = model.sample(context, temperature, _FixedU(u))
+            assert token == fresh[temperature].sample(context, temperature, _FixedU(u))
+            assert token == _walk_sample(model, context, temperature, _FixedU(u))
+
+
+def test_a_compiled_table_serves_only_the_table_it_was_compiled_from():
+    """Compiled tables are keyed by the id of their count table; a record
+    left under an id that now names another table (as after unpickling)
+    is compiled again, not used."""
+    corpus = make_corpus(seed=6, n_docs=6, doc_words=150, vocab_words=40)
+    model = fit_kgram(corpus, k=2, alpha=0.01)
+    tables = sorted(model._counts[2].items(), key=lambda item: -len(item[1]))
+    (context, table), (other_context, other) = tables[:2]
+    model.sample(list(other_context), 0.8, _FixedU(0.5))
+    model._compiled[id(table)] = (dict(table), *model._compiled[id(other)][1:])
+    for u in np.linspace(0.0, 1.0, 200, endpoint=False):
+        token = model.sample(list(context), 0.8, _FixedU(u))
+        assert token == _walk_sample(model, list(context), 0.8, _FixedU(u))
+    assert model._compiled[id(table)][0] is table
+
+
+def test_sampling_keeps_only_multi_entry_tables_of_the_last_temperature():
+    """Greedy decoding compiles nothing; sampling stores no one-entry table;
+    a second temperature leaves only its own tables."""
+    corpus = make_corpus(seed=4, n_docs=20, doc_words=300, vocab_words=60)
+    model = fit_kgram(corpus, k=3, alpha=0.01)
+    prompts = sample_prompts(corpus, 4, seed=2)
+
+    def run(target, temperature):
+        for seed, prompt in enumerate(prompts):
+            config = DecodeConfig(
+                max_tokens=64, temperature=temperature, seed=seed, hierarchy=HierarchyConfig(order="c")
+            )
+            decode(target, prompt, fresh_dbs(), config)
+            autoregressive_decode(target, prompt, config)
+
+    run(model, 0.0)
+    assert model._compiled == {}
+    for temperature in (0.8, 1.5):
+        run(model, temperature)
+        assert model._compiled
+        assert all(len(table) > 1 for table, _, _ in model._compiled.values())
+    fresh = KGramModel(model.k, model.alpha, model.vocab_size, model._counts)
+    run(fresh, 1.5)
+    assert model._compiled == fresh._compiled
 
 
 def _assert_argmax_is_rescan(model):
