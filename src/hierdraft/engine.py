@@ -31,7 +31,7 @@ from .drafting import (
     Probe,
     hierarchical_draft,
 )
-from .kgram import KGramModel, ModelCallCounter
+from .kgram import KGramModel, ModelCallCounter, _check_temperature
 from .verification import StepOutcome, verify_greedy, verify_sampling
 
 
@@ -53,12 +53,12 @@ class DecodeConfig:
             value = getattr(self, name)
             if type(value) is not int or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
-        for name in ("temperature", "model_call_cost_s"):
-            value = getattr(self, name)
-            # bool is an int subclass, and JSON true must not pass as 1.
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not number or not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be a finite number >= 0, not {value!r}")
+        _check_temperature(self.temperature, positive=False)
+        cost = self.model_call_cost_s
+        # bool is an int subclass, and JSON true must not pass as 1.
+        number = isinstance(cost, (int, float)) and not isinstance(cost, bool)
+        if not number or not math.isfinite(cost) or cost < 0:
+            raise ValueError(f"model_call_cost_s must be a finite number >= 0, not {cost!r}")
 
 
 @dataclass

@@ -20,10 +20,16 @@ on its first draw at a temperature, and every later draw from it is one
 model keeps the compiled tables of the one temperature it last sampled at
 and drops them when it samples at another; greedy decoding compiles
 nothing. On the hdbench world, sampling 60 generations at T = 0.8
-compiles 5,046 tables, about 5.5 MB. ``next_distribution`` and
-``apply_temperature`` build the full vocabulary-sized law; with an
-inverse-CDF draw over it, they are the reference the sampler is tested
-against.
+compiles 5,046 tables, about 5.5 MB. A compile costs a few walks of its
+table, so the store pays only where a table is drawn from again at the
+same temperature: a model that switches temperature on every generation
+compiles on nearly every multi-entry draw, and there sampling is slower
+than the walk it replaced (``BENCH_14.json``, ``low_reuse``). A switch
+replaces the sampling state in one assignment, so a model stays safe to
+share between sessions that sample at different temperatures.
+``next_distribution`` and ``apply_temperature`` build the full
+vocabulary-sized law; with an inverse-CDF draw over it, they are the
+reference the sampler is tested against.
 
 HDKG loads fail closed: anything but a well-formed model raises
 ``ValueError`` (see ``load_kgram``).
@@ -108,9 +114,12 @@ class KGramModel:
         # no caller holds), 1 / it, and the tables compiled at it, keyed by
         # the id of the count table: an id is smaller to keep than a
         # context, and the record holds the table, so a reused id is caught.
-        self._temperature: object = object()
-        self._inv_t = 0.0
-        self._compiled: dict[int, tuple[dict[int, int], array, array]] = {}
+        # A switch replaces the whole tuple in one assignment and a draw
+        # reads it once, so concurrent draws at other temperatures can
+        # neither change a draw's 1 / T nor store into its tables.
+        self._sampling: tuple[object, float, dict[int, tuple[dict[int, int], array, array]]] = (
+            object(), 0.0, {}
+        )
 
     def _backoff(self, context: list[int]) -> tuple[dict[int, int], int] | None:
         """The non-empty table at the longest order whose context suffix has
@@ -172,8 +181,10 @@ class KGramModel:
         finite, non-bool number > 0 raises ``ValueError``; it is checked
         when it differs from the last one.
         """
-        if temperature is not self._temperature:
-            self._set_temperature(temperature)
+        state = self._sampling
+        if temperature is not state[0]:
+            state = self._switch_temperature(temperature, state)
+        _, inv_t, compiled_tables = state
         u = rng.random()
         vocab_size = self.vocab_size
         found = self._backoff(context)
@@ -183,7 +194,7 @@ class KGramModel:
         if len(table) == 1:
             # The one seen token weighs exactly 1 and has `best` unseen ids
             # below it: a compiled draw's arithmetic, done inline.
-            unseen = (self.alpha / (table[best] + self.alpha)) ** self._inv_t
+            unseen = (self.alpha / (table[best] + self.alpha)) ** inv_t
             x = u * (1.0 + (vocab_size - 1) * unseen)
             low = best * unseen
             if x < low:
@@ -191,9 +202,9 @@ class KGramModel:
             if x < low + 1.0:
                 return best
             return _unseen_draw(x - 1.0, unseen, 1, best, vocab_size)
-        compiled = self._compiled.get(id(table))
+        compiled = compiled_tables.get(id(table))
         if compiled is None or compiled[0] is not table:
-            compiled = self._compiled[id(table)] = self._compile(table, best)
+            compiled = compiled_tables[id(table)] = self._compile(table, best, inv_t)
         _, floats, tokens = compiled
         n = len(tokens)
         unseen = floats[0]
@@ -208,18 +219,21 @@ class KGramModel:
             token = vocab_size
         return _unseen_draw(x - seen, unseen, j, tokens[j - 1] if j else -1, token)
 
-    def _set_temperature(self, temperature: float) -> None:
-        """Check a new temperature; a new value drops the compiled tables."""
+    def _switch_temperature(self, temperature: float, state: tuple) -> tuple:
+        """Check a temperature other than the last one and make it the
+        sampling state; a new value starts with no compiled tables."""
         _check_temperature(temperature, positive=True)
-        if temperature != self._temperature:
-            self._compiled = {}
-            self._inv_t = 1.0 / temperature
-        self._temperature = temperature
+        if temperature == state[0]:
+            state = (temperature, state[1], state[2])
+        else:
+            state = (temperature, 1.0 / temperature, {})
+        self._sampling = state
+        return state
 
     def _compile(
-        self, table: dict[int, int], best: int
+        self, table: dict[int, int], best: int, inv_t: float
     ) -> tuple[dict[int, int], array, array]:
-        """A table's inverse CDF at the current temperature: the table, the
+        """A table's inverse CDF at temperature ``1 / inv_t``: the table, the
         floats ``[unseen, total, bounds[0..n-1], seen[0..n]]`` and the ids.
 
         A walk over the table in id order would return at entry ``j`` when
@@ -234,7 +248,6 @@ class KGramModel:
         a draw recomputes it at the ``j`` it finds.
         """
         alpha = self.alpha
-        inv_t = self._inv_t
         top = table[best] + alpha
         unseen = (alpha / top) ** inv_t
         weights = array("d", (((c + alpha) / top) ** inv_t for c in table.values()))

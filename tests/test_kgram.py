@@ -504,6 +504,51 @@ def test_sample_after_a_temperature_switch_equals_a_fresh_model():
             assert token == _walk_sample(model, context, temperature, _FixedU(u))
 
 
+class _SwitchingU(_FixedU):
+    """Returns ``u`` after drawing, from inside the first ``random()`` call,
+    one token per ``(context, u)`` of ``draws`` at ``temperature``: another
+    session switching the model's temperature in the middle of a draw."""
+
+    def __init__(self, u, model, temperature, draws):
+        super().__init__(u)
+        self.switch = model, temperature, draws
+        self.tokens = None
+
+    def random(self):
+        if self.tokens is None:
+            model, temperature, draws = self.switch
+            self.tokens = [model.sample(c, temperature, _FixedU(v)) for c, v in draws]
+        return super().random()
+
+
+def test_a_temperature_switch_in_the_middle_of_a_draw_changes_neither_draw():
+    """A draw keeps the temperature it started at when another draw
+    switches the model's temperature between its start and its table
+    lookup, and what it compiles then never serves the other temperature."""
+    corpus = make_corpus(seed=6, n_docs=6, doc_words=150, vocab_words=40)
+    model = fit_kgram(corpus, k=3, alpha=0.01)
+    doc = corpus.docs[0]
+    contexts = [doc[i:i + 2] for i in range(0, 40, 2)] + [doc[i:i + 1] for i in range(10)]
+    assert {len(model._backoff(c)[0]) > 1 for c in contexts} == {True, False}
+    us = [i / 7 + 0.03 for i in range(7)]
+    for ours, theirs in ((0.8, 2.5), (2.5, 0.8), (0.05, 10.0)):
+        model.sample(contexts[0], ours, _FixedU(0.5))
+        for context in contexts:
+            for u in us:
+                rng = _SwitchingU(u, model, theirs, [(c, v) for c in contexts[:3] for v in us])
+                token = model.sample(context, ours, rng)
+                assert token == _walk_sample(model, context, ours, _FixedU(u))
+                assert rng.tokens == [
+                    _walk_sample(model, c, theirs, _FixedU(v)) for c in contexts[:3] for v in us
+                ]
+                # Back at `theirs`: no table compiled at `ours` serves it.
+                for v in us:
+                    assert model.sample(context, theirs, _FixedU(v)) == _walk_sample(
+                        model, context, theirs, _FixedU(v)
+                    )
+                model.sample(context, ours, _FixedU(u))
+
+
 def test_a_compiled_table_serves_only_the_table_it_was_compiled_from():
     """Compiled tables are keyed by the id of their count table; a record
     left under an id that now names another table (as after unpickling)
@@ -513,11 +558,12 @@ def test_a_compiled_table_serves_only_the_table_it_was_compiled_from():
     tables = sorted(model._counts[2].items(), key=lambda item: -len(item[1]))
     (context, table), (other_context, other) = tables[:2]
     model.sample(list(other_context), 0.8, _FixedU(0.5))
-    model._compiled[id(table)] = (dict(table), *model._compiled[id(other)][1:])
+    compiled = model._sampling[2]
+    compiled[id(table)] = (dict(table), *compiled[id(other)][1:])
     for u in np.linspace(0.0, 1.0, 200, endpoint=False):
         token = model.sample(list(context), 0.8, _FixedU(u))
         assert token == _walk_sample(model, list(context), 0.8, _FixedU(u))
-    assert model._compiled[id(table)][0] is table
+    assert compiled[id(table)][0] is table
 
 
 def test_sampling_keeps_only_multi_entry_tables_of_the_last_temperature():
@@ -536,14 +582,15 @@ def test_sampling_keeps_only_multi_entry_tables_of_the_last_temperature():
             autoregressive_decode(target, prompt, config)
 
     run(model, 0.0)
-    assert model._compiled == {}
+    assert model._sampling[2] == {}
     for temperature in (0.8, 1.5):
         run(model, temperature)
-        assert model._compiled
-        assert all(len(table) > 1 for table, _, _ in model._compiled.values())
+        compiled = model._sampling[2]
+        assert compiled
+        assert all(len(table) > 1 for table, _, _ in compiled.values())
     fresh = KGramModel(model.k, model.alpha, model.vocab_size, model._counts)
     run(fresh, 1.5)
-    assert model._compiled == fresh._compiled
+    assert model._sampling[2] == fresh._sampling[2]
 
 
 def _assert_argmax_is_rescan(model):
