@@ -54,24 +54,6 @@ class MethodSpec:
         return self.databases == ""
 
 
-def _validate_methods(
-    methods: list[MethodSpec], model_db: ModelDB | None, stats_db: StatsDB | None
-) -> None:
-    for method in methods:
-        if "m" in method.databases and model_db is None:
-            raise ValueError(f"method {method.name!r} enables the model DB but none was given")
-        if "s" in method.databases and stats_db is None:
-            raise ValueError(f"method {method.name!r} enables the stats DB but none was given")
-
-
-def _decode_config(method: MethodSpec, hier: HierarchyConfig, **kwargs) -> DecodeConfig:
-    return DecodeConfig(
-        temperature=method.temperature,
-        hierarchy=replace(hier, order=method.databases),
-        **kwargs,
-    )
-
-
 def run_bench(
     model: KGramModel,
     prompts: list[list[int]],
@@ -92,34 +74,34 @@ def run_bench(
 
     The autoregressive baseline is always included (prepended when absent)
     and its speedup is 1.0 by construction. Prompt i always decodes with
-    seed ``seed + i`` so outputs are comparable across methods.
+    seed ``seed + i`` so outputs are comparable across methods. The shared
+    settings are checked, and every method's databases found, before any
+    method runs.
     """
     if not prompts:
         raise ValueError("no prompts")
     if runs < 1:
         raise ValueError("runs must be >= 1")
     hier = hierarchy or HierarchyConfig()
+    shared = DecodeConfig(
+        max_tokens=max_tokens, seed=seed, hierarchy=hier, model_call_cost_s=model_call_cost_s
+    )
     methods = list(methods)
     if not any(m.is_autoregressive for m in methods):
         methods.insert(0, MethodSpec(AUTOREGRESSIVE, databases=""))
-    _validate_methods(methods, model_db, stats_db)
+    # One context DB serves every generation: its drafter empties it.
+    dbs = DatabaseSet(ContextDB(window=hier.draft_len, per_key=hier.set_size), model_db, stats_db)
+    configs = [
+        replace(shared, temperature=m.temperature, hierarchy=replace(hier, order=m.databases))
+        for m in methods
+    ]
+    for config in configs:
+        dbs.drafters(config.hierarchy)  # a database ordered but not given fails here
 
     rows = []
     ar_tps: float | None = None
-    for method in methods:
-        row = _run_method(
-            method,
-            model,
-            prompts,
-            model_db=model_db,
-            stats_db=stats_db,
-            hier=hier,
-            runs=runs,
-            seed=seed,
-            max_tokens=max_tokens,
-            model_call_cost_s=model_call_cost_s,
-            trace_dir=trace_dir,
-        )
+    for method, config in zip(methods, configs):
+        row = _run_method(method, config, model, prompts, dbs, runs, trace_dir)
         if method.is_autoregressive and ar_tps is None:
             ar_tps = row["tokens_per_sec"]
         rows.append(row)
@@ -145,48 +127,25 @@ def run_bench(
 
 def _run_method(
     method: MethodSpec,
+    method_config: DecodeConfig,
     model: KGramModel,
     prompts: list[list[int]],
-    *,
-    model_db: ModelDB | None,
-    stats_db: StatsDB | None,
-    hier: HierarchyConfig,
+    dbs: DatabaseSet,
     runs: int,
-    seed: int,
-    max_tokens: int,
-    model_call_cost_s: float,
     trace_dir: str | Path | None,
 ) -> dict:
     def run_pass(trace: bool) -> tuple[int, list[DecodeTrace]]:
         total_tokens = 0
         traces: list[DecodeTrace] = []
         for i, prompt in enumerate(prompts):
+            config = replace(method_config, seed=method_config.seed + i, trace=trace)
             if method.is_autoregressive:
-                config = DecodeConfig(
-                    temperature=method.temperature,
-                    seed=seed + i,
-                    max_tokens=max_tokens,
-                    model_call_cost_s=model_call_cost_s,
-                )
                 output, metrics = autoregressive_decode(model, prompt, config)
                 if trace:
                     traces.append(
                         DecodeTrace(list(prompt), list(output), [], config, metrics.wall_time_s)
                     )
             else:
-                config = _decode_config(
-                    method,
-                    hier,
-                    seed=seed + i,
-                    max_tokens=max_tokens,
-                    model_call_cost_s=model_call_cost_s,
-                    trace=trace,
-                )
-                dbs = DatabaseSet(
-                    context=ContextDB(window=hier.draft_len, per_key=hier.set_size),
-                    model=model_db,
-                    stats=stats_db,
-                )
                 output, _metrics, decoded = decode(model, prompt, dbs, config)
                 if trace:
                     traces.append(decoded)

@@ -9,6 +9,9 @@ Typical flow:
     hd run --prompt "..." --model model.hdkg --vocab vocab.txt \\
         --model-db dm.jsonl --stats-db ds.hdsa
     hd bench --prompts prompts.txt --configs bench.json --runs 5 --out report.json
+
+The target model is always the file ``fit-kgram`` writes: ``hd run --model``,
+and a bench config's ``"model"``, a path like its other three files.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from . import analysis, bench
 from .context_db import ContextDB
 from .corpus import Vocab, build_vocab, detokenize, load_corpus, tokenize_strict
 from .drafting import DatabaseSet, HierarchyConfig
-from .engine import DecodeConfig, decode, save_traces
+from .engine import DecodeConfig, decode, load_traces, save_traces
 from .kgram import fit_kgram, load_kgram, save_kgram
 from .model_db import build_model_db, load_model_db, save_model_db
 from .stats_db import build_stats_db, load_stats_db, save_stats_db
@@ -93,18 +96,9 @@ def _load_databases(args: argparse.Namespace, hier: HierarchyConfig) -> Database
     return DatabaseSet(context=context, model=model_db, stats=stats_db)
 
 
-def _load_model(args: argparse.Namespace, vocab: Vocab | None):
-    if args.model:
-        return load_kgram(args.model)
-    if not args.fit_corpus:
-        raise SystemExit("error: provide --model or --fit-corpus")
-    corpus = load_corpus(args.fit_corpus, vocab=vocab, doc_per_line=True)
-    return fit_kgram(corpus, args.k, args.alpha)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     vocab = Vocab.load(args.vocab)
-    model = _load_model(args, vocab)
+    model = load_kgram(args.model)
     if args.prompt is not None:
         prompt = tokenize_strict(args.prompt, vocab, "--prompt")
     elif args.prompt_file is not None:
@@ -137,12 +131,30 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+# The files a bench config names, each loaded and fingerprinted by its
+# loader; "vocab" and "model" are required.
+_BENCH_FILES = {
+    "vocab": Vocab.load,
+    "model": load_kgram,
+    "model_db": load_model_db,
+    "stats_db": load_stats_db,
+}
+_BENCH_KEYS = {*_BENCH_FILES, "max_tokens", "seed", "model_call_cost_ms", "hierarchy", "methods"}
+
+
 def _load_bench_setup(config_path: str) -> dict:
+    """Read a bench config; an unknown key, a missing vocab or model, or a
+    bad ``model_call_cost_ms`` stops the command. ``run_bench`` checks the
+    decode settings."""
     with open(config_path, encoding="utf-8") as fh:
         setup = json.load(fh)
-    required = ("vocab", "model")
-    for key in required:
-        if key not in setup:
+    if not isinstance(setup, dict):
+        raise SystemExit("error: bench config is not a JSON object")
+    unknown = sorted(setup.keys() - _BENCH_KEYS)
+    if unknown:
+        raise SystemExit(f"error: unknown key {unknown[0]!r} in bench config")
+    for key in ("vocab", "model"):
+        if setup.get(key) is None:
             raise SystemExit(f"error: bench config missing {key!r}")
     cost = setup.get("model_call_cost_ms", 0.0)
     # bool is an int subclass, and JSON true must not pass as 1 ms.
@@ -159,41 +171,20 @@ def _from_spec(cls, spec, what: str):
         raise SystemExit(f"error: bad {what} in bench config: {exc}")
 
 
-def _bench_model(spec, vocab: Vocab):
-    """``{"path": file}``, or ``{"fit_corpus": [files]}`` with optional
-    integer ``k`` and number ``alpha``; anything else stops the command."""
-    if isinstance(spec, dict):
-        if spec.keys() == {"path"} and isinstance(spec["path"], str):
-            return load_kgram(spec["path"])
-        paths, k, alpha = spec.get("fit_corpus"), spec.get("k", 3), spec.get("alpha", 0.01)
-        if (
-            spec.keys() <= {"fit_corpus", "k", "alpha"}
-            and isinstance(paths, list)
-            and all(isinstance(path, str) for path in paths)
-            and type(k) is int
-            and type(alpha) in (int, float)
-            and math.isfinite(alpha)
-        ):
-            return fit_kgram(load_corpus(paths, vocab=vocab, doc_per_line=True), k, alpha)
-    raise SystemExit(f"error: bad model in bench config: {spec!r}")
-
-
-def _bench_resources(setup: dict):
-    vocab = Vocab.load(setup["vocab"])
-    model = _bench_model(setup["model"], vocab)
-    model_db = load_model_db(setup["model_db"]) if setup.get("model_db") else None
-    stats_db = load_stats_db(setup["stats_db"]) if setup.get("stats_db") else None
-    fingerprints = {}
-    for key in ("vocab", "model_db", "stats_db"):
-        if setup.get(key):
-            fingerprints[key] = bench.file_fingerprint(setup[key])
-    spec = setup.get("hierarchy", {})
-    if isinstance(spec, dict) and "order" in spec:
-        raise SystemExit(
-            "error: bad hierarchy in bench config: 'order' is set by each method's 'databases'"
-        )
-    hier = _from_spec(HierarchyConfig, spec, "hierarchy")
-    return vocab, model, model_db, stats_db, fingerprints, hier
+def _bench_files(setup: dict) -> tuple[dict, dict[str, str]]:
+    """Load and fingerprint every file the config names, each given as a
+    path string; an unnamed model DB or stats DB loads as ``None``."""
+    loaded, fingerprints = {}, {}
+    for key, load in _BENCH_FILES.items():
+        path = setup.get(key)
+        if path is None:
+            loaded[key] = None
+            continue
+        if not isinstance(path, str):
+            raise SystemExit(f"error: bad {key} in bench config: {path!r}")
+        loaded[key] = load(path)
+        fingerprints[key] = bench.file_fingerprint(path)
+    return loaded, fingerprints
 
 
 def _load_prompts(path: str, vocab: Vocab) -> list[list[int]]:
@@ -209,8 +200,12 @@ def _load_prompts(path: str, vocab: Vocab) -> list[list[int]]:
 def _cmd_bench(args: argparse.Namespace) -> int:
     """``hd bench`` runs the config's method rows; ``hd ablate`` its ablation."""
     setup = _load_bench_setup(args.configs)
-    vocab, model, model_db, stats_db, fingerprints, hier = _bench_resources(setup)
-    prompts = _load_prompts(args.prompts, vocab)
+    spec = setup.get("hierarchy", {})
+    if isinstance(spec, dict) and "order" in spec:
+        raise SystemExit(
+            "error: bad hierarchy in bench config: 'order' is set by each method's 'databases'"
+        )
+    hier = _from_spec(HierarchyConfig, spec, "hierarchy")
     if args.command == "ablate":
         run = bench.ablate_order if args.what == "order" else bench.ablate_dbs
     else:
@@ -218,11 +213,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             _from_spec(bench.MethodSpec, row, "method") for row in setup.get("methods", [])
         ]
         run = functools.partial(bench.run_bench, methods=methods)
+    files, fingerprints = _bench_files(setup)
+    prompts = _load_prompts(args.prompts, files["vocab"])
     report = run(
-        model,
+        files["model"],
         prompts,
-        model_db=model_db,
-        stats_db=stats_db,
+        model_db=files["model_db"],
+        stats_db=files["stats_db"],
         hierarchy=hier,
         fingerprints=fingerprints,
         out=args.out,
@@ -246,8 +243,6 @@ def _cmd_analyze_locality(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze_coverage(args: argparse.Namespace) -> int:
-    from .engine import load_traces
-
     trace_dir = Path(args.traces)
     traces_by_db = {}
     for path in sorted(trace_dir.glob("*.traces.jsonl")):
@@ -257,9 +252,7 @@ def _cmd_analyze_coverage(args: argparse.Namespace) -> int:
     if not traces_by_db:
         raise SystemExit(f"error: no single-database trace files under {trace_dir}")
     report = analysis.coverage_report(traces_by_db)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    bench.write_report(report, args.out)
     print(f"wrote coverage over {report['events_union']} events to {args.out}")
     return 0
 
@@ -306,10 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompt")
     p.add_argument("--prompt-file")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--model", help="fitted model file; alternative to --fit-corpus")
-    p.add_argument("--fit-corpus", nargs="+")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--model", required=True, help="model file written by fit-kgram")
     p.add_argument("--model-db")
     p.add_argument("--stats-db")
     p.add_argument("--databases", default="c,m,s", help="databases to draft from, in probe order")
@@ -323,22 +313,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write the decode trace to this JSONL file")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("bench", help="compare methods over a prompt file")
-    p.add_argument("--prompts", required=True)
-    p.add_argument("--configs", required=True, help="JSON file with resources and method rows")
-    p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--trace-dir")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser("ablate", help="access-order or database-subset ablation")
-    p.add_argument("what", choices=("order", "dbs"))
-    p.add_argument("--prompts", required=True)
-    p.add_argument("--configs", required=True)
-    p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--trace-dir")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_bench)
+    bench_parser = sub.add_parser("bench", help="compare methods over a prompt file")
+    ablate_parser = sub.add_parser("ablate", help="access-order or database-subset ablation")
+    ablate_parser.add_argument("what", choices=("order", "dbs"))
+    for p in (bench_parser, ablate_parser):
+        p.add_argument("--prompts", required=True)
+        p.add_argument("--configs", required=True, help="JSON file with resources and method rows")
+        p.add_argument("--runs", type=int, default=5)
+        p.add_argument("--trace-dir")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("analyze", help="locality and coverage analyses")
     analyze_sub = p.add_subparsers(dest="analysis", required=True)

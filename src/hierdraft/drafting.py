@@ -99,7 +99,7 @@ class DatabaseSet:
         for letter in hier.order:
             db = getattr(self, SOURCE_NAMES[letter])
             if db is None:
-                raise ValueError(f"database {SOURCE_NAMES[letter]!r} ordered but not provided")
+                raise ValueError(f"the {SOURCE_NAMES[letter]} DB is ordered but not provided")
             out.append((letter, db.drafter(hier)))
         return out
 

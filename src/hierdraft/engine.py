@@ -54,6 +54,8 @@ class DecodeConfig:
             if type(value) is not int or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
         _check_temperature(self.temperature, positive=False)
+        if type(self.trace) is not bool:
+            raise ValueError(f"trace must be True or False, not {self.trace!r}")
         cost = self.model_call_cost_s
         # bool is an int subclass, and JSON true must not pass as 1.
         number = isinstance(cost, (int, float)) and not isinstance(cost, bool)

@@ -280,10 +280,12 @@ def _unseen_draw(offset: float, unseen: float, j: int, prev: int, nxt: int) -> i
 
 def fit_kgram(corpus: Corpus, k: int, alpha: float) -> KGramModel:
     """Accumulate order-1..k window counts over every doc (EOS included)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    # load_kgram's rules; bool is an int subclass, and True is neither k nor alpha.
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an integer >= 1, not {k!r}")
+    real = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
+    if not (real and math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be a finite number > 0, not {alpha!r}")
     if not corpus.docs:
         raise ValueError("empty corpus")
     counts: list[dict[tuple[int, ...], dict[int, int]]] = [dict() for _ in range(k + 1)]

@@ -243,3 +243,35 @@ def test_only_the_warm_up_pass_traces(passage_setup, monkeypatch):
         model_db=model_db, stats_db=stats_db, runs=3, max_tokens=20,
     )
     assert traced == [True] * len(prompts) + [False] * (3 * len(prompts))
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [({"seed": "7"}, "seed"), ({"max_tokens": 0}, "max_tokens"), ({"stats_db": None}, "stats DB")],
+    ids=["string-seed", "zero-max-tokens", "missing-stats-db"],
+)
+def test_bad_setting_fails_before_any_run(passage_setup, monkeypatch, change, match):
+    import hierdraft.bench as bench
+
+    model, model_db, stats_db, prompts = passage_setup
+    calls = []
+    monkeypatch.setattr(bench, "decode", lambda *args: calls.append("decode"))
+    monkeypatch.setattr(bench, "autoregressive_decode", lambda *args: calls.append("ar"))
+    settings = {"model_db": model_db, "stats_db": stats_db, "runs": 1, **change}
+    with pytest.raises(ValueError, match=match):
+        run_bench(model, prompts, [MethodSpec("hd", databases="cms")], **settings)
+    assert calls == []
+
+
+def test_prompt_i_decodes_with_seed_plus_i(passage_setup, tmp_path):
+    model, model_db, stats_db, prompts = passage_setup
+    run_bench(
+        model, prompts * 3, [MethodSpec("hd", databases="mc", temperature=0.8)],
+        model_db=model_db, runs=1, seed=5, max_tokens=10, trace_dir=tmp_path,
+    )
+    for name, order, temperature in (("autoregressive", "", 0.0), ("hd", "mc", 0.8)):
+        configs = [t.config for t in load_traces(tmp_path / f"{name}.traces.jsonl")]
+        assert [c.seed for c in configs] == [5, 6, 7]
+        assert {(c.hierarchy.order, c.temperature, c.max_tokens) for c in configs} == {
+            (order, temperature, 10)
+        }

@@ -1,11 +1,13 @@
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
-from hierdraft import load_traces
-from hierdraft.cli import main
+from hierdraft import HierarchyConfig, MethodSpec, load_traces
+from hierdraft.bench import file_fingerprint
+from hierdraft.cli import _BENCH_KEYS, _from_spec, _load_bench_setup, main
 
 from conftest import make_text
 
@@ -48,7 +50,7 @@ def workspace(tmp_path_factory):
         json.dumps(
             {
                 "vocab": str(vocab),
-                "model": {"path": str(model)},
+                "model": str(model),
                 "model_db": str(model_db),
                 "stats_db": str(stats_db),
                 "max_tokens": 24,
@@ -92,13 +94,19 @@ def test_run_decodes_and_traces(workspace, capsys):
     assert trace.exists()
 
 
-def test_run_with_fit_corpus(workspace, capsys):
-    code = main(
-        ["run", "--prompt", "w0 w1 w2", "--vocab", str(workspace["vocab"]),
-         "--fit-corpus", str(workspace["corpus"]), "--databases", "c",
-         "--max-tokens", "8"]
-    )
-    assert code == 0
+def test_run_requires_a_model_file(workspace, capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--prompt", "w0 w1", "--vocab", str(workspace["vocab"]),
+              "--databases", "c", "--max-tokens", "4"])
+    assert "the following arguments are required: --model" in capsys.readouterr().err
+
+
+def test_fit_kgram_rejects_nan_alpha(workspace, tmp_path):
+    out = tmp_path / "model.hdkg"
+    with pytest.raises(SystemExit, match="error: alpha must be a finite number > 0, not nan"):
+        main(["fit-kgram", "--corpus", str(workspace["corpus"]), "--alpha", "nan",
+              "--out", str(out)])
+    assert not out.exists()
 
 
 def test_run_missing_db_flag_fails(workspace):
@@ -164,6 +172,29 @@ def test_bench_cli(workspace, capsys):
     assert ar["speedup"] == 1.0
 
 
+def test_bench_fingerprints_every_file(workspace, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["bench", "--prompts", str(workspace["prompts"]), "--configs",
+                 str(workspace["configs"]), "--runs", "1", "--out", str(out)]) == 0
+    fingerprints = json.loads(out.read_text(encoding="utf-8"))["env"]["fingerprints"]
+    files = ("vocab", "model", "model_db", "stats_db")
+    assert fingerprints == {key: file_fingerprint(workspace[key]) for key in files}
+
+
+def test_readme_bench_config_matches_the_loader(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"`bench.json` names .*?```json\n(.*?)```", readme, re.DOTALL)
+    example = json.loads(block.group(1))
+    assert example.keys() <= _BENCH_KEYS
+    configs = tmp_path / "bench.json"
+    configs.write_text(block.group(1), encoding="utf-8")
+    assert _load_bench_setup(str(configs)) == example
+    assert isinstance(example["model"], str)
+    _from_spec(HierarchyConfig, example["hierarchy"], "hierarchy")
+    for row in example["methods"]:
+        _from_spec(MethodSpec, row, "method")
+
+
 def test_ablate_and_coverage_cli(workspace, capsys):
     traces = workspace["root"] / "traces"
     out = workspace["root"] / "ablate-dbs.json"
@@ -226,17 +257,16 @@ def test_analyze_locality_cli(workspace, tmp_path):
         ({"methods": [{"name": "hd", "temperature": -1}]}, "error: bad method.*temperature"),
         ({"methods": [{"name": "hd", "temperature": True}]}, "error: bad method.*temperature"),
         ({"model": {"pth": "model.hdkg"}}, "error: bad model in bench config"),
-        ({"model": "model.hdkg"}, "error: bad model in bench config"),
-        (lambda ws: {"model": {"fit_corpus": [str(ws["corpus"])], "alpah": 5}},
-         "error: bad model in bench config"),
-        (lambda ws: {"model": {"fit_corpus": [str(ws["corpus"])], "k": "3"}},
-         "error: bad model in bench config"),
+        (lambda ws: {"model": {"path": str(ws["model"])}}, "error: bad model in bench config"),
         ({"model_call_cost_ms": "x"}, "error: bad model_call_cost_ms in bench config"),
         ({"model_call_cost_ms": True}, "error: bad model_call_cost_ms in bench config"),
         ({"model_call_cost_ms": -1}, "error: bad model_call_cost_ms in bench config"),
         (lambda ws: {"vocab": str(ws["root"] / "nope.json")}, "error: .*nope.json"),
-        (lambda ws: {"model": {"path": str(ws["root"] / "missing.hdkg")}},
-         "error: .*missing.hdkg"),
+        (lambda ws: {"model": str(ws["root"] / "missing.hdkg")}, "error: .*missing.hdkg"),
+        ({"seed": "7"}, "error: .*seed"),
+        ({"seed": True}, "error: .*seed"),
+        ({"seed": -1}, "error: .*seed"),
+        ({"max_token": 3}, "error: unknown key 'max_token' in bench config"),
     ],
     ids=["misspelt-hierarchy-key", "invalid-hierarchy-value", "misspelt-method-key",
          "method-without-name", "hierarchy-order-set-per-method",
@@ -244,9 +274,9 @@ def test_analyze_locality_cli(workspace, tmp_path):
          "removed-order-method-key", "repeated-database", "float-set-size",
          "bool-draft-len", "removed-capacity-hierarchy-key", "string-temperature",
          "negative-temperature", "bool-temperature", "misspelt-model-path-key",
-         "model-not-an-object", "misspelt-model-alpha-key", "string-model-k",
-         "string-model-call-cost", "bool-model-call-cost", "negative-model-call-cost",
-         "missing-vocab", "missing-model"],
+         "model-object-rejected", "string-model-call-cost", "bool-model-call-cost",
+         "negative-model-call-cost", "missing-vocab", "missing-model", "string-seed",
+         "bool-seed", "negative-seed", "misspelt-max-tokens-key"],
 )
 def test_bench_config_key_errors_exit(workspace, tmp_path, change, match):
     if callable(change):

@@ -617,6 +617,9 @@ def test_winning_step_trace_loads_and_replays(setup, tmp_path):
         _emit_one_more,
         lambda d: _with_enabled(d, 3),
         lambda d: _with_enabled(d, TRACE_SCHEMA),
+        lambda d: {**d, "config": {**d["config"], "trace": "yes"}},
+        lambda d: {**d, "config": {**d["config"], "trace": 1}},
+        lambda d: {**d, "config": {**d["config"], "trace": None}},
     ],
     ids=["prompt-only", "no-context-tail", "list", "unknown-schema", "no-schema",
          "unknown-field", "unknown-config-field", "string-temperature", "list-access",
@@ -626,7 +629,8 @@ def test_winning_step_trace_loads_and_replays(setup, tmp_path):
          "kept-disagrees", "unknown-access-key", "bool-winner", "string-wall-time",
          "bad-hierarchy-letters", "drafted-total-not-sum", "accepted-past-candidate",
          "winner-not-best", "winner-source-kept-nothing-there", "emitted-past-accepted",
-         "schema-3", "schema-4-with-enabled"],
+         "schema-3", "schema-4-with-enabled", "string-trace-flag", "int-trace-flag",
+         "null-trace-flag"],
 )
 def test_load_traces_fails_closed(setup, tmp_path, mangle):
     path = tmp_path / "bad.jsonl"

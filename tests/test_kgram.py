@@ -126,6 +126,17 @@ def test_fit_validation():
         fit_kgram(corpus, k=2, alpha=0.0)
 
 
+@pytest.mark.parametrize(
+    "k, alpha, bad",
+    [(2, math.nan, "alpha"), (2, math.inf, "alpha"), (2, True, "alpha"), (True, 0.1, "k"),
+     (2.5, 0.1, "k")],
+    ids=["nan-alpha", "inf-alpha", "bool-alpha", "bool-k", "float-k"],
+)
+def test_fit_rejects_what_load_rejects(k, alpha, bad):
+    with pytest.raises(ValueError, match=f"^{bad} must be"):
+        fit_kgram(corpus_from_texts(["a b"]), k=k, alpha=alpha)
+
+
 def test_next_distribution_argmax_observed(abab_model):
     model, _ = abab_model
     probs = model.next_distribution([3])
