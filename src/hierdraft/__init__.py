@@ -10,7 +10,7 @@ autoregressive decoding at a fraction of the model calls.
 """
 
 from .analysis import accepted_events, coverage_report, locality_stats
-from .bench import MethodSpec, ablate_dbs, ablate_order, run_bench
+from .bench import MethodSpec, run_bench
 from .context_db import ContextDB
 from .corpus import (
     EOS,
@@ -84,8 +84,6 @@ __all__ = [
     "StepRecord",
     "UNK",
     "Vocab",
-    "ablate_dbs",
-    "ablate_order",
     "accepted_events",
     "aggregate_traces",
     "apply_temperature",

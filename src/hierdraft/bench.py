@@ -203,43 +203,20 @@ def _run_method(
     return row
 
 
-def ablate_order(
-    model: KGramModel,
-    prompts: list[list[int]],
-    *,
-    model_db: ModelDB,
-    stats_db: StatsDB,
-    **bench_kwargs,
-) -> dict:
-    """Benchmark all six access orders of the three databases, greedily."""
-    methods = [
+# The method rows of ``hd ablate``: all six access orders of the three
+# databases, and all seven non-empty database subsets, greedily. With a
+# trace directory, the single-database rows' trace files (``db-c``,
+# ``db-m``, ``db-s``) feed ``hd analyze coverage``.
+ABLATIONS = {
+    "order": [
         MethodSpec(f"order-{p}", databases=p) for p in map("".join, itertools.permutations("cms"))
-    ]
-    return run_bench(
-        model, prompts, methods, model_db=model_db, stats_db=stats_db, **bench_kwargs
-    )
-
-
-def ablate_dbs(
-    model: KGramModel,
-    prompts: list[list[int]],
-    *,
-    model_db: ModelDB,
-    stats_db: StatsDB,
-    **bench_kwargs,
-) -> dict:
-    """Benchmark all seven non-empty database subsets, greedily.
-
-    With a ``trace_dir``, the single-database rows' trace files
-    (``db-c``, ``db-m``, ``db-s``) feed ``hd analyze coverage``.
-    """
-    subsets = []
-    for r in (1, 2, 3):
-        subsets.extend("".join(c) for c in itertools.combinations("cms", r))
-    methods = [MethodSpec(f"db-{subset}", databases=subset) for subset in subsets]
-    return run_bench(
-        model, prompts, methods, model_db=model_db, stats_db=stats_db, **bench_kwargs
-    )
+    ],
+    "dbs": [
+        MethodSpec(f"db-{subset}", databases=subset)
+        for r in (1, 2, 3)
+        for subset in map("".join, itertools.combinations("cms", r))
+    ],
+}
 
 
 def file_fingerprint(path: str | Path) -> str:

@@ -17,7 +17,6 @@ and a bench config's ``"model"``, a path like its other three files.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -81,6 +80,20 @@ def _cmd_build_stats_db(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_vocabulary(vocab: Vocab, model, model_db, stats_db) -> None:
+    """Stop unless the model, the model DB and the stats DB use the ids of ``vocab``."""
+    size = vocab.size
+    for what, item in (("model", model), ("stats DB", stats_db)):
+        if item is not None and item.vocab_size != size:
+            raise SystemExit(
+                f"error: the {what} has vocab_size {item.vocab_size}, but the vocab has {size} ids"
+            )
+    if model_db is not None and model_db.max_id() >= size:
+        raise SystemExit(
+            f"error: the model DB holds token id {model_db.max_id()}, but the vocab has {size} ids"
+        )
+
+
 def _load_databases(args: argparse.Namespace, hier: HierarchyConfig) -> DatabaseSet:
     order = hier.order
     model_db = stats_db = None
@@ -123,6 +136,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         model_call_cost_s=args.model_cost_ms / 1e3,
     )
     dbs = _load_databases(args, hier)
+    _check_vocabulary(vocab, model, dbs.model, dbs.stats)
     output, metrics, trace = decode(model, prompt, dbs, config)
     print(detokenize(output, vocab))
     print(json.dumps(asdict(metrics), indent=2, sort_keys=True), file=sys.stderr)
@@ -207,17 +221,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     hier = _from_spec(HierarchyConfig, spec, "hierarchy")
     if args.command == "ablate":
-        run = bench.ablate_order if args.what == "order" else bench.ablate_dbs
+        methods = bench.ABLATIONS[args.what]
     else:
         methods = [
             _from_spec(bench.MethodSpec, row, "method") for row in setup.get("methods", [])
         ]
-        run = functools.partial(bench.run_bench, methods=methods)
     files, fingerprints = _bench_files(setup)
+    _check_vocabulary(files["vocab"], files["model"], files["model_db"], files["stats_db"])
     prompts = _load_prompts(args.prompts, files["vocab"])
-    report = run(
+    report = bench.run_bench(
         files["model"],
         prompts,
+        methods,
         model_db=files["model_db"],
         stats_db=files["stats_db"],
         hierarchy=hier,
@@ -315,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = sub.add_parser("bench", help="compare methods over a prompt file")
     ablate_parser = sub.add_parser("ablate", help="access-order or database-subset ablation")
-    ablate_parser.add_argument("what", choices=("order", "dbs"))
+    ablate_parser.add_argument("what", choices=bench.ABLATIONS)
     for p in (bench_parser, ablate_parser):
         p.add_argument("--prompts", required=True)
         p.add_argument("--configs", required=True, help="JSON file with resources and method rows")

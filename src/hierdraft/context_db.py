@@ -99,10 +99,11 @@ class ContextDB:
         for i in range(len(seq) - 1):
             self.insert(seq[i], seq[i + 1:i + 1 + self.window])
 
-    def lookup(self, key: int, want: int) -> list[list[int]]:
+    def lookup(self, key: int, want: int) -> list[tuple[int, ...]]:
         """Up to ``want`` values for ``key``, most recently used first.
 
-        Each value is a fresh list, a copy of the stored tuple.
+        The list is fresh; its values are the stored tuples themselves, not
+        copies, which is safe because tuples are immutable.
         """
         if want < 0:
             raise ValueError("want must be >= 0")
@@ -114,9 +115,9 @@ class ContextDB:
         # exactly the post-lookup recency order.
         for value in reversed(taken):
             self._touch(key, value)
-        return [list(v) for v in taken]
+        return taken
 
-    def drafter(self, hier) -> Callable[[list[int], int], list[list[int]]]:
+    def drafter(self, hier) -> Callable[[list[int], int], list[tuple[int, ...]]]:
         """Draft source for one generation; making it empties the table.
 
         Each probe first ingests what ``context`` gained since this
@@ -134,7 +135,7 @@ class ContextDB:
         # token gives no pair, so the first probe ingests from two tokens.
         seen = 1
 
-        def draft(context: list[int], want: int) -> list[list[int]]:
+        def draft(context: list[int], want: int) -> list[tuple[int, ...]]:
             nonlocal seen
             if len(context) > seen:
                 self.ingest(context[max(seen - seam_len, 0):])

@@ -12,17 +12,19 @@ an ``AccessLog`` only for a trace. Drafting reads no clock: a traced
 Every database is one kind of draft source: ``db.drafter(hier)`` returns a
 ``Drafter``, a ``draft(context, want)`` callable for one generation, and
 ``DatabaseSet.drafters`` lists them in probe order. ``hierarchical_draft``
-only walks that list. Whatever a source keeps or learns for the
-generation, such as the stats memo or the context DB's table, lives in its
-drafter, and every call counts as an attempted probe whether or not the
-source answered it from memory. A traced probe's time is the whole call,
-so the context DB's ingest counts in its ``c`` probe.
+only walks that list. A draft is a tuple of token ids from database to
+verification: each drafter hands out the tuples its database stores, and
+they become the candidates' tokens uncopied. Whatever a source keeps or
+learns for the generation, such as the stats memo or the context DB's
+table, lives in its drafter, and every call counts as an attempted probe
+whether or not the source answered it from memory. A traced probe's time
+is the whole call, so the context DB's ingest counts in its ``c`` probe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .context_db import ContextDB
 from .model_db import ModelDB
@@ -48,7 +50,9 @@ class HierarchyConfig:
         order (highest locality first); "" means none
     set_size: draft-set capacity (candidates verified per step)
     tail_len: how many trailing context tokens the stats index matches on
-    draft_len: maximum candidate length / stored value length
+    draft_len: maximum length of a stats continuation and of a value in the
+        context DB that ``hd run`` and ``run_bench`` build; model-DB values
+        keep the window their database was built with
     """
 
     order: str = "cms"
@@ -81,9 +85,8 @@ AccessLog = dict[str, AccessRecord]
 # One attempted probe: (letter, returned, kept).
 Probe = tuple[str, int, int]
 # draft(context, want) -> a fresh list of up to ``want`` continuations of
-# ``context``. The model and stats drafters list their stored tuples
-# themselves, which no caller can change; the context drafter lists copies.
-Drafter = Callable[[list[int], int], list[Sequence[int]]]
+# ``context``: the tuples the database stores, which no caller can change.
+Drafter = Callable[[list[int], int], list[tuple[int, ...]]]
 
 
 @dataclass
@@ -113,11 +116,10 @@ def hierarchical_draft(
 
     ``drafters`` come from ``DatabaseSet.drafters`` and are probed in list
     order, each for the remaining quota. Candidates are plain ``(tokens,
-    source)`` pairs; a drafter's tuples become the candidates' tokens as
-    they are, since ``tuple()`` of a tuple is that tuple, and only other
-    sequences are copied. Drafters later in the list are skipped entirely
-    once the set is full, so the probes, one ``(letter, returned, kept)``
-    per attempted drafter, are a prefix of ``drafters``.
+    source)`` pairs whose tokens are the drafters' tuples themselves, not
+    copies. Drafters later in the list are skipped entirely once the set
+    is full, so the probes, one ``(letter, returned, kept)`` per attempted
+    drafter, are a prefix of ``drafters``.
     """
     if not context:
         raise ValueError("context must be non-empty")
@@ -131,8 +133,7 @@ def hierarchical_draft(
             break
         values = draft(context, set_size - before)
         source = SOURCE_NAMES[letter]
-        for value in values:
-            tokens = tuple(value)
+        for tokens in values:
             if tokens not in seen:
                 seen.add(tokens)
                 candidates.append((tokens, source))

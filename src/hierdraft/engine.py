@@ -372,7 +372,7 @@ def _trace_from_dict(d: dict) -> DecodeTrace:
     trace = DecodeTrace(**d)
     _check_naturals("prompt", trace.prompt)
     _check_naturals("output", trace.output)
-    if type(trace.wall_time_s) not in (int, float) or not trace.wall_time_s >= 0:
+    if type(trace.wall_time_s) not in (int, float) or not 0 <= trace.wall_time_s < math.inf:
         raise ValueError(f"wall_time_s {trace.wall_time_s!r} is not a duration")
     for step in trace.steps:
         _check_step(step, trace.config.hierarchy.order)
@@ -439,7 +439,8 @@ def load_traces(path: str | Path) -> list[DecodeTrace]:
 
     A line that is not a JSON object with ``"schema": TRACE_SCHEMA``, lacks
     or adds a field, holds an invalid config, holds a token id or count
-    that is not a non-negative integer, or holds a step that does not
+    that is not a non-negative integer or a ``wall_time_s`` that is not a
+    finite duration, or holds a step that does not
     replay or contradicts itself raises ``ValueError``. A step contradicts
     itself when an access key is not in the hierarchy's order, the kept
     counts disagree with the candidates, ``drafted_total`` is not the sum

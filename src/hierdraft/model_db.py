@@ -44,6 +44,10 @@ class ModelDB:
     def keys(self) -> list[int]:
         return sorted(self._entries)
 
+    def max_id(self) -> int:
+        """The largest token id in any key or value; -1 for an empty table."""
+        return max((max(key, *map(max, rows)) for key, rows in self._values.items()), default=-1)
+
     def lookup(self, key: int, want: int) -> list[tuple[int, ...]]:
         """Up to ``want`` values for ``key`` in stored (count-descending) order.
 

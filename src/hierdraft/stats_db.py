@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from pathlib import Path
 import struct
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -119,7 +119,7 @@ class StatsDB:
     def suffix_array(self) -> np.ndarray:
         return self._sa
 
-    def find_range(self, query: list[int]) -> tuple[int, int]:
+    def find_range(self, query: Sequence[int]) -> tuple[int, int]:
         """Half-open slice of the suffix array whose suffixes start with ``query``."""
         if len(query) < 1:
             raise ValueError("query must be non-empty")
@@ -147,7 +147,7 @@ class StatsDB:
         return lo, hi
 
     def retrieve(
-        self, tail: list[int], draft_len: int, want: int
+        self, tail: Sequence[int], draft_len: int, want: int
     ) -> list[tuple[list[int], int]]:
         """Continuations after the longest matching suffix of ``tail``.
 
@@ -160,7 +160,6 @@ class StatsDB:
             raise ValueError("want must be >= 0")
         if draft_len < 1:
             raise ValueError("draft_len must be >= 1")
-        tail = [int(t) for t in tail]
         for length in range(len(tail), 0, -1):
             lo, hi = self.find_range(tail[-length:])
             if hi <= lo:
@@ -183,7 +182,7 @@ class StatsDB:
             tail = tuple(context[-hier.tail_len:])
             ranked = memo.get(tail)
             if ranked is None:
-                found = self.retrieve(list(tail), hier.draft_len, hier.set_size)
+                found = self.retrieve(tail, hier.draft_len, hier.set_size)
                 ranked = memo[tail] = [tuple(seq) for seq, _count in found]
             return ranked[:want]
 

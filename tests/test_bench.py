@@ -5,15 +5,13 @@ import pytest
 from hierdraft import (
     HierarchyConfig,
     MethodSpec,
-    ablate_dbs,
-    ablate_order,
     build_model_db,
     build_stats_db,
     load_traces,
     run_bench,
     tokenize,
 )
-from hierdraft.bench import write_report
+from hierdraft.bench import ABLATIONS, write_report
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +97,10 @@ def test_ablate_order_probe_counts(passage_setup):
     # set_size 1 makes the context database fill the set by itself, so the
     # canonical order must never touch the stats index.
     hier = HierarchyConfig(set_size=1)
-    report = ablate_order(
+    report = run_bench(
         model,
         prompts,
+        ABLATIONS["order"],
         model_db=model_db,
         stats_db=stats_db,
         hierarchy=hier,
@@ -127,9 +126,10 @@ def test_ablate_order_probe_counts(passage_setup):
 
 def test_ablate_order_losslessness_per_permutation(passage_setup, tmp_path):
     model, model_db, stats_db, prompts = passage_setup
-    report = ablate_order(
+    report = run_bench(
         model,
         prompts,
+        ABLATIONS["order"],
         model_db=model_db,
         stats_db=stats_db,
         runs=1,
@@ -145,9 +145,10 @@ def test_ablate_order_losslessness_per_permutation(passage_setup, tmp_path):
 
 def test_ablate_dbs_subsets_and_tau(passage_setup, tmp_path):
     model, model_db, stats_db, prompts = passage_setup
-    report = ablate_dbs(
+    report = run_bench(
         model,
         prompts,
+        ABLATIONS["dbs"],
         model_db=model_db,
         stats_db=stats_db,
         runs=1,

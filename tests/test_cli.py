@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hierdraft import HierarchyConfig, MethodSpec, load_traces
+from hierdraft import HierarchyConfig, MethodSpec, Vocab, load_traces
 from hierdraft.bench import file_fingerprint
 from hierdraft.cli import _BENCH_KEYS, _from_spec, _load_bench_setup, main
 
@@ -39,6 +39,29 @@ def workspace(tmp_path_factory):
         ["build-stats-db", "--corpus", str(corpus_path), "--vocab", str(vocab),
          "--verify", "--out", str(stats_db)]
     ) == 0
+    # Files that disagree with the vocab above: a model and a stats DB over a
+    # 7-id vocab, and model DBs holding the first id past the vocab.
+    narrow_corpus = root / "narrow.txt"
+    narrow_corpus.write_text("a b c d a b\nd c b a\n", encoding="utf-8")
+    narrow_vocab = root / "narrow-vocab.txt"
+    narrow_model = root / "narrow.hdkg"
+    narrow_stats_db = root / "narrow.hdsa"
+    assert main(["build-vocab", "--corpus", str(narrow_corpus), "--out", str(narrow_vocab)]) == 0
+    assert main(
+        ["fit-kgram", "--corpus", str(narrow_corpus), "--vocab", str(narrow_vocab),
+         "--k", "2", "--out", str(narrow_model)]
+    ) == 0
+    assert main(
+        ["build-stats-db", "--corpus", str(narrow_corpus), "--vocab", str(narrow_vocab),
+         "--out", str(narrow_stats_db)]
+    ) == 0
+    size = Vocab.load(vocab).size
+    header = json.dumps({"magic": "HDMD", "version": 1, "m": 4, "records": 1})
+    wide = {}
+    for name, key, value in (("key", size, [3, 4, 5, 6]), ("value", 3, [4, 5, 6, size])):
+        wide[name] = root / f"dm-wide-{name}.jsonl"
+        record = json.dumps({"key": key, "values": [value], "counts": [1]})
+        wide[name].write_text(f"{header}\n{record}\n", encoding="utf-8")
     prompts = root / "prompts.txt"
     lines = corpus_path.read_text(encoding="utf-8").splitlines()
     prompts.write_text(
@@ -69,7 +92,28 @@ def workspace(tmp_path_factory):
         "stats_db": stats_db,
         "prompts": prompts,
         "configs": configs,
+        "narrow_model": narrow_model,
+        "narrow_stats_db": narrow_stats_db,
+        "wide_key_model_db": wide["key"],
+        "wide_value_model_db": wide["value"],
     }
+
+
+# A file swapped into the workspace's setup that disagrees with its vocab:
+# each stops hd run, hd bench and hd ablate before any decoding.
+_VOCAB_MISMATCHES = [
+    (lambda ws: {"model": str(ws["narrow_model"])},
+     r"error: the model has vocab_size 7, but the vocab has \d+ ids"),
+    (lambda ws: {"stats_db": str(ws["narrow_stats_db"])},
+     r"error: the stats DB has vocab_size 7, but the vocab has \d+ ids"),
+    (lambda ws: {"model_db": str(ws["wide_key_model_db"])},
+     r"error: the model DB holds token id (\d+), but the vocab has \1 ids"),
+    (lambda ws: {"model_db": str(ws["wide_value_model_db"])},
+     r"error: the model DB holds token id (\d+), but the vocab has \1 ids"),
+]
+_VOCAB_MISMATCH_IDS = [
+    "narrow-model", "narrow-stats-db", "model-db-key-past-vocab", "model-db-value-past-vocab",
+]
 
 
 def test_artifacts_exist(workspace):
@@ -267,6 +311,7 @@ def test_analyze_locality_cli(workspace, tmp_path):
         ({"seed": True}, "error: .*seed"),
         ({"seed": -1}, "error: .*seed"),
         ({"max_token": 3}, "error: unknown key 'max_token' in bench config"),
+        *_VOCAB_MISMATCHES,
     ],
     ids=["misspelt-hierarchy-key", "invalid-hierarchy-value", "misspelt-method-key",
          "method-without-name", "hierarchy-order-set-per-method",
@@ -276,7 +321,7 @@ def test_analyze_locality_cli(workspace, tmp_path):
          "negative-temperature", "bool-temperature", "misspelt-model-path-key",
          "model-object-rejected", "string-model-call-cost", "bool-model-call-cost",
          "negative-model-call-cost", "missing-vocab", "missing-model", "string-seed",
-         "bool-seed", "negative-seed", "misspelt-max-tokens-key"],
+         "bool-seed", "negative-seed", "misspelt-max-tokens-key", *_VOCAB_MISMATCH_IDS],
 )
 def test_bench_config_key_errors_exit(workspace, tmp_path, change, match):
     if callable(change):
@@ -289,3 +334,24 @@ def test_bench_config_key_errors_exit(workspace, tmp_path, change, match):
             ["bench", "--prompts", str(workspace["prompts"]), "--configs", str(configs),
              "--runs", "1", "--out", str(tmp_path / "report.json")]
         )
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+@pytest.mark.parametrize("change, match", _VOCAB_MISMATCHES, ids=_VOCAB_MISMATCH_IDS)
+def test_run_and_ablate_stop_on_vocabulary_mismatch(workspace, tmp_path, command, change, match):
+    files = {key: str(workspace[key]) for key in ("vocab", "model", "model_db", "stats_db")}
+    files.update(change(workspace))
+    out = tmp_path / "report.json"
+    if command == "run":
+        argv = ["run", "--prompt", "w0 w1", "--vocab", files["vocab"], "--model", files["model"],
+                "--model-db", files["model_db"], "--stats-db", files["stats_db"],
+                "--max-tokens", "4"]
+    else:
+        setup = json.loads(workspace["configs"].read_text(encoding="utf-8"))
+        configs = tmp_path / "bench.json"
+        configs.write_text(json.dumps({**setup, **files}), encoding="utf-8")
+        argv = ["ablate", "order", "--prompts", str(workspace["prompts"]), "--configs",
+                str(configs), "--runs", "1", "--out", str(out)]
+    with pytest.raises(SystemExit, match=match):
+        main(argv)
+    assert not out.exists()

@@ -57,14 +57,14 @@ class ReferenceLru:
         for entry in reversed(mine):
             self.clock += 1
             entry[2] = self.clock
-        return [list(e[1]) for e in mine]
+        return [e[1] for e in mine]
 
 
 def test_ingest_window_mechanics():
     db = ContextDB(window=4)
     db.ingest([3, 4, 5])
-    assert db.lookup(3, 7) == [[4, 5]]
-    assert db.lookup(4, 7) == [[5]]
+    assert db.lookup(3, 7) == [(4, 5)]
+    assert db.lookup(4, 7) == [(5,)]
     assert db.lookup(5, 7) == []
 
 
@@ -74,7 +74,7 @@ def test_per_key_lru_eviction():
     for i in range(4):
         db.insert(9, (100 + i,))
     assert evicted == [(9, (100,))]
-    assert db.lookup(9, 7) == [[103], [102], [101]]
+    assert db.lookup(9, 7) == [(103,), (102,), (101,)]
 
 
 def test_global_capacity_eviction():
@@ -83,7 +83,7 @@ def test_global_capacity_eviction():
         db.insert(key, (key + 10,))
     assert len(db) == 3
     assert db.lookup(1, 7) == []  # oldest pair evicted
-    assert db.lookup(4, 7) == [[14]]
+    assert db.lookup(4, 7) == [(14,)]
 
 
 def test_reset_empties_table():
@@ -101,16 +101,16 @@ def test_reinsert_refreshes_without_duplicate():
     db.insert(3, (4, 5))
     db.insert(3, (6, 7))
     db.insert(3, (4, 5))  # refresh, no duplicate
-    assert db.lookup(3, 7) == [[4, 5], [6, 7]]
+    assert db.lookup(3, 7) == [(4, 5), (6, 7)]
     db.insert(3, (8, 9))  # evicts (6, 7), the true LRU
-    assert db.lookup(3, 7) == [[8, 9], [4, 5]]
+    assert db.lookup(3, 7) == [(8, 9), (4, 5)]
 
 
 def test_lookup_mru_first_after_two_ingests():
     db = ContextDB(window=4)
     db.ingest([3, 4, 5])
     db.ingest([3, 6, 7])
-    assert db.lookup(3, 2) == [[6, 7], [4, 5]]
+    assert db.lookup(3, 2) == [(6, 7), (4, 5)]
 
 
 def test_lookup_refresh_preserves_returned_order():
@@ -119,9 +119,9 @@ def test_lookup_refresh_preserves_returned_order():
     db.insert(1, (11,))
     db.insert(1, (12,))
     first = db.lookup(1, 2)
-    assert first == [[12], [11]]
+    assert first == [(12,), (11,)]
     # The refresh must not invert the relative recency of returned values.
-    assert db.lookup(1, 3) == [[12], [11], [10]]
+    assert db.lookup(1, 3) == [(12,), (11,), (10,)]
 
 
 def test_ingest_rejects_short_sequences():

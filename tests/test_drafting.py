@@ -227,16 +227,40 @@ def _stub(values, calls, letter):
 def test_stub_drafters_get_remaining_quota():
     calls = []
     drafters = [
-        ("m", _stub([[1], [2], [1]], calls, "m")),
-        ("c", _stub([[3], [4], [5], [6]], calls, "c")),
-        ("s", _stub([[7]], calls, "s")),
+        ("m", _stub([(1,), (2,), (1,)], calls, "m")),
+        ("c", _stub([(3,), (4,), (5,), (6,)], calls, "c")),
+        ("s", _stub([(7,)], calls, "s")),
     ]
     candidates, probes = hierarchical_draft([9], drafters, HierarchyConfig(set_size=5))
-    assert calls == [("m", 5), ("c", 3)]  # the duplicate [1] cost m its third slot
+    assert calls == [("m", 5), ("c", 3)]  # the duplicate (1,) cost m its third slot
     assert candidates == [
         ((1,), "model"), ((2,), "model"), ((3,), "context"), ((4,), "context"), ((5,), "context"),
     ]
     assert [probe[:3] for probe in probes] == [("m", 3, 2), ("c", 3, 3)]  # s skipped
+
+
+def test_candidates_are_the_stored_tuples():
+    """Nothing between a database and the draft set copies a draft."""
+    vocab = _vocab(14)
+    dbs = DatabaseSet(
+        context=ContextDB(),
+        model=build_model_db(Corpus(docs=[[3, 4, 5, 6, 7]], vocab=vocab), window=4),
+        stats=build_stats_db(Corpus(docs=[[3, 9, 10], [3, 11]], vocab=vocab)),
+    )
+    config = HierarchyConfig()
+    drafters = dbs.drafters(config)
+    context = [3, 12, 13, 3]
+    candidates, _probes = hierarchical_draft(context, drafters, config)
+    stored = {
+        "context": list(dbs.context._values[3]),
+        "model": dbs.model._values[3],
+        "stats": drafters[2][1](context, config.set_size),  # read from its memo
+    }
+    assert [source for _tokens, source in candidates] == ["context", "model", "stats", "stats"]
+    for tokens, source in candidates:
+        assert any(tokens is value for value in stored[source])
+    first, second = dbs.context.lookup(3, 7), dbs.context.lookup(3, 7)
+    assert first == [(12, 13, 3)] and first[0] is second[0] is stored["context"][0]
 
 
 def test_stats_drafters_share_no_memo(monkeypatch):

@@ -608,6 +608,7 @@ def test_winning_step_trace_loads_and_replays(setup, tmp_path):
         _add_unknown_access_key,
         lambda d: _mangle_outcome(d, winner=True),
         lambda d: {**d, "wall_time_s": "slow"},
+        lambda d: {**d, "wall_time_s": float("inf")},
         lambda d: {**d, "config": {**d["config"], "hierarchy": {
             **d["config"]["hierarchy"], "order": "cq"}}},
         lambda d: _mangle_outcome(d, drafted_total=10**6),
@@ -627,6 +628,7 @@ def test_winning_step_trace_loads_and_replays(setup, tmp_path):
          "bool-prompt-id", "float-context-tail-id", "string-emitted-id",
          "schema-1", "bogus-winner-source", "winner-out-of-range", "no-candidate-lens",
          "kept-disagrees", "unknown-access-key", "bool-winner", "string-wall-time",
+         "infinite-wall-time",
          "bad-hierarchy-letters", "drafted-total-not-sum", "accepted-past-candidate",
          "winner-not-best", "winner-source-kept-nothing-there", "emitted-past-accepted",
          "schema-3", "schema-4-with-enabled", "string-trace-flag", "int-trace-flag",
