@@ -57,7 +57,6 @@ from .stats_db import (
     build_suffix_array,
     load_stats_db,
     save_stats_db,
-    verify_stats_db,
 )
 from .verification import StepOutcome, verify_greedy, verify_sampling
 
@@ -112,5 +111,4 @@ __all__ = [
     "tokenize",
     "verify_greedy",
     "verify_sampling",
-    "verify_stats_db",
 ]

@@ -80,8 +80,9 @@ def run_bench(
     """
     if not prompts:
         raise ValueError("no prompts")
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    # bool is an int subclass, and True must not pass as one run.
+    if type(runs) is not int or runs < 1:
+        raise ValueError(f"runs must be an integer >= 1, not {runs!r}")
     hier = hierarchy or HierarchyConfig()
     shared = DecodeConfig(
         max_tokens=max_tokens, seed=seed, hierarchy=hier, model_call_cost_s=model_call_cost_s

@@ -51,7 +51,7 @@ def _cmd_build_vocab(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_kgram(args: argparse.Namespace) -> int:
-    vocab = Vocab.load(args.vocab) if args.vocab else None
+    vocab = Vocab.load(args.vocab)
     corpus = load_corpus(args.corpus, vocab=vocab, doc_per_line=args.doc_per_line)
     model = fit_kgram(corpus, args.k, args.alpha)
     save_kgram(model, args.out)
@@ -73,9 +73,6 @@ def _cmd_build_stats_db(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus, vocab=vocab, doc_per_line=args.doc_per_line)
     db = build_stats_db(corpus)
     save_stats_db(db, args.out)
-    if args.verify:
-        load_stats_db(args.out, verify=True)
-        print("verification passed")
     print(f"indexed {db.n_tokens} tokens; wrote {args.out}")
     return 0
 
@@ -285,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-kgram", help="fit and save the k-gram target model")
     p.add_argument("--corpus", nargs="+", required=True)
-    p.add_argument("--vocab")
+    p.add_argument("--vocab", required=True)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--doc-per-line", action=argparse.BooleanOptionalAction, default=True)
@@ -306,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", nargs="+", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--doc-per-line", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--verify", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_stats_db)
 

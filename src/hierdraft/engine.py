@@ -303,6 +303,7 @@ def autoregressive_decode(
 
     At T > 0 each token is one ``KGramModel.sample`` draw from an RNG made
     from ``config.seed``; at T = 0 it is the argmax, and no RNG is made.
+    Nothing is drafted or verified, so both latencies are ``None``.
     """
     _validate_prompt(prompt)
     counter = ModelCallCounter(cost_per_call_s=config.model_call_cost_s)
@@ -322,7 +323,7 @@ def autoregressive_decode(
             break
     generated = context[len(prompt):]
     wall = time.perf_counter() - start
-    metrics = _MetricsAccumulator().metrics(len(generated), counter.calls, wall)
+    metrics = _MetricsAccumulator(timed=False).metrics(len(generated), counter.calls, wall)
     return generated, metrics
 
 

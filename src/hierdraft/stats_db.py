@@ -21,11 +21,12 @@ and ``np.searchsorted`` over them gives the new bounds. The same order
 keeps equal continuations of one slice adjacent, so they are counted with
 one comparison between neighbouring rows, without a sort.
 
-Construction fails closed: a suffix-array entry past the text, a token id
-outside the vocabulary or a text that does not end with SEP raises
-ValueError, whether the arrays come from the builder or from a file. These
-checks are O(n) and always run; the O(n log n) permutation and suffix
-ordering checks run under ``verify``.
+Construction fails closed, whether the arrays come from the builder or
+from a file: a suffix-array entry past the text, a token id outside the
+vocabulary, a text that does not end with SEP, an array that is not a
+permutation of the positions or one whose suffixes are out of order raises
+ValueError. Every check is one O(n) vectorized pass, and every check
+always runs.
 
 Binary format v1, all integers little-endian:
 
@@ -50,9 +51,6 @@ STATS_MAGIC = b"HDSA"
 STATS_VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")
 _MAX_TOKENS = 2**32 - 1
-_FULL_CHECK_LIMIT = 20_000
-_SAMPLED_PAIRS = 10_000
-_SAMPLE_SEED = 0
 
 
 def build_suffix_array(tokens: np.ndarray) -> np.ndarray:
@@ -83,8 +81,37 @@ def build_suffix_array(tokens: np.ndarray) -> np.ndarray:
         k *= 2
 
 
+def _check_sorted(tokens: np.ndarray, sa: np.ndarray) -> None:
+    """Raise unless ``sa`` is the suffix array of ``tokens``, in O(n).
+
+    ``rank`` inverts ``sa``, with the empty suffix at position n ranked
+    first. A permutation of the positions whose every adjacent pair has a
+    smaller first token, or an equal first token and a smaller rank for
+    the suffix one position on, is the sorted suffix array (Burkhardt and
+    Kärkkäinen, CPM 2003): by induction on suffix length, the rank order
+    is then the lexicographic order. Entries are known to be below n.
+    """
+    n = len(sa)
+    rank = np.zeros(n + 1, dtype=np.uint32)
+    rank[sa] = np.arange(1, n + 1, dtype=np.uint32)
+    if not rank[:n].all():
+        raise ValueError("stats-db verification failed: suffix array is not a permutation")
+    first = tokens[sa]
+    after = rank[sa + 1]
+    ordered = first[:-1] < first[1:]
+    ordered |= (first[:-1] == first[1:]) & (after[:-1] < after[1:])
+    bad = np.flatnonzero(~ordered)
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(
+            f"stats-db verification failed: suffixes {int(sa[i])} and "
+            f"{int(sa[i + 1])} out of order"
+        )
+
+
 class StatsDB:
-    """Suffix-array index; construction fails closed on out-of-range data."""
+    """Checked suffix-array index; construction fails closed on any array
+    that is not the suffix array of its text."""
 
     def __init__(self, tokens: np.ndarray, sa: np.ndarray, vocab_size: int):
         tokens = np.ascontiguousarray(tokens, dtype=np.uint32)
@@ -98,6 +125,7 @@ class StatsDB:
             raise ValueError("stats-db verification failed: suffix array entry out of range")
         if n and tokens[-1] != SEP:
             raise ValueError("stats-db verification failed: text does not end with SEP")
+        _check_sorted(tokens, sa)
         self._tokens = tokens
         self._sa = sa
         self.vocab_size = vocab_size
@@ -252,8 +280,9 @@ def save_stats_db(db: StatsDB, path: str | Path) -> None:
         fh.write(db.suffix_array.astype("<u4").tobytes())
 
 
-def load_stats_db(path: str | Path, *, verify: bool = False) -> StatsDB:
-    """Read a v1 file, failing closed; ``verify`` adds the ordering checks."""
+def load_stats_db(path: str | Path) -> StatsDB:
+    """Read a v1 file, failing closed: the header, the length and every
+    ``StatsDB`` check, suffix order included, are checked on each load."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER.size:
@@ -269,46 +298,4 @@ def load_stats_db(path: str | Path, *, verify: bool = False) -> StatsDB:
             f"corrupt stats-db file: expected {expected} bytes, found {len(data)}"
         )
     body = np.frombuffer(data, dtype="<u4", offset=_HEADER.size)
-    db = StatsDB(body[:n_tokens], body[n_tokens:], vocab_size)
-    if verify:
-        verify_stats_db(db)
-    return db
-
-
-def _suffix_less(tokens: np.ndarray, i: int, j: int) -> bool:
-    n = len(tokens)
-    while i < n and j < n:
-        a, b = tokens[i], tokens[j]
-        if a != b:
-            return a < b
-        i += 1
-        j += 1
-    return i == n and j < n
-
-
-def verify_stats_db(db: StatsDB) -> None:
-    """Check permutation and suffix ordering; raise on failure.
-
-    Token and position ranges are checked by every construction already.
-    Ordering is checked over every adjacent pair when there are at most
-    20,000 of them, and otherwise over 10,000 adjacent pairs sampled with
-    seed 0, so a given index always gets the same check.
-    """
-    n = db.n_tokens
-    sa = db.suffix_array
-    if not np.array_equal(np.sort(sa), np.arange(n, dtype=sa.dtype)):
-        raise ValueError("stats-db verification failed: suffix array is not a permutation")
-    if n < 2:
-        return
-    if n - 1 <= _FULL_CHECK_LIMIT:
-        pairs = np.arange(n - 1)
-    else:
-        rng = np.random.default_rng(_SAMPLE_SEED)
-        pairs = rng.choice(n - 1, size=_SAMPLED_PAIRS, replace=False)
-    tokens = db.tokens
-    for p in pairs:
-        if not _suffix_less(tokens, int(sa[p]), int(sa[p + 1])):
-            raise ValueError(
-                f"stats-db verification failed: suffixes {int(sa[p])} and "
-                f"{int(sa[p + 1])} out of order"
-            )
+    return StatsDB(body[:n_tokens], body[n_tokens:], vocab_size)

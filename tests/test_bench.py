@@ -248,8 +248,16 @@ def test_only_the_warm_up_pass_traces(passage_setup, monkeypatch):
 
 @pytest.mark.parametrize(
     "change, match",
-    [({"seed": "7"}, "seed"), ({"max_tokens": 0}, "max_tokens"), ({"stats_db": None}, "stats DB")],
-    ids=["string-seed", "zero-max-tokens", "missing-stats-db"],
+    [
+        ({"seed": "7"}, "seed"),
+        ({"max_tokens": 0}, "max_tokens"),
+        ({"stats_db": None}, "stats DB"),
+        ({"runs": True}, "runs"),
+        ({"runs": 2.5}, "runs"),
+        ({"runs": "2"}, "runs"),
+    ],
+    ids=["string-seed", "zero-max-tokens", "missing-stats-db", "bool-runs", "float-runs",
+         "string-runs"],
 )
 def test_bad_setting_fails_before_any_run(passage_setup, monkeypatch, change, match):
     import hierdraft.bench as bench

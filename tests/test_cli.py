@@ -1,13 +1,14 @@
 import json
 import random
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from hierdraft import HierarchyConfig, MethodSpec, Vocab, load_traces
+from hierdraft import HierarchyConfig, MethodSpec, Vocab, cli, load_traces
 from hierdraft.bench import file_fingerprint
-from hierdraft.cli import _BENCH_KEYS, _from_spec, _load_bench_setup, main
+from hierdraft.cli import _BENCH_KEYS, _from_spec, _load_bench_setup, build_parser, main
 
 from conftest import make_text
 
@@ -37,7 +38,7 @@ def workspace(tmp_path_factory):
     ) == 0
     assert main(
         ["build-stats-db", "--corpus", str(corpus_path), "--vocab", str(vocab),
-         "--verify", "--out", str(stats_db)]
+         "--out", str(stats_db)]
     ) == 0
     # Files that disagree with the vocab above: a model and a stats DB over a
     # 7-id vocab, and model DBs holding the first id past the vocab.
@@ -148,8 +149,18 @@ def test_run_requires_a_model_file(workspace, capsys):
 def test_fit_kgram_rejects_nan_alpha(workspace, tmp_path):
     out = tmp_path / "model.hdkg"
     with pytest.raises(SystemExit, match="error: alpha must be a finite number > 0, not nan"):
-        main(["fit-kgram", "--corpus", str(workspace["corpus"]), "--alpha", "nan",
-              "--out", str(out)])
+        main(["fit-kgram", "--corpus", str(workspace["corpus"]), "--vocab",
+              str(workspace["vocab"]), "--alpha", "nan", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_fit_kgram_requires_a_vocab(workspace, tmp_path, capsys):
+    # A model fitted on its own vocabulary would use other ids than the
+    # databases and prompts built with the vocab file.
+    out = tmp_path / "model.hdkg"
+    with pytest.raises(SystemExit):
+        main(["fit-kgram", "--corpus", str(workspace["corpus"]), "--out", str(out)])
+    assert "the following arguments are required: --vocab" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -237,6 +248,30 @@ def test_readme_bench_config_matches_the_loader(tmp_path):
     _from_spec(HierarchyConfig, example["hierarchy"], "hierarchy")
     for row in example["methods"]:
         _from_spec(MethodSpec, row, "method")
+
+
+def _documented_commands(text: str) -> list[list[str]]:
+    """Every ``hd ...`` command in ``text``, continuation lines joined."""
+    joined = re.sub(r"\\\n\s*", " ", text)
+    return [
+        shlex.split(line.strip())[1:]
+        for line in joined.splitlines()
+        if line.strip().startswith("hd ")
+    ]
+
+
+def test_documented_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.DOTALL)
+    readme_commands = [c for block in blocks for c in _documented_commands(block)]
+    docstring_commands = _documented_commands(cli.__doc__)
+    assert readme_commands and docstring_commands
+    parser = build_parser()
+    for argv in readme_commands + docstring_commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"documented command does not parse: hd {shlex.join(argv)}")
 
 
 def test_ablate_and_coverage_cli(workspace, capsys):

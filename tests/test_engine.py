@@ -356,6 +356,8 @@ def test_autoregressive_contract(setup):
         model, prompt, DecodeConfig(max_tokens=15, temperature=0.7, seed=3)
     )
     assert a == b
+    # Nothing is drafted or verified, so nothing is timed.
+    assert metrics.draft_latency_ns is None and metrics.verify_latency_ns_mean is None
     # Per-step oracle: repeated argmax of the scored distribution.
     out, _ = autoregressive_decode(model, prompt, DecodeConfig(max_tokens=12))
     context = list(prompt)

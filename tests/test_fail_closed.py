@@ -1,14 +1,12 @@
 """Every loader fails closed: a damaged file loads or raises ``ValueError``.
 
-Small valid files of each on-disk format (HDKG, HDMD, HDSA loaded with
-``verify=True``, vocab) and a trace file are truncated, bit-flipped,
-byte-replaced or partly overwritten with garbage. A load may succeed,
-as a flip inside a count or a token id can leave a well-formed file, but
-it may raise nothing other than ``ValueError``. A trace file that loads
-must also replay through ``aggregate_traces``.
+Small valid files of each on-disk format (HDKG, HDMD, HDSA, vocab) and a
+trace file are truncated, bit-flipped, byte-replaced or partly overwritten
+with garbage. A load may succeed, as a flip inside a count or a token id
+can leave a well-formed file, but it may raise nothing other than
+``ValueError``. A trace file that loads must also replay through
+``aggregate_traces``.
 """
-
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +37,7 @@ from conftest import fresh_dbs
 LOADERS = {
     "hdkg": load_kgram,
     "hdmd": load_model_db,
-    "hdsa": partial(load_stats_db, verify=True),
+    "hdsa": load_stats_db,
     "vocab": Vocab.load,
     "trace": load_traces,
 }

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from hierdraft import (
     Corpus,
     SEP,
+    StatsDB,
     build_stats_db,
     build_suffix_array,
     build_vocab,
     load_stats_db,
     save_stats_db,
-    verify_stats_db,
 )
 
 from conftest import make_corpus
@@ -72,8 +72,12 @@ def test_suffix_array_matches_naive_sort():
         assert sa.tolist() == naive_suffix_sort(text)
 
 
-def test_suffix_array_sortedness_invariant(big_stats_db):
-    verify_stats_db(big_stats_db)  # permutation + token range + order
+def test_suffix_array_sortedness_invariant(big_stats_db, tmp_path):
+    # Every load checks permutation, token range and suffix order.
+    path = tmp_path / "big.hdsa"
+    save_stats_db(big_stats_db, path)
+    loaded = load_stats_db(path)
+    assert np.array_equal(loaded.suffix_array, big_stats_db.suffix_array)
 
 
 def test_find_range_counts_match_naive():
@@ -219,7 +223,7 @@ def test_save_load_roundtrip(tmp_path):
     db = build_stats_db(corpus)
     path = tmp_path / "db.hdsa"
     save_stats_db(db, path)
-    loaded = load_stats_db(path, verify=True)
+    loaded = load_stats_db(path)
     assert np.array_equal(loaded.tokens, db.tokens)
     assert np.array_equal(loaded.suffix_array, db.suffix_array)
     assert loaded.vocab_size == db.vocab_size
@@ -265,9 +269,6 @@ def test_flipped_token_byte_fails_verify(tmp_path):
     data[20 + 3] ^= 0xFF
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="verification failed"):
-        load_stats_db(path, verify=True)
-    # The token-range check runs on every load, not only under --verify.
-    with pytest.raises(ValueError):
         load_stats_db(path)
 
 
@@ -285,9 +286,8 @@ def test_swapped_sa_entries_fail_verify(tmp_path):
     db = build_stats_db(corpus)
     sa = db.suffix_array.copy()
     sa[0], sa[1] = sa[1], sa[0]
-    broken = type(db)(db.tokens, sa, db.vocab_size)
     with pytest.raises(ValueError, match="verification failed"):
-        verify_stats_db(broken)
+        type(db)(db.tokens, sa, db.vocab_size)
 
 
 def _saved_bytes(tmp_path):
@@ -313,3 +313,36 @@ def test_text_without_final_sep_rejected(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="does not end with SEP"):
         load_stats_db(path)
+
+
+@pytest.mark.parametrize(
+    "damage, match",
+    [("swap", "suffixes .* out of order"), ("duplicate", "suffix array is not a permutation")],
+)
+def test_damaged_suffix_array_rejected_on_every_load(tmp_path, damage, match):
+    """Two entries swapped, or one entry written twice: every entry is in
+    range, and a plain load still raises."""
+    db, path, data = _saved_bytes(tmp_path)
+    at = 20 + 4 * db.n_tokens  # the first suffix-array entry
+    first, second = data[at:at + 4], data[at + 4:at + 8]
+    data[at:at + 8] = second + first if damage == "swap" else first + first
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=f"verification failed: {match}"):
+        load_stats_db(path)
+
+
+def test_any_adjacent_swap_is_rejected():
+    """The builder's array passes the check, and swapping any one adjacent
+    pair of it fails: a text has exactly one suffix array."""
+    rng = random.Random(17)
+    for _ in range(50):
+        alphabet = rng.randint(1, 4)
+        docs = [[rng.randrange(3, 3 + alphabet) for _ in range(rng.randint(1, 8))]
+                for _ in range(rng.randint(1, 4))]
+        db = build_stats_db(Corpus(docs=docs, vocab=_vocab(alphabet)))
+        StatsDB(db.tokens, db.suffix_array, db.vocab_size)
+        for i in range(db.n_tokens - 1):
+            sa = db.suffix_array.copy()
+            sa[i], sa[i + 1] = sa[i + 1], sa[i]
+            with pytest.raises(ValueError, match="out of order"):
+                StatsDB(db.tokens, sa, db.vocab_size)
