@@ -8,11 +8,14 @@ can leave a well-formed file, but it may raise nothing other than
 ``aggregate_traces``.
 """
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierdraft import (
+    SEP,
     DecodeConfig,
     HierarchyConfig,
     Vocab,
@@ -85,3 +88,18 @@ def test_damaged_file_loads_or_raises_value_error(originals, tmp_path_factory, n
         return
     if name == "trace" and loaded:
         aggregate_traces(loaded)  # a trace file that loads replays
+
+
+@pytest.mark.parametrize(
+    "tokens, sa",
+    [([], []), ([SEP], [0]), ([3, SEP], [1, 0])],
+    ids=["empty", "one-sep", "one-final-sep"],
+)
+def test_hdsa_without_its_two_final_seps_is_rejected(tmp_path, tokens, sa):
+    """The builder's text always ends with a document's SEP and the
+    terminator. Shorter texts loaded as an index that answers nothing."""
+    path = tmp_path / "short.hdsa"
+    n = len(tokens)
+    path.write_bytes(struct.pack(f"<4sIIQ{2 * n}I", b"HDSA", 1, 10, n, *tokens, *sa))
+    with pytest.raises(ValueError, match="does not end with SEP SEP"):
+        load_stats_db(path)

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +72,76 @@ def test_suffix_array_matches_naive_sort():
         text = [rng.randrange(alphabet) for _ in range(n)]
         sa = build_suffix_array(np.asarray(text, dtype=np.uint32))
         assert sa.tolist() == naive_suffix_sort(text)
+
+
+def _texts():
+    """Texts of 1-400 tokens: one- and two-symbol alphabets, long runs,
+    periodic texts (they need the most doubling rounds) and sparse ids up
+    to 2**32 - 1."""
+    two = st.lists(st.integers(0, 1), min_size=1, max_size=400)
+    one = st.integers(1, 400).map(lambda n: [7] * n)
+    runs = st.lists(
+        st.tuples(st.integers(0, 2), st.integers(1, 80)), min_size=1, max_size=20
+    ).map(lambda rs: [s for s, k in rs for _ in range(k)][:400])
+    periodic = st.tuples(
+        st.lists(st.integers(0, 2), min_size=1, max_size=6), st.integers(1, 400)
+    ).map(lambda pn: (pn[0] * 400)[:pn[1]])
+    ids = st.one_of(st.sampled_from([0, 1, 2**32 - 2, 2**32 - 1]), st.integers(0, 2**32 - 1))
+    sparse = st.lists(ids, min_size=1, max_size=400)
+    return st.one_of(two, one, runs, periodic, sparse)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_texts())
+def test_suffix_array_property_matches_naive_sort(text):
+    sa = build_suffix_array(np.asarray(text, dtype=np.uint32))
+    assert sa.dtype == np.uint32
+    assert sa.tolist() == naive_suffix_sort(text)
+
+
+def test_suffix_array_of_an_empty_text():
+    sa = build_suffix_array(np.empty(0, dtype=np.uint32))
+    assert sa.dtype == np.uint32 and len(sa) == 0
+
+
+@pytest.mark.parametrize(
+    "text", [[-1, 0], [0, 2**32], [0.5, 1.0]], ids=["negative", "past-u32", "float"]
+)
+def test_suffix_array_rejects_ids_outside_u32(text):
+    with pytest.raises(ValueError, match="token ids must be integers"):
+        build_suffix_array(np.asarray(text))
+
+
+def test_hdsa_bytes_match_the_golden_digest(tmp_path):
+    """A text has exactly one suffix array, so the file of a fixed corpus
+    keeps the digest it had under the lexsort construction."""
+    path = tmp_path / "golden.hdsa"
+    save_stats_db(build_stats_db(make_corpus(seed=23, n_docs=40, doc_words=300)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "e1f2626d5d7af0f9de9475fdbefc0f523eb65f8497274b0f492c74906a933044"
+    )
+
+
+def test_build_memory_per_token():
+    """tracemalloc sees numpy's buffers, so the build's high-water is
+    deterministic: at most 30 bytes per token of text on a 200k-token
+    corpus (the lexsort construction and its Python list took 61)."""
+    corpus = make_corpus(seed=5, n_docs=400, doc_words=500)
+    n = corpus.n_tokens + len(corpus.docs) + 1
+    assert n >= 200_000
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        db = build_stats_db(corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert db.n_tokens == n
+    assert (peak - base) / n <= 30
 
 
 def test_suffix_array_sortedness_invariant(big_stats_db, tmp_path):
@@ -281,6 +353,22 @@ def test_oversized_corpus_rejected(monkeypatch):
         stats_db_mod.build_stats_db(corpus)
 
 
+class _UnreadDoc:
+    """A document with a length and no tokens to read."""
+
+    def __len__(self):
+        return 2**31
+
+    def __iter__(self):
+        raise AssertionError("a token was read")
+
+
+def test_oversized_corpus_refused_before_reading_a_token():
+    corpus = Corpus(docs=[_UnreadDoc(), _UnreadDoc()], vocab=_vocab(10))
+    with pytest.raises(ValueError, match="corpus too large for format v1"):
+        build_stats_db(corpus)
+
+
 def test_swapped_sa_entries_fail_verify(tmp_path):
     corpus = make_corpus(seed=2, n_docs=2, doc_words=50, vocab_words=10)
     db = build_stats_db(corpus)
@@ -346,3 +434,22 @@ def test_any_adjacent_swap_is_rejected():
             sa[i], sa[i + 1] = sa[i + 1], sa[i]
             with pytest.raises(ValueError, match="out of order"):
                 StatsDB(db.tokens, sa, db.vocab_size)
+
+
+def test_order_check_compares_across_chunk_seams(monkeypatch):
+    """With three entries per chunk, a swap or a repeat of any adjacent
+    pair, most of them across a seam between chunks, is still rejected."""
+    import hierdraft.stats_db as stats_db_mod
+
+    monkeypatch.setattr(stats_db_mod, "_CHECK_CHUNK", 3)
+    db = build_stats_db(Corpus(docs=[[3, 4, 3, 4, 5], [4, 3, 5, 5]], vocab=_vocab(3)))
+    StatsDB(db.tokens, db.suffix_array, db.vocab_size)
+    for i in range(db.n_tokens - 1):
+        swapped = db.suffix_array.copy()
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        with pytest.raises(ValueError, match="out of order"):
+            StatsDB(db.tokens, swapped, db.vocab_size)
+        repeated = db.suffix_array.copy()
+        repeated[i + 1] = repeated[i]
+        with pytest.raises(ValueError, match="not a permutation"):
+            StatsDB(db.tokens, repeated, db.vocab_size)
