@@ -96,11 +96,15 @@ class DecodeTrace:
         return {"schema": TRACE_SCHEMA, **asdict(self)}
 
 
-def _validate_prompt(prompt: list[int]) -> None:
+def _validate_prompt(prompt: list[int], vocab_size: int) -> None:
     if not prompt:
         raise ValueError("malformed prompt: empty")
     if EOS in prompt[:-1]:
         raise ValueError("malformed prompt: EOS mid-sequence")
+    # The model packs a context's ids into one key, unique only for ids
+    # in its vocabulary.
+    if min(prompt) < 0 or max(prompt) >= vocab_size:
+        raise ValueError(f"malformed prompt: an id outside [0, {vocab_size})")
 
 
 def _access_log(letters: list[str], probes: list[Probe], probe_ns: list[int]) -> AccessLog:
@@ -241,7 +245,7 @@ def decode(
     sampling verification is made from ``config.seed`` only at T > 0; a
     greedy generation draws nothing and builds none.
     """
-    _validate_prompt(prompt)
+    _validate_prompt(prompt, model.vocab_size)
     hier = config.hierarchy
     drafters = dbs.drafters(hier)
     counter = ModelCallCounter(cost_per_call_s=config.model_call_cost_s)
@@ -305,7 +309,7 @@ def autoregressive_decode(
     from ``config.seed``; at T = 0 it is the argmax, and no RNG is made.
     Nothing is drafted or verified, so both latencies are ``None``.
     """
-    _validate_prompt(prompt)
+    _validate_prompt(prompt, model.vocab_size)
     counter = ModelCallCounter(cost_per_call_s=config.model_call_cost_s)
     greedy = config.temperature == 0
     rng = None if greedy else np.random.default_rng(config.seed)

@@ -62,6 +62,11 @@ def test_malformed_prompt_rejected(setup):
         decode(model, [3, EOS, 4], fresh_dbs(), _hd_config())
     with pytest.raises(ValueError, match="malformed prompt"):
         autoregressive_decode(model, [], DecodeConfig())
+    # The model packs context ids into one key, unique only inside its vocabulary.
+    with pytest.raises(ValueError, match=r"malformed prompt: an id outside \[0, "):
+        decode(model, [3, model.vocab_size], fresh_dbs(), _hd_config())
+    with pytest.raises(ValueError, match=r"malformed prompt: an id outside \[0, "):
+        autoregressive_decode(model, [-1, 3], DecodeConfig())
 
 
 def test_greedy_losslessness_random_prompts(setup):

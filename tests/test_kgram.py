@@ -1,6 +1,9 @@
+import functools
+import hashlib
 import math
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 import hierdraft.kgram as kgram
 from hierdraft import (
+    Corpus,
     DecodeConfig,
     HierarchyConfig,
     KGramModel,
@@ -34,6 +38,44 @@ def _sample_token(probs, rng):
     return min(idx, len(probs) - 1)
 
 
+def _model(k, alpha, vocab_size, counts):
+    """A model whose order-j tables are ``counts[j - 1]``, a
+    ``{context: {token: count}}`` dict in any order, built from the columns
+    ``KGramModel`` takes."""
+    columns = []
+    for order_tables in counts:
+        contexts = sorted(order_tables)
+        entries = [sorted(order_tables[ctx].items()) for ctx in contexts]
+        columns.append((
+            contexts,
+            [len(table) for table in entries],
+            [token for table in entries for token, _ in table],
+            [count for table in entries for _, count in table],
+        ))
+    return KGramModel(k, alpha, vocab_size, columns)
+
+
+def _tables(model):
+    """Every order's ``{context: {token: count}}``, read through the accessor
+    ``save_kgram`` writes from."""
+    return [dict(model._count_tables(order)) for order in range(1, model.k + 1)]
+
+
+_cached_tables = functools.lru_cache(maxsize=4)(_tables)  # models hash by identity
+
+
+def _backed_off(model, context):
+    """The count table at the longest order whose context suffix has one,
+    and its argmax by a rescan: what ``KGramModel.sample`` draws from."""
+    n = len(context)
+    tables = _cached_tables(model)
+    for order in range(min(model.k, n + 1), 0, -1):
+        table = tables[order - 1].get(tuple(context[n - order + 1:]))
+        if table:
+            return table, min((-count, token) for token, count in table.items())[1]
+    return None
+
+
 def _walk_weights(model, table, best, temperature):
     """The backed-off table's unseen weight, seen weights and total, with
     the float operations ``KGramModel.sample`` compiles, in their order."""
@@ -50,7 +92,7 @@ def _walk_sample(model, context, temperature, rng):
     away. Every weight is recomputed and the table walked in id order."""
     u = rng.random()
     vocab_size = model.vocab_size
-    found = model._backoff(context)
+    found = _backed_off(model, context)
     if found is None:
         return min(int(u * vocab_size), vocab_size - 1)
     table, best = found
@@ -74,7 +116,7 @@ def _walk_sample(model, context, temperature, rng):
 def _walk_boundaries(model, context, temperature):
     """Every value the walk compares ``x`` with, over the total it scales
     ``u`` by: the u at which the walk's answer can change."""
-    found = model._backoff(context)
+    found = _backed_off(model, context)
     if found is None:
         return []
     table, best = found
@@ -96,8 +138,9 @@ def abab_model():
 
 def test_fit_counts_direct(abab_model):
     model, _ = abab_model
-    assert model._counts[2][(3,)] == {4: 2}
-    assert model._counts[2][(4,)] == {3: 1, 1: 1}
+    bigrams = dict(model._count_tables(2))
+    assert bigrams[(3,)] == {4: 2}
+    assert bigrams[(4,)] == {3: 1, 1: 1}
 
 
 def test_unigram_symmetric_corpus():
@@ -112,7 +155,7 @@ def test_total_bigram_count_equals_tokens_minus_docs():
     corpus = make_corpus(seed=5, n_docs=13, doc_words=180)
     model = fit_kgram(corpus, k=2, alpha=0.1)
     total_bigrams = sum(
-        sum(table.values()) for table in model._counts[2].values()
+        sum(table.values()) for _, table in model._count_tables(2)
     )
     # Independent token counter: each doc of length L yields L - 1 bigrams.
     assert total_bigrams == corpus.n_tokens - len(corpus.docs)
@@ -124,6 +167,41 @@ def test_fit_validation():
         fit_kgram(corpus, k=0, alpha=0.1)
     with pytest.raises(ValueError):
         fit_kgram(corpus, k=2, alpha=0.0)
+
+
+@pytest.mark.parametrize("bad", [9999, -2, 8, 3.5], ids=["9999", "-2", "vocab-size", "float"])
+def test_fit_rejects_token_ids_outside_the_vocabulary(bad):
+    # Counted, such ids would make save_kgram stop half-way through a
+    # file on a struct.error.
+    vocab = corpus_from_texts(["a b c d e"]).vocab
+    assert vocab.size == 8
+    corpus = Corpus(docs=[[3, 4, 1], [5, bad, 6, 1]], vocab=vocab)
+    with pytest.raises(ValueError, match=r"token ids must be integers in \[0, 8\)"):
+        fit_kgram(corpus, k=2, alpha=0.1)
+
+
+def _window_counts(docs, order):
+    """Order ``order``'s ``{context: {token: count}}``, counted one window at a time."""
+    tables = {}
+    for doc in docs:
+        for i in range(len(doc) - order + 1):
+            table = tables.setdefault(tuple(doc[i:i + order - 1]), {})
+            table[doc[i + order - 1]] = table.get(doc[i + order - 1], 0) + 1
+    return tables
+
+
+def test_fit_packs_windows_only_while_they_fit_an_int64(tmp_path):
+    """8 ids and k = 21 make windows up to 8 ** 21 - 1 = 2 ** 63 - 1, the
+    largest int64: they count as the one-window-at-a-time oracle does, and
+    round-trip through a file. One more order would wrap, so it raises."""
+    corpus = make_corpus(seed=1, n_docs=3, doc_words=80, vocab_words=5, phrase_bank=4)
+    assert corpus.vocab.size == 8
+    model = fit_kgram(corpus, k=21, alpha=0.5)
+    assert _tables(model) == [_window_counts(corpus.docs, order) for order in range(1, 22)]
+    save_kgram(model, tmp_path / "model.hdkg")
+    assert _tables(load_kgram(tmp_path / "model.hdkg")) == _tables(model)
+    with pytest.raises(ValueError, match="k = 22 .* do not fit in an int64"):
+        fit_kgram(corpus, k=22, alpha=0.5)
 
 
 @pytest.mark.parametrize(
@@ -148,7 +226,7 @@ def test_next_distribution_unseen_context_uniform():
     model = fit_kgram(corpus, k=3, alpha=0.2)
     # Unseen unigram is impossible after fitting, but a model with empty
     # tables must fall back to uniform.
-    empty = type(model)(3, 0.2, model.vocab_size, [dict() for _ in range(4)])
+    empty = _model(3, 0.2, model.vocab_size, [{}, {}, {}])
     probs = empty.next_distribution([5, 5])
     assert np.allclose(probs, 1.0 / model.vocab_size)
 
@@ -339,7 +417,7 @@ def test_save_load_roundtrip(tmp_path, abab_model):
     assert loaded.k == model.k
     assert loaded.alpha == model.alpha
     assert loaded.vocab_size == model.vocab_size
-    assert loaded._counts == model._counts
+    assert _tables(loaded) == _tables(model)
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -390,9 +468,9 @@ class _FixedU:
 
 @st.composite
 def _model_and_context(draw):
-    """A small model with random count tables, given out of id order, of up
-    to 8 entries or of 129-300, and a context, usually one the model has a
-    table for."""
+    """A small model with random count tables, given out of id order to
+    ``_model``, of up to 8 entries or of 129-300, and a context, usually one
+    the model has a table for."""
     vocab = draw(st.integers(1, 1000))
     rng = draw(st.randoms(use_true_random=False))
 
@@ -402,7 +480,7 @@ def _model_and_context(draw):
 
     ids = st.integers(0, vocab - 1)
     k = draw(st.integers(1, 3))
-    counts = [{}]
+    counts = []
     for order in range(1, k + 1):
         if order == 1:
             contexts = draw(st.sampled_from([[()], [()], []]))
@@ -413,7 +491,7 @@ def _model_and_context(draw):
     known = [list(ctx) for order_tables in counts for ctx in order_tables]
     random_context = st.lists(ids, max_size=4)
     context = draw(st.one_of(st.sampled_from(known), random_context) if known else random_context)
-    return KGramModel(k, alpha, vocab, counts), context
+    return _model(k, alpha, vocab, counts), context
 
 
 @settings(max_examples=400, deadline=None)
@@ -481,7 +559,7 @@ def test_sample_is_the_walk_where_rounding_breaks_bound_order(vocab_size, table,
     """Rounding can put an entry's upper bound ``low_j + w_j`` below the one
     before it; the walk still returns at the first bound above x, which is
     why ``bisect`` runs over their running maximum."""
-    model = KGramModel(1, 0.5, vocab_size, [{}, {(): table}])
+    model = _model(1, 0.5, vocab_size, [{(): table}])
     unseen, weights, _ = _walk_weights(model, table, max(table, key=table.get), temperature)
     seen, bounds = 0.0, []
     for j, (token, weight) in enumerate(zip(table, weights)):
@@ -507,7 +585,7 @@ def test_sample_after_a_temperature_switch_equals_a_fresh_model():
     contexts = [doc[i:i + 2] for i in range(0, 40, 2)] + [doc[i:i + 1] for i in range(10)]
     for temperature in [0.8, 2.5, 0.8, 0.05, 2.5, 0.8]:
         if temperature not in fresh:
-            fresh[temperature] = KGramModel(model.k, model.alpha, model.vocab_size, model._counts)
+            fresh[temperature] = fit_kgram(corpus, k=3, alpha=0.01)
         for context in contexts:
             u = rng.random()
             token = model.sample(context, temperature, _FixedU(u))
@@ -540,7 +618,7 @@ def test_a_temperature_switch_in_the_middle_of_a_draw_changes_neither_draw():
     model = fit_kgram(corpus, k=3, alpha=0.01)
     doc = corpus.docs[0]
     contexts = [doc[i:i + 2] for i in range(0, 40, 2)] + [doc[i:i + 1] for i in range(10)]
-    assert {len(model._backoff(c)[0]) > 1 for c in contexts} == {True, False}
+    assert {len(_backed_off(model, c)[0]) > 1 for c in contexts} == {True, False}
     us = [i / 7 + 0.03 for i in range(7)]
     for ours, theirs in ((0.8, 2.5), (2.5, 0.8), (0.05, 10.0)):
         model.sample(contexts[0], ours, _FixedU(0.5))
@@ -566,7 +644,7 @@ def test_a_compiled_table_serves_only_the_table_it_was_compiled_from():
     is compiled again, not used."""
     corpus = make_corpus(seed=6, n_docs=6, doc_words=150, vocab_words=40)
     model = fit_kgram(corpus, k=2, alpha=0.01)
-    tables = sorted(model._counts[2].items(), key=lambda item: -len(item[1]))
+    tables = sorted(model._count_tables(2), key=lambda item: -len(item[1]))
     (context, table), (other_context, other) = tables[:2]
     model.sample(list(other_context), 0.8, _FixedU(0.5))
     compiled = model._sampling[2]
@@ -599,16 +677,23 @@ def test_sampling_keeps_only_multi_entry_tables_of_the_last_temperature():
         compiled = model._sampling[2]
         assert compiled
         assert all(len(table) > 1 for table, _, _ in compiled.values())
-    fresh = KGramModel(model.k, model.alpha, model.vocab_size, model._counts)
+    fresh = fit_kgram(corpus, k=3, alpha=0.01)
     run(fresh, 1.5)
-    assert model._sampling[2] == fresh._sampling[2]
+    assert _compiled(model) == _compiled(fresh)
+
+
+def _compiled(model):
+    """The model's compiled tables as (ids, floats) lists, which, unlike the
+    ids of the count tables they are stored under, equal across models."""
+    compiled = model._sampling[2].values()
+    return sorted((tokens.tolist(), floats.tolist()) for _, floats, tokens in compiled)
 
 
 def _assert_argmax_is_rescan(model):
     """Every context's argmax equals a rescan of its count table."""
     n_contexts = 0
     for order in range(1, model.k + 1):
-        for ctx, table in model._counts[order].items():
+        for ctx, table in model._count_tables(order):
             assert list(table) == sorted(table)  # id order, as sampling walks it
             rescan = min((-count, token) for token, count in table.items())[1]
             assert model.argmax_token(list(ctx)) == rescan
@@ -623,8 +708,56 @@ def test_argmax_table_matches_rescan_oracle(tmp_path):
     path = tmp_path / "model.hdkg"
     save_kgram(model, path)
     loaded = load_kgram(path)
-    assert loaded._counts == model._counts
+    assert _tables(loaded) == _tables(model)
     assert _assert_argmax_is_rescan(loaded) == _assert_argmax_is_rescan(model)
+
+
+def test_hdkg_bytes_match_the_golden_digest(tmp_path):
+    """Packed keys sort as context tuples do, so the file of a fixed corpus
+    keeps the digest it had when the model held a tuple and a dict per
+    context; and loading it builds the very dicts fitting built."""
+    model = fit_kgram(make_corpus(seed=23, n_docs=40, doc_words=300), k=3, alpha=0.01)
+    path = tmp_path / "golden.hdkg"
+    save_kgram(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "e2ee013cf15cdfd4b8b93feda507a9f3826d722d6f9eeced22388142b80aa74f"
+    )
+    loaded = load_kgram(path)
+    assert loaded._argmax == model._argmax
+    assert loaded._tables == model._tables
+
+
+def _traced(build):
+    """``build()``, the bytes it leaves allocated and its high-water, as
+    tracemalloc (which sees numpy's buffers) counts them."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        built = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return built, held - base, peak - base
+
+
+def test_fit_and_load_memory(tmp_path):
+    """On a 100k-token corpus with 2003 ids, a loaded model holds at most
+    200 bytes per context, and fitting peaks at 225 bytes per token. With a
+    tuple and a dict per context they read 453 and 250."""
+    corpus = make_corpus(seed=5, n_docs=200, doc_words=500, vocab_words=2000)
+    assert corpus.n_tokens == 100_200
+    model, _, fit_peak = _traced(lambda: fit_kgram(corpus, k=3, alpha=0.01))
+    save_kgram(model, tmp_path / "model.hdkg")
+    n_contexts = sum(len(tables) for tables in _tables(model))
+    del model
+    _, held, _ = _traced(lambda: load_kgram(tmp_path / "model.hdkg"))
+    assert n_contexts == 70_389
+    assert held / n_contexts <= 200
+    assert fit_peak / corpus.n_tokens <= 225
 
 
 def _hdkg(sections, k=None, vocab_size=7, alpha=0.5) -> bytes:
@@ -647,9 +780,38 @@ def test_hand_written_hdkg_loads(tmp_path):
     path = tmp_path / "model.hdkg"
     path.write_bytes(_hdkg([_UNIGRAMS, _BIGRAMS]))
     model = load_kgram(path)
-    assert model._counts[1] == {(): {1: 1, 3: 2, 4: 1}}
-    assert model._counts[2] == {(3,): {4: 2}, (4,): {1: 1, 3: 1}}
+    unigrams, bigrams = _tables(model)
+    assert unigrams == {(): {1: 1, 3: 2, 4: 1}}
+    assert bigrams == {(3,): {4: 2}, (4,): {1: 1, 3: 1}}
     assert model.argmax_token([4]) == 1
+
+
+def test_load_allocates_nothing_sized_by_vocab_size(tmp_path):
+    """A file that declares 2 ** 32 - 1 ids loads in a few kilobytes. Its
+    order-3 keys reach (2 ** 32 - 1) ** 2 - 1, past int64, and its order-4
+    keys past uint64: neither wraps, and the file saves back unchanged."""
+    top = 2**32 - 2
+    sections = [
+        [((), [(top, 3)])],
+        [((top - 1,), [(5, 1), (top, 2)])],
+        [((0, top), [(top, 1)]), ((top, top), [(7, 4)])],
+        [((top, 0, 0), [(8, 1)]), ((top, top, top), [(9, 1)])],
+    ]
+    data = _hdkg(sections, vocab_size=2**32 - 1)
+    path = tmp_path / "model.hdkg"
+    path.write_bytes(data)
+    model, _, peak = _traced(lambda: load_kgram(path))
+    assert peak < 100_000
+    assert _tables(model) == [
+        {ctx: dict(entries) for ctx, entries in section} for section in sections
+    ]
+    assert model.argmax_token([top, top, top]) == 9
+    assert model.argmax_token([5, top, 0, 0]) == 8
+    assert model.argmax_token([0, top]) == top
+    assert model.argmax_token([top - 1]) == top
+    assert model.argmax_token([1, 2, 3]) == top
+    save_kgram(model, tmp_path / "again.hdkg")
+    assert (tmp_path / "again.hdkg").read_bytes() == data
 
 
 @pytest.mark.parametrize(
@@ -659,7 +821,7 @@ def test_hand_written_hdkg_loads(tmp_path):
         (_hdkg([_UNIGRAMS, [((3,), [(999999, 0)])]]), "token 999999 >= vocab_size"),
         (_hdkg([_UNIGRAMS, [((3,), [(4, 2)]), ((7,), [(4, 1)])]]), "context holds an id >= vocab"),
         (_hdkg([_UNIGRAMS, [((3,), [(4, 0)])]]), "count below 1"),
-        (_hdkg([_UNIGRAMS, [((3,), []), ((4,), [(3, 1)])]]), "table of 0 entries"),
+        (_hdkg([_UNIGRAMS, [((3,), []), ((4,), [(3, 1)])]]), r"table of 0 entries .* \(3,\)"),
         (_hdkg([_UNIGRAMS, [((3,), [(4, 2)]), ((3,), [(4, 2)])]]), "contexts not strictly"),
         (_hdkg([_UNIGRAMS, [((4,), [(3, 1)]), ((3,), [(4, 2)])]]), "contexts not strictly"),
         (_hdkg([_UNIGRAMS, [((4,), [(3, 1), (3, 1)])]]), "next tokens not strictly"),
