@@ -1,10 +1,10 @@
 """Per-session LRU table of recently seen continuations.
 
-Keys are single tokens; values are the up-to-``window`` tokens that
-followed the key somewhere in the current prompt or generation. The table
-is bounded two ways: at most ``per_key`` values under one key and at most
-``capacity`` (key, value) pairs overall, both evicted least-recently-used
-first.
+Keys are single tokens; values are the full ``window`` tokens that
+followed the key somewhere in the current prompt or generation, learned
+once per position, when its window fills. The table is bounded two ways:
+at most ``per_key`` values under one key and at most ``capacity`` (key,
+value) pairs overall, both evicted least-recently-used first.
 
 The table learns inside its drafter, so the whole per-generation learning
 schedule lives here and ``decode`` treats this database like any other
@@ -87,17 +87,17 @@ class ContextDB:
             self._remove(old_key, old_value)
 
     def ingest(self, seq: list[int]) -> None:
-        """Insert one sliding-window pair per position of ``seq``.
+        """Insert one pair per position of ``seq`` whose window is full.
 
-        Position ``i`` contributes key ``seq[i]`` with the following
-        ``min(window, remaining)`` tokens as the value; the final position
-        has no followers and is skipped. Each pair goes through ``insert``
-        in turn, with its refreshes, evictions and ``on_evict`` calls.
+        Position ``i < len(seq) - window`` contributes key ``seq[i]`` with
+        the following ``window`` tokens as the value. Each pair goes through
+        ``insert`` in turn, with its refreshes, evictions and ``on_evict``.
         """
         if len(seq) < 2:
             raise ValueError("ingest needs a sequence of at least 2 tokens")
-        for i in range(len(seq) - 1):
-            self.insert(seq[i], seq[i + 1:i + 1 + self.window])
+        window = self.window
+        for i in range(len(seq) - window):
+            self.insert(seq[i], seq[i + 1:i + 1 + window])
 
     def lookup(self, key: int, want: int) -> list[tuple[int, ...]]:
         """Up to ``want`` values for ``key``, most recently used first.
@@ -120,26 +120,24 @@ class ContextDB:
     def drafter(self, hier) -> Callable[[list[int], int], list[tuple[int, ...]]]:
         """Draft source for one generation; making it empties the table.
 
-        Each probe first ingests what ``context`` gained since this
-        drafter's previous probe: the whole prompt at the first (unless it
-        is one token), then the seam, the last ``window + 1`` tokens seen
-        before plus the new ones, so every value that reached into the new
-        tokens is completed. A probe skipped because the draft set
-        was full is thus caught up in one seam at the next. Then it looks up
-        ``context[-1]``. Both calls read ``self.ingest`` and ``self.lookup``
-        at call time, so wrappers set on the instance see every one.
+        Each probe first ingests, in one call, every position of ``context``
+        whose window filled since the previous probe, so each position is
+        inserted once and a probe skipped because the draft set was full is
+        caught up at the next. Then it looks up ``context[-1]``. Both calls
+        read ``self.ingest`` and ``self.lookup`` at call time, so wrappers
+        set on the instance see every one.
         """
         self.reset()
-        seam_len = self.window + 1
-        # Context length at this drafter's previous probe; a lone first
-        # token gives no pair, so the first probe ingests from two tokens.
-        seen = 1
+        window = self.window
+        # The first position of the context not yet in the table.
+        done = 0
 
         def draft(context: list[int], want: int) -> list[tuple[int, ...]]:
-            nonlocal seen
-            if len(context) > seen:
-                self.ingest(context[max(seen - seam_len, 0):])
-            seen = len(context)
+            nonlocal done
+            full = len(context) - window
+            if full > done:
+                self.ingest(context[done:])
+                done = full
             return self.lookup(context[-1], want)
 
         return draft

@@ -50,9 +50,9 @@ class HierarchyConfig:
         order (highest locality first); "" means none
     set_size: draft-set capacity (candidates verified per step)
     tail_len: how many trailing context tokens the stats index matches on
-    draft_len: maximum length of a stats continuation and of a value in the
-        context DB that ``hd run`` and ``run_bench`` build; model-DB values
-        keep the window their database was built with
+    draft_len: maximum length of a stats continuation, and the length of
+        every value in the context DB that ``hd run`` and ``run_bench``
+        build; model-DB values keep the window their database was built with
     """
 
     order: str = "cms"

@@ -9,7 +9,8 @@ class ReferenceLru:
     """Flat-list LRU simulation: explicit clocks, linear scans, no shared code.
 
     Implements the same contract as ContextDB — per-key cap, global cap,
-    refresh-on-lookup preserving the returned order — the slow obvious way.
+    refresh-on-lookup preserving the returned order, one full-window value
+    per ingested position — the slow obvious way.
     """
 
     def __init__(self, window, per_key, capacity):
@@ -47,7 +48,8 @@ class ReferenceLru:
             self.evicted.append((victim[0], victim[1]))
 
     def ingest(self, seq):
-        for i in range(len(seq) - 1):
+        # Only positions followed by a full window are learned.
+        for i in range(len(seq) - self.window):
             self.insert(seq[i], seq[i + 1:i + 1 + self.window])
 
     def lookup(self, key, want):
@@ -62,10 +64,10 @@ class ReferenceLru:
 
 def test_ingest_window_mechanics():
     db = ContextDB(window=4)
-    db.ingest([3, 4, 5])
-    assert db.lookup(3, 7) == [(4, 5)]
-    assert db.lookup(4, 7) == [(5,)]
-    assert db.lookup(5, 7) == []
+    db.ingest([3, 4, 5, 6, 7, 8])
+    assert db.lookup(3, 7) == [(4, 5, 6, 7)]
+    assert db.lookup(4, 7) == [(5, 6, 7, 8)]
+    assert db.lookup(5, 7) == []  # its window is not full yet
 
 
 def test_per_key_lru_eviction():
@@ -107,7 +109,7 @@ def test_reinsert_refreshes_without_duplicate():
 
 
 def test_lookup_mru_first_after_two_ingests():
-    db = ContextDB(window=4)
+    db = ContextDB(window=2)
     db.ingest([3, 4, 5])
     db.ingest([3, 6, 7])
     assert db.lookup(3, 2) == [(6, 7), (4, 5)]
@@ -200,7 +202,7 @@ def test_ingest_equals_insert_pair_by_pair(per_key, capacity):
     for _ in range(40):
         seq = [rng.randrange(6) for _ in range(rng.randint(2, 12))]
         fast.ingest(seq)
-        for i in range(len(seq) - 1):
+        for i in range(len(seq) - window):
             slow.insert(seq[i], seq[i + 1:i + 1 + window])
         assert list(fast._order) == list(slow._order)
     assert fast_evicted == slow_evicted
@@ -244,23 +246,26 @@ def test_new_drafter_resets_table():
 
 @pytest.mark.parametrize("prompt_len", [1, 2, 6])
 def test_drafter_learns_prompt_then_one_seam_per_probe(prompt_len):
+    """Each probe ingests, in one call, every position whose window filled
+    since the previous probe, and nothing else."""
     rng = random.Random(prompt_len)
-    hier = HierarchyConfig(draft_len=3)
-    seam_len = hier.draft_len + 1
+    window = 3
     context = [rng.randrange(10) for _ in range(prompt_len)]
-    db = ContextDB(window=3, per_key=4, capacity=40)
+    db = ContextDB(window=window, per_key=4, capacity=40)
     calls = _recording(db)
-    draft = db.drafter(hier)
-    ref = ContextDB(window=3, per_key=4, capacity=40)
-    if prompt_len >= 2:
-        ref.ingest(context)
+    draft = db.drafter(HierarchyConfig())
+    ref = ContextDB(window=window, per_key=4, capacity=40)
+    expected, done = [], 0
     for _ in range(30):
+        if len(context) - window > done:
+            expected.append(context[done:])
+            for p in range(done, len(context) - window):
+                ref.insert(context[p], context[p + 1:p + 1 + window])
+            done = len(context) - window
         assert draft(context, 5) == ref.lookup(context[-1], 5)
         assert list(db._order) == list(ref._order)
-        emitted = [rng.randrange(10) for _ in range(rng.randint(1, seam_len))]
-        context = context + emitted
-        ref.ingest(context[-(seam_len + len(emitted)):])
-    assert len(calls) == 30 - (prompt_len < 2)
+        context = context + [rng.randrange(10) for _ in range(rng.randint(1, window + 1))]
+    assert calls == expected
 
 
 def test_skipped_probe_catches_up_in_one_seam():
@@ -274,13 +279,15 @@ def test_skipped_probe_catches_up_in_one_seam():
     context += [9, 10]  # a step that did not probe the context DB
     context += [11]
     draft(context, 7)
-    assert calls == [list(range(3, 9)), list(range(6, 12))]
+    # Positions 0-3 at the first probe, 4-6 (windows up to 11) at the last.
+    assert calls == [list(range(3, 9)), list(range(7, 12))]
 
 
 @pytest.mark.parametrize("window", [2, 4, 7])
 def test_stepwise_probes_complete_every_value(window):
-    """The seam follows the table's own ``window``, not the hierarchy's
-    ``draft_len``, so a value cut short at one probe is completed later."""
+    """The drafter follows the table's own ``window``, not the hierarchy's
+    ``draft_len``, and learning step by step stores exactly the values one
+    ingest of the whole context stores."""
     context = list(range(10, 30))
     db = ContextDB(window=window)
     draft = db.drafter(HierarchyConfig())
@@ -288,4 +295,32 @@ def test_stepwise_probes_complete_every_value(window):
         draft(context[:n], 7)
     once = ContextDB(window=window)
     once.ingest(context)
-    assert set(once._order) <= set(db._order)
+    assert set(once._order) == set(db._order)
+
+
+@pytest.mark.parametrize("window", [1, 3, 4])
+def test_each_position_is_inserted_once(window):
+    """Under a random probe schedule with skipped probes, position ``p`` is
+    inserted exactly once, with its full window, for each
+    ``p < len(context) - window`` at the last probe."""
+    rng = random.Random(window)
+    context = rng.sample(range(500), 400)  # distinct, so a key names its position
+    db = ContextDB(window=window, per_key=7, capacity=4096)
+    inserted = []
+    real_insert = db.insert
+
+    def insert(key, value):
+        inserted.append((key, tuple(value)))
+        real_insert(key, value)
+
+    db.insert = insert
+    draft = db.drafter(HierarchyConfig())
+    n = rng.randint(1, 6)
+    while n < len(context):
+        if rng.random() < 0.6:  # otherwise the set filled before ``c``
+            draft(context[:n], 7)
+        n += rng.randint(1, window + 2)
+    draft(context, 7)
+    expected = [(context[p], tuple(context[p + 1:p + 1 + window]))
+                for p in range(len(context) - window)]
+    assert inserted == expected

@@ -249,7 +249,7 @@ def test_candidates_are_the_stored_tuples():
     )
     config = HierarchyConfig()
     drafters = dbs.drafters(config)
-    context = [3, 12, 13, 3]
+    context = [3, 12, 13, 12, 3]  # the first window is full
     candidates, _probes = hierarchical_draft(context, drafters, config)
     stored = {
         "context": list(dbs.context._values[3]),
@@ -260,7 +260,7 @@ def test_candidates_are_the_stored_tuples():
     for tokens, source in candidates:
         assert any(tokens is value for value in stored[source])
     first, second = dbs.context.lookup(3, 7), dbs.context.lookup(3, 7)
-    assert first == [(12, 13, 3)] and first[0] is second[0] is stored["context"][0]
+    assert first == [(12, 13, 12, 3)] and first[0] is second[0] is stored["context"][0]
 
 
 def test_stats_drafters_share_no_memo(monkeypatch):

@@ -423,8 +423,9 @@ def test_greedy_decoding_builds_no_rng(setup, monkeypatch, trace):
 
 
 def test_context_ingested_once_per_step(setup, monkeypatch):
-    """An untraced decode feeds the context DB once per probe: the prompt,
-    then one seam per later probe, at T = 0 and at T > 0 alike."""
+    """An untraced decode feeds the context DB once per probe: the prompt's
+    filled windows, then the windows each later step filled, at T = 0 and
+    at T > 0 alike."""
     corpus, model, model_db, stats_db = setup
     prompt = corpus.docs[3][:6]
     for temperature in (0.0, 0.8):
