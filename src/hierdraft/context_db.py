@@ -92,6 +92,8 @@ class ContextDB:
         Position ``i < len(seq) - window`` contributes key ``seq[i]`` with
         the following ``window`` tokens as the value. Each pair goes through
         ``insert`` in turn, with its refreshes, evictions and ``on_evict``.
+        A sequence of ``window`` or fewer tokens has no full window and
+        inserts nothing; only one shorter than 2 tokens raises.
         """
         if len(seq) < 2:
             raise ValueError("ingest needs a sequence of at least 2 tokens")

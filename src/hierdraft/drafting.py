@@ -52,7 +52,9 @@ class HierarchyConfig:
     tail_len: how many trailing context tokens the stats index matches on
     draft_len: maximum length of a stats continuation, and the length of
         every value in the context DB that ``hd run`` and ``run_bench``
-        build; model-DB values keep the window their database was built with
+        build; model-DB values keep the window their database was built with.
+        The context DB learns a position only once ``window`` tokens have
+        followed it, so a larger ``draft_len`` there learns later
     """
 
     order: str = "cms"

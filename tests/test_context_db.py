@@ -90,7 +90,8 @@ def test_global_capacity_eviction():
 
 def test_reset_empties_table():
     db = ContextDB()
-    db.ingest([3, 4, 5])
+    db.ingest([3, 4, 5, 6, 7])
+    assert len(db) == 1
     db.reset()
     assert len(db) == 0
     assert db.lookup(3, 7) == []
@@ -238,7 +239,8 @@ def _recording(db):
 
 def test_new_drafter_resets_table():
     db = ContextDB(window=4)
-    db.ingest([3, 4, 5])
+    db.ingest([3, 4, 5, 6, 7])
+    assert db.lookup(3, 7) == [(4, 5, 6, 7)]
     draft = db.drafter(HierarchyConfig())
     assert len(db) == 0
     assert draft([9], 7) == []
