@@ -76,7 +76,9 @@ def run_bench(
     and its speedup is 1.0 by construction. Prompt i always decodes with
     seed ``seed + i`` so outputs are comparable across methods. The shared
     settings are checked, and every method's databases found, before any
-    method runs.
+    method runs. Every row shares the stats index's memo of rankings: each
+    row's warm-up pass fills it, so the warm-up ``s`` latencies of later
+    rows read lower.
     """
     if not prompts:
         raise ValueError("no prompts")

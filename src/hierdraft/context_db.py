@@ -53,10 +53,6 @@ class ContextDB:
         self._values.clear()
         self._order.clear()
 
-    def _touch(self, key: int, value: tuple[int, ...]) -> None:
-        self._values[key].move_to_end(value)
-        self._order.move_to_end((key, value))
-
     def _remove(self, key: int, value: tuple[int, ...]) -> None:
         per_key = self._values[key]
         del per_key[value]
@@ -72,7 +68,8 @@ class ContextDB:
             return
         per_key = self._values.get(key)
         if per_key is not None and value in per_key:
-            self._touch(key, value)
+            per_key.move_to_end(value)
+            self._order.move_to_end((key, value))
             return
         if per_key is None:
             per_key = OrderedDict()
@@ -113,10 +110,11 @@ class ContextDB:
         if per_key is None or want == 0:
             return []
         taken = list(reversed(per_key.keys()))[:want]
-        # Refresh from last returned to first so the returned order is
-        # exactly the post-lookup recency order.
+        # The values taken are already the key's most recent, in order, so
+        # only the global order moves. Refresh from last returned to first
+        # so the returned order is exactly the post-lookup recency order.
         for value in reversed(taken):
-            self._touch(key, value)
+            self._order.move_to_end((key, value))
         return taken
 
     def drafter(self, hier) -> Callable[[list[int], int], list[tuple[int, ...]]]:

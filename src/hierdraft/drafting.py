@@ -14,11 +14,13 @@ Every database is one kind of draft source: ``db.drafter(hier)`` returns a
 ``DatabaseSet.drafters`` lists them in probe order. ``hierarchical_draft``
 only walks that list. A draft is a tuple of token ids from database to
 verification: each drafter hands out the tuples its database stores, and
-they become the candidates' tokens uncopied. Whatever a source keeps or
-learns for the generation, such as the stats memo or the context DB's
-table, lives in its drafter, and every call counts as an attempted probe
-whether or not the source answered it from memory. A traced probe's time
-is the whole call, so the context DB's ingest counts in its ``c`` probe.
+they become the candidates' tokens uncopied. What a source learns for the
+generation, such as the context DB's table, lives in its drafter; the
+stats index's memo of rankings is the one thing kept across generations,
+on the index, shared by every drafter of it. Every call counts as an
+attempted probe whether or not the source answered it from memory. A
+traced probe's time is the whole call, so the context DB's ingest counts
+in its ``c`` probe.
 """
 
 from __future__ import annotations

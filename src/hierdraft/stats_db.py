@@ -9,8 +9,11 @@ Retrieval uses a shrinking context: the longest suffix of the supplied
 tail that occurs in the text wins, its occurrences are collected, and the
 distinct continuations are ranked by occurrence count (ties by ascending
 token order, shorter continuations first). In decoding the index is one
-of the draft sources: ``StatsDB.drafter`` gives each generation its own
-memo of the tails it has retrieved.
+of the draft sources. Its text and suffix array never change after
+construction, so a ranking is a pure function of its query, and every
+drafter of one index shares one bounded memo of rankings, kept on the
+instance: a tail retrieved in one generation is answered from it in the
+next.
 
 Lookups are vectorized. Construction counts each token id once
 (``np.bincount``) and keeps the cumulative counts as first-token bucket
@@ -48,6 +51,7 @@ anything larger.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from pathlib import Path
 import struct
 from typing import Callable, Sequence
@@ -60,6 +64,9 @@ STATS_MAGIC = b"HDSA"
 STATS_VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")
 _MAX_TOKENS = 2**32 - 1
+# Rankings the drafters' memo holds per index, the oldest dropped first;
+# about 1.4 kB each at the default set_size and draft_len.
+_MEMO_ENTRIES = 4096
 
 
 def build_suffix_array(tokens: np.ndarray) -> np.ndarray:
@@ -221,6 +228,11 @@ class StatsDB:
         # so a file cannot make the load allocate more than O(n); ids past
         # the end have no occurrences.
         self._bucket = [0] + np.bincount(tokens).cumsum().tolist()
+        # The drafters' memo: (tail, draft_len, set_size) -> ranked
+        # continuations as tuples, oldest first. It holds only plain data,
+        # so the index is in no reference cycle and reference counting
+        # frees it.
+        self._memo: OrderedDict[tuple, list[tuple[int, ...]]] = OrderedDict()
 
     @property
     def n_tokens(self) -> int:
@@ -283,22 +295,29 @@ class StatsDB:
         return []
 
     def drafter(self, hier) -> Callable[[list[int], int], list[tuple[int, ...]]]:
-        """Draft source for one generation, matching the last ``tail_len``
-        context tokens. The index is immutable, so a tail answered once is
-        answered again from a memo in the returned closure, which holds its
-        ``set_size`` best continuations as tuples; ranking is a total order,
+        """Draft source matching the last ``tail_len`` context tokens.
+
+        Every drafter of this index shares its memo, across generations,
+        keyed on ``(tail, draft_len, set_size)``, which holds the
+        ``set_size`` best continuations as tuples. Ranking is a total order,
         so a probe for ``want`` reads a fresh slice of the first ``want``.
-        Each drafter starts with an empty memo, and nothing is stored on the
-        index.
+        A miss calls ``self.retrieve`` at call time, so wrappers set on the
+        instance see every miss and no hit. The memo holds at most
+        ``_MEMO_ENTRIES`` rankings and drops the oldest first.
         """
-        memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        memo = self._memo
+        tail_len, draft_len, set_size = hier.tail_len, hier.draft_len, hier.set_size
 
         def draft(context: list[int], want: int) -> list[tuple[int, ...]]:
-            tail = tuple(context[-hier.tail_len:])
-            ranked = memo.get(tail)
+            tail = tuple(context[-tail_len:])
+            key = (tail, draft_len, set_size)
+            ranked = memo.get(key)
             if ranked is None:
-                found = self.retrieve(tail, hier.draft_len, hier.set_size)
-                ranked = memo[tail] = [tuple(seq) for seq, _count in found]
+                found = self.retrieve(tail, draft_len, set_size)
+                ranked = [tuple(seq) for seq, _count in found]
+                if len(memo) >= _MEMO_ENTRIES:
+                    memo.popitem(last=False)
+                memo[key] = ranked
             return ranked[:want]
 
         return draft

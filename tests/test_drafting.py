@@ -263,14 +263,16 @@ def test_candidates_are_the_stored_tuples():
     assert first == [(12, 13, 12, 3)] and first[0] is second[0] is stored["context"][0]
 
 
-def test_stats_drafters_share_no_memo(monkeypatch):
+def test_stats_drafters_share_one_memo(monkeypatch):
+    """One ``retrieve`` per distinct (tail, draft_len, set_size), whichever
+    drafter, in whichever generation, asks first."""
     vocab = _vocab(12)
     stats = build_stats_db(Corpus(docs=[[3, 4, 5], [3, 4, 6]], vocab=vocab))
     real_retrieve = stats.retrieve
-    tails = []
+    calls = []
 
     def counting_retrieve(tail, draft_len, want):
-        tails.append(tuple(tail))
+        calls.append((tuple(tail), draft_len, want))
         return real_retrieve(tail, draft_len, want)
 
     monkeypatch.setattr(stats, "retrieve", counting_retrieve)
@@ -278,6 +280,16 @@ def test_stats_drafters_share_no_memo(monkeypatch):
     first, second = stats.drafter(config), stats.drafter(config)
     assert first([3], 1) == [(4, 5)]
     assert first([3], 3) == [(4, 5), (4, 6)]  # memo hit, read deeper
-    assert tails == [(3,)]
+    assert calls == [((3,), 4, 3)]
     assert second([3], 2) == [(4, 5), (4, 6)]
-    assert tails == [(3,), (3,)]  # the second drafter retrieved afresh
+    assert stats.drafter(config)([9, 3], 3) == [(4, 5), (4, 6)]  # a later generation
+    assert calls == [((3,), 4, 3)]  # every drafter read the first one's ranking
+    # Each hit is a fresh list: changing one changes no later answer.
+    first([3], 3).clear()
+    assert second([3], 3) == [(4, 5), (4, 6)]
+    # Another draft_len or set_size is another key, retrieved afresh.
+    assert stats.drafter(HierarchyConfig(tail_len=1, set_size=3, draft_len=1))([3], 3) == [(4,)]
+    assert stats.drafter(HierarchyConfig(tail_len=1, set_size=1))([3], 1) == [(4, 5)]
+    assert calls == [((3,), 4, 3), ((3,), 1, 3), ((3,), 4, 1)]
+    assert first([3], 3) == [(4, 5), (4, 6)]
+    assert len(calls) == 3

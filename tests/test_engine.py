@@ -13,6 +13,7 @@ from hierdraft import (
     ModelDB,
     aggregate_traces,
     autoregressive_decode,
+    build_stats_db,
     corpus_from_texts,
     decode,
     fit_kgram,
@@ -301,29 +302,89 @@ def test_untraced_decode_reads_no_clock(setup, monkeypatch, temperature, order):
 
 
 def test_stats_db_retrieved_once_per_distinct_tail(setup, monkeypatch):
-    corpus, model, model_db, stats_db = setup
+    corpus, model, _model_db, _stats_db = setup
+    stats_db = build_stats_db(corpus)  # its memo starts empty
     real_retrieve = stats_db.retrieve
-    tails: list[tuple[int, ...]] = []
+    calls: list[tuple[tuple[int, ...], int, int]] = []
 
     def counting_retrieve(tail, draft_len, want):
-        tails.append(tuple(tail))
+        calls.append((tuple(tail), draft_len, want))
         return real_retrieve(tail, draft_len, want)
 
     monkeypatch.setattr(stats_db, "retrieve", counting_retrieve)
-    config = _hd_config(
-        hierarchy=HierarchyConfig(order="s"), max_tokens=200, trace=True
-    )
-    hits = 0
-    for prompt in sample_prompts(corpus, 8, seed=12):
-        tails.clear()
+    hier = HierarchyConfig(order="s")
+    prompts = sample_prompts(corpus, 8, seed=12)
+    seen: dict[tuple[tuple[int, ...], int, int], None] = {}
+    hits = later_hits = 0
+    for prompt in prompts:
+        before = len(calls)
+        config = _hd_config(hierarchy=hier, max_tokens=200, trace=True)
         _, metrics, trace = decode(model, prompt, fresh_dbs(stats_db=stats_db), config)
         probed = [tuple(r.context_tail) for r in trace.steps if r.access["s"].attempted]
         assert metrics.probes["s"] == len(probed) == len(trace.steps)
-        # One retrieve per distinct tail, in first-seen order, with a fresh
-        # memo per generation; a memo hit still counts as a probe.
-        assert tails == list(dict.fromkeys(probed))
-        hits += len(probed) - len(tails)
-    assert hits > 0
+        keys = dict.fromkeys((tail, hier.draft_len, hier.set_size) for tail in probed)
+        new = [key for key in keys if key not in seen]
+        # One retrieve per key no generation has asked for yet, in
+        # first-seen order; a memo hit still counts as a probe.
+        assert calls[before:] == new
+        seen.update(dict.fromkeys(new))
+        hits += len(probed) - len(new)
+        later_hits += len(keys) - len(new)
+    assert calls == list(seen)
+    assert later_hits > 0 and hits > later_hits
+    # Replayed requests retrieve nothing.
+    for prompt in prompts[:3]:
+        decode(model, prompt, fresh_dbs(stats_db=stats_db), _hd_config(hierarchy=hier, max_tokens=200))
+    assert calls == list(seen)
+    # Another draft_len is another key, retrieved afresh once per tail.
+    shorter = HierarchyConfig(order="s", draft_len=3)
+    before = len(calls)
+    _, metrics, trace = decode(
+        model, prompts[0], fresh_dbs(stats_db=stats_db),
+        _hd_config(hierarchy=shorter, max_tokens=200, trace=True),
+    )
+    tails = dict.fromkeys(tuple(r.context_tail) for r in trace.steps)
+    assert calls[before:] == [(tail, 3, shorter.set_size) for tail in tails]
+    assert metrics.probes["s"] == len(trace.steps) > len(tails)
+
+
+@pytest.mark.parametrize("order", ["cms", "smc"])
+@pytest.mark.parametrize("temperature", [0.0, 0.8])
+def test_stats_memo_changes_no_output(setup, monkeypatch, temperature, order):
+    """Outputs, steps, probes and tallies are the same whether the stats
+    memo is cold, warmed by other requests, replayed or evicting."""
+    corpus, model, model_db, _stats_db = setup
+    prompts = sample_prompts(corpus, 6, seed=31)
+    hier = HierarchyConfig(order=order)
+
+    def run(stats_db):
+        results = []
+        for i, prompt in enumerate(prompts):
+            config = _hd_config(hierarchy=hier, max_tokens=60, temperature=temperature, seed=i)
+            dbs = fresh_dbs(model_db, stats_db())
+            output, metrics, _ = decode(model, prompt, dbs, config)
+            results.append((output, metrics.steps, metrics.probes, metrics.tallies))
+        return results
+
+    cold = run(lambda: build_stats_db(corpus))
+    assert sum(probes.get("s", 0) for _, _, probes, _ in cold) > 0
+    shared = build_stats_db(corpus)
+    for i, prompt in enumerate(sample_prompts(corpus, 6, seed=32)):
+        decode(model, prompt, fresh_dbs(model_db, shared), _hd_config(hierarchy=hier, seed=i))
+    assert run(lambda: shared) == cold  # warmed by other requests
+    assert run(lambda: shared) == cold  # replayed
+    monkeypatch.setattr("hierdraft.stats_db._MEMO_ENTRIES", 3)
+    evicting = build_stats_db(corpus)
+    misses = []
+    real_retrieve = evicting.retrieve
+
+    def counting_retrieve(tail, draft_len, want):
+        misses.append(tuple(tail))
+        return real_retrieve(tail, draft_len, want)
+
+    monkeypatch.setattr(evicting, "retrieve", counting_retrieve)
+    assert run(lambda: evicting) == cold
+    assert len(evicting._memo) == 3 < len(misses)  # it evicted
 
 
 def test_every_probe_goes_through_the_instance_lookup(setup, monkeypatch):

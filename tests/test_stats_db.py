@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,11 +11,16 @@ from hypothesis import strategies as st
 
 from hierdraft import (
     Corpus,
+    DatabaseSet,
+    DecodeConfig,
+    HierarchyConfig,
     SEP,
     StatsDB,
     build_stats_db,
     build_suffix_array,
     build_vocab,
+    decode,
+    fit_kgram,
     load_stats_db,
     save_stats_db,
 )
@@ -265,7 +272,7 @@ def test_retrieve_property_matches_naive_oracle(data):
 @given(data=st.data())
 def test_retrieve_smaller_want_is_a_prefix(data):
     """Ranking is a total order, so the top k are the first k of the top K;
-    the per-generation stats memo in drafting relies on this."""
+    the stats drafters' memo relies on this."""
     alphabet = data.draw(st.integers(1, 5), label="alphabet")
     vocab = _vocab(alphabet)
     ids = st.sampled_from([t for t in range(vocab.size) if t != SEP])
@@ -288,6 +295,54 @@ def test_retrieve_is_pure():
     db = build_stats_db(corpus)
     tail = [corpus.docs[0][0]]
     assert db.retrieve(tail, 4, 7) == db.retrieve(tail, 4, 7)
+
+
+def test_memo_stays_within_its_bound_and_answers_as_retrieve(monkeypatch):
+    monkeypatch.setattr("hierdraft.stats_db._MEMO_ENTRIES", 5)
+    corpus = make_corpus(seed=3, n_docs=4, doc_words=150, vocab_words=6)
+    db = build_stats_db(corpus)
+    real_retrieve = db.retrieve
+    misses = []
+
+    def counting_retrieve(tail, draft_len, want):
+        misses.append((tuple(tail), draft_len, want))
+        return real_retrieve(tail, draft_len, want)
+
+    monkeypatch.setattr(db, "retrieve", counting_retrieve)
+    hiers = [HierarchyConfig(), HierarchyConfig(tail_len=1, draft_len=3, set_size=2)]
+    drafters = [db.drafter(hier) for hier in hiers]
+    ids = sorted({t for doc in corpus.docs for t in doc})
+    rng = random.Random(4)
+    for _ in range(300):
+        pick = rng.randrange(len(hiers))
+        hier, draft = hiers[pick], drafters[pick]
+        context = rng.choices(ids, k=rng.randint(1, 3))
+        want = rng.randint(0, hier.set_size)
+        fresh = real_retrieve(context[-hier.tail_len:], hier.draft_len, hier.set_size)
+        assert draft(context, want) == [tuple(seq) for seq, _count in fresh][:want]
+        assert len(db._memo) <= 5
+    # The memo holds the last five misses: the oldest were dropped first,
+    # and a dropped key asked for again was retrieved again.
+    assert list(db._memo) == misses[-5:]
+    assert len(misses) > len(set(misses)) > 5
+
+
+def test_a_released_index_is_freed_by_reference_counting():
+    corpus = make_corpus(seed=1, n_docs=3, doc_words=100, vocab_words=10)
+    model = fit_kgram(corpus, k=3, alpha=0.01)
+    db = build_stats_db(corpus)
+    config = DecodeConfig(max_tokens=20, hierarchy=HierarchyConfig(order="s"))
+    decode(model, corpus.docs[0][:4], DatabaseSet(stats=db), config)
+    assert db._memo
+    ref = weakref.ref(db)
+    enabled = gc.isenabled()
+    gc.disable()  # a reference cycle would then keep the index alive
+    try:
+        del db
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_save_load_roundtrip(tmp_path):
