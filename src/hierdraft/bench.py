@@ -74,7 +74,10 @@ def run_bench(
 
     The autoregressive baseline is always included (prepended when absent)
     and its speedup is 1.0 by construction. Prompt i always decodes with
-    seed ``seed + i`` so outputs are comparable across methods. The shared
+    seed ``seed + i``, so each row's warm-up outputs must equal
+    autoregressive decoding's at the row's temperature, computed once per
+    temperature; the first prompt that differs raises ``ValueError``
+    naming the row and the prompt. The shared
     settings are checked, and every method's databases found, before any
     method runs. Every row shares the stats index's memo of rankings: each
     row's warm-up pass fills it, so the warm-up ``s`` latencies of later
@@ -103,8 +106,19 @@ def run_bench(
 
     rows = []
     ar_tps: float | None = None
+    ar_outputs: dict[float, list[list[int]]] = {}  # per temperature
     for method, config in zip(methods, configs):
-        row = _run_method(method, config, model, prompts, dbs, runs, trace_dir)
+        row, outputs = _run_method(method, config, model, prompts, dbs, runs, trace_dir)
+        if config.temperature not in ar_outputs:
+            ar_outputs[config.temperature] = (
+                outputs if method.is_autoregressive else _ar_outputs(model, prompts, config)
+            )
+        for i, (output, expected) in enumerate(zip(outputs, ar_outputs[config.temperature])):
+            if output != expected:
+                raise ValueError(
+                    f"row {method.name!r}: prompt {i} decodes to other tokens than "
+                    f"autoregressive decoding at temperature {config.temperature}"
+                )
         if method.is_autoregressive and ar_tps is None:
             ar_tps = row["tokens_per_sec"]
         rows.append(row)
@@ -128,6 +142,17 @@ def run_bench(
     return report
 
 
+def _ar_outputs(model: KGramModel, prompts: list[list[int]], config: DecodeConfig) -> list:
+    """Each prompt's autoregressive output at ``config``'s temperature, prompt
+    i with seed ``config.seed + i``, at no model cost."""
+    return [
+        autoregressive_decode(
+            model, prompt, replace(config, seed=config.seed + i, model_call_cost_s=0.0)
+        )[0]
+        for i, prompt in enumerate(prompts)
+    ]
+
+
 def _run_method(
     method: MethodSpec,
     method_config: DecodeConfig,
@@ -136,7 +161,8 @@ def _run_method(
     dbs: DatabaseSet,
     runs: int,
     trace_dir: str | Path | None,
-) -> dict:
+) -> tuple[dict, list[list[int]]]:
+    """The method's report row and its warm-up pass's outputs."""
     def run_pass(trace: bool) -> tuple[int, list[DecodeTrace]]:
         total_tokens = 0
         traces: list[DecodeTrace] = []
@@ -203,7 +229,7 @@ def _run_method(
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
         save_traces(traces, trace_dir / f"{method.name}.traces.jsonl")
-    return row
+    return row, [trace.output for trace in traces]
 
 
 # The method rows of ``hd ablate``: all six access orders of the three

@@ -19,7 +19,13 @@ order-3 contexts have a one-entry table, the loaded model holds 38.6 MB
 under ``tracemalloc``, 205 bytes per context, against 90.9 MB (482) when
 it kept a context tuple and a dict per table. ``fit_kgram`` counts packed
 windows with ``np.unique``, ``load_kgram`` reads each order's columns
-with numpy, and both build the dicts through ``KGramModel``. A sampling draw
+with numpy, and both build the dicts through ``KGramModel``, which
+refuses a ``vocab_size ** k`` past ``2 ** 63``: every key then fits a
+``uint64``. Past the HDKG header every field is one ``uint32`` word, or
+two for a ``u64``, so ``save_kgram`` builds each order's section as one
+word array from the model's columns and writes it in one call, and
+``load_kgram`` scans the table lengths through a memoryview of the
+words and gathers the rest with numpy. A sampling draw
 (``KGramModel.sample``) reads only the backed-off count table: every
 unseen token has the same closed-form weight, so the inverse CDF runs over
 the table in id order and steps over each run of unseen ids in one
@@ -65,9 +71,6 @@ from .corpus import Corpus
 KGRAM_MAGIC = b"HDKG"
 KGRAM_VERSION = 1
 _HEADER = struct.Struct("<IIId")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_ENTRY = struct.Struct("<IQ")  # a table entry: token, count
 _TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
 
@@ -103,10 +106,15 @@ class KGramModel:
     and ``tokens`` and ``counts``, every table's entries one table after
     another, tokens strictly ascending within a table. ``fit_kgram`` and
     ``load_kgram`` build every model through here, one order at a time,
-    and anything but well-formed tables raises ``ValueError``.
+    and anything but well-formed tables, or a ``vocab_size ** k`` past
+    ``2 ** 63``, raises ``ValueError``.
     """
 
     def __init__(self, k: int, alpha: float, vocab_size: int, tables: Iterable[tuple]):
+        # Every window, and so every packed key, then fits an int64; past
+        # 64 orders the rule fails for any vocabulary of two or more ids.
+        if vocab_size ** min(k, 64) > 2**63:
+            raise ValueError(f"windows of k = {k} ids below {vocab_size} do not fit in an int64")
         self.k = k
         self.alpha = alpha
         self.vocab_size = vocab_size
@@ -119,6 +127,7 @@ class KGramModel:
             argmax, order_tables = _order_tables(order, vocab_size, *columns)
             self._argmax.append(argmax)
             self._tables.append(order_tables)
+            del columns  # released before the next order is counted or read
         # Sampling state: the last temperature drawn at (at first an object
         # no caller holds), 1 / it, and the tables compiled at it, keyed by
         # the id of the count table: an id is smaller to keep than a
@@ -130,19 +139,31 @@ class KGramModel:
             object(), 0.0, {}
         )
 
-    def _count_tables(self, order: int) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
-        """Order ``order``'s count tables as ``(context, {token: count})``
-        pairs, in ascending context order. A table of two or more entries is
-        the dict the model stores; ``save_kgram`` writes these."""
-        vocab_size = self.vocab_size
-        argmax = self._argmax[order]
-        for key, table in self._tables[order].items():
-            if type(table) is int:
-                table = {argmax[key]: table}
-            context = [0] * (order - 1)
-            for i in range(order - 2, -1, -1):
-                key, context[i] = divmod(key, vocab_size)
-            yield tuple(context), table
+    def _columns(self, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Order ``order``'s tables as the four columns ``__init__`` takes:
+        ``uint32`` contexts, sizes and tokens, and ``uint64`` counts.
+        ``save_kgram`` writes these."""
+        tables = self._tables[order]
+        n = len(tables)
+        # Every key fits a uint64 (the size rule in __init__).
+        keys = np.fromiter(tables, np.uint64, n)
+        contexts = np.empty((n, order - 1), np.uint32)
+        for i in range(order - 2, -1, -1):
+            keys, contexts[:, i] = np.divmod(keys, np.uint64(self.vocab_size))
+        values = tables.values()
+        sizes = np.fromiter((1 if type(t) is int else len(t) for t in values), np.uint32, n)
+        multi = sizes > 1
+        in_multi = np.repeat(multi, sizes)
+        tokens = np.empty(len(in_multi), np.uint32)
+        counts = np.empty(len(in_multi), np.uint64)
+        # A one-entry table is its count, and its token is its argmax.
+        # Counts go through array("Q"): np.fromiter takes no int past 2 ** 63.
+        tokens[~in_multi] = np.fromiter(self._argmax[order].values(), np.uint32, n)[~multi]
+        counts[~in_multi] = array("Q", (t for t in values if type(t) is int))
+        dicts = [t for t in values if type(t) is not int]
+        tokens[in_multi] = np.fromiter(chain.from_iterable(dicts), np.uint32)
+        counts[in_multi] = array("Q", chain.from_iterable(map(dict.values, dicts)))
+        return contexts, sizes, tokens, counts
 
     def _backoff(self, context: list[int]) -> tuple[int | dict[int, int], int] | None:
         """The table at the longest order whose context suffix has one (a
@@ -333,7 +354,8 @@ def fit_kgram(corpus: Corpus, k: int, alpha: float) -> KGramModel:
     as context-then-token tuples do, so they come out grouped into the
     model's tables. A token that is not an integer id in
     [0, ``vocab.size``), or a ``vocab.size ** k`` past ``2 ** 63`` (where
-    windows would wrap), raises ``ValueError`` before anything is counted.
+    windows would wrap; ``load_kgram`` refuses it too), raises
+    ``ValueError`` before anything is counted.
     """
     # load_kgram's rules; bool is an int subclass, and True is neither k nor alpha.
     if type(k) is not int or k < 1:
@@ -344,37 +366,47 @@ def fit_kgram(corpus: Corpus, k: int, alpha: float) -> KGramModel:
     if not corpus.docs:
         raise ValueError("empty corpus")
     vocab_size = corpus.vocab.size
-    if vocab_size ** k > 2**63:
-        raise ValueError(f"windows of k = {k} ids below {vocab_size} do not fit in an int64")
-    tokens = np.array(list(chain.from_iterable(corpus.docs)))
+    return KGramModel(k, alpha, vocab_size, _count_orders(corpus.docs, k, vocab_size))
+
+
+def _count_orders(docs: list[list[int]], k: int, vocab_size: int) -> Iterator[tuple]:
+    """Each order's columns, counted from ``docs`` when ``KGramModel`` asks
+    for them. This frame alone holds the token, room and window arrays, and
+    drops them before the last order is counted."""
+    tokens = np.array(list(chain.from_iterable(docs)))
     if tokens.size and (
         tokens.dtype.kind not in "iu" or tokens.min() < 0 or tokens.max() >= vocab_size
     ):
         raise ValueError(f"token ids must be integers in [0, {vocab_size})")
     tokens = tokens.astype(np.int64, copy=False)
-    lengths = np.fromiter(map(len, corpus.docs), np.int64, len(corpus.docs))
+    lengths = np.fromiter(map(len, docs), np.int64, len(docs))
     # room[i]: the tokens from i to the end of its doc, so the window of
     # `order` tokens at i lies inside one doc when room[i] >= order.
     room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(tokens))
-
-    def tables():
-        windows = tokens
-        for order in range(1, k + 1):
-            if order > 1:
-                windows = windows[:-1] * vocab_size + tokens[order - 1:]
-            yield _count_windows(windows[room[:len(windows)] >= order], order, vocab_size)
-
-    return KGramModel(k, alpha, vocab_size, tables())
+    windows = tokens
+    for order in range(1, k + 1):
+        if order > 1:
+            windows = windows[:-1] * vocab_size + tokens[order - 1:]
+        kept = windows[room[:len(windows)] >= order]
+        if order == k:
+            del tokens, room, windows
+        columns = _count_windows(kept, order, vocab_size)
+        del kept
+        yield columns
+        del columns
 
 
 def _count_windows(windows: np.ndarray, order: int, vocab_size: int) -> tuple:
-    """The columns ``KGramModel`` takes for one order, from its packed windows."""
+    """The columns ``KGramModel`` takes for one order, from its packed
+    windows; ids as ``uint32``, as an HDKG file holds them."""
     grams, counts = np.unique(windows, return_counts=True)
     contexts, nexts = np.divmod(grams, vocab_size)
+    del grams
     heads = np.flatnonzero(np.diff(contexts, prepend=-1))
     places = vocab_size ** np.arange(order - 2, -1, -1, dtype=np.int64)
-    sizes = np.diff(heads, append=len(grams))
-    return contexts[heads, None] // places % vocab_size, sizes, nexts, counts
+    sizes = np.diff(heads, append=len(nexts))
+    contexts = (contexts[heads, None] // places % vocab_size).astype(np.uint32)
+    return contexts, sizes, nexts.astype(np.uint32), counts
 
 
 def _order_tables(
@@ -383,7 +415,8 @@ def _order_tables(
     """One order's argmax and table dicts, from the columns ``KGramModel``
     takes; the first fault found raises ``ValueError``.
 
-    Keys are Python ints, so they never wrap. A table of two or more
+    Keys are Python ints, packed in ``uint64``, which the size rule in
+    ``KGramModel.__init__`` keeps from wrapping. A table of two or more
     entries is a ``{token: count}`` dict in id order, and a one-entry
     table its count. The argmax (highest count, lowest id on ties) is the
     first entry of each table that holds its maximum.
@@ -417,10 +450,9 @@ def _order_tables(
     # is below vocab_size, and then keys ascend as the contexts do.
     if order > 1 and contexts.max() >= vocab_size:
         raise ValueError(f"an order-{order} context holds an id >= vocab_size {vocab_size}")
-    # Keys are packed in uint64 where the largest fits, else in Python ints.
-    keys = np.zeros(len(sizes), dtype=np.uint64 if vocab_size ** (order - 1) <= 2**64 else object)
+    keys = np.zeros(len(sizes), dtype=np.uint64)
     for column in contexts.T:
-        keys = keys * vocab_size + column.astype(keys.dtype)
+        keys = keys * np.uint64(vocab_size) + column.astype(np.uint64)
     keys = keys.tolist()
     if not all(map(lt, keys, islice(keys, 1, None))):
         raise ValueError(f"order-{order} contexts not strictly ascending")
@@ -429,15 +461,15 @@ def _order_tables(
     ids, index = np.unique(tokens, return_inverse=True)
     ids = ids.astype(object)
     argmax = dict(zip(keys, ids[index[_first_maxima(counts, heads, sizes)]].tolist()))
-    tables = counts[heads].tolist()
+    tables = dict(zip(keys, counts[heads].tolist()))
     multi = sizes > 1
     in_multi = np.repeat(multi, sizes)
     entry_tokens, entry_counts = ids[index[in_multi]].tolist(), counts[in_multi].tolist()
     end = 0
     for i, size in zip(np.flatnonzero(multi).tolist(), sizes[multi].tolist()):
         head, end = end, end + size
-        tables[i] = dict(zip(entry_tokens[head:end], entry_counts[head:end]))
-    return argmax, dict(zip(keys, tables))
+        tables[keys[i]] = dict(zip(entry_tokens[head:end], entry_counts[head:end]))
+    return argmax, tables
 
 
 def _first_maxima(counts: np.ndarray, heads: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -482,26 +514,52 @@ def _check_temperature(temperature: float, positive: bool) -> None:
 
 
 def save_kgram(model: KGramModel, path: str | Path) -> None:
-    """Versioned little-endian binary: magic, k, vocab_size, alpha, count tables."""
+    """Versioned little-endian binary: magic, k, vocab_size, alpha, count tables.
+
+    Each order's section is built as one ``uint32`` array (``_section``)
+    and written in one call.
+    """
     with open(path, "wb") as fh:
         fh.write(KGRAM_MAGIC)
         fh.write(_HEADER.pack(KGRAM_VERSION, model.k, model.vocab_size, model.alpha))
         for order in range(1, model.k + 1):
-            fh.write(_U64.pack(len(model._tables[order])))
-            head = struct.Struct(f"<{order}I")
-            for ctx, table in model._count_tables(order):
-                fh.write(head.pack(*ctx, len(table)))
-                for entry in table.items():
-                    fh.write(_ENTRY.pack(*entry))
+            fh.write(_section(*model._columns(order)))
+
+
+def _section(contexts, sizes, tokens, counts) -> np.ndarray:
+    """One order's section as little-endian ``uint32`` words: its ``u64``
+    table count, then per table its ``order - 1`` context ids, its size and
+    its entries, each a token and a ``u64`` count, low word first."""
+    n, width = contexts.shape  # width = order - 1
+    words = np.empty(2 + n * (width + 1) + 3 * len(tokens), "<u4")
+    words[:2] = n & 0xFFFFFFFF, n >> 32
+    body = words[2:]
+    # Table i's head lies past the heads and entries of tables 0..i-1.
+    starts = np.cumsum(sizes, dtype=np.int64) - sizes
+    starts = 3 * starts + np.arange(0, n * (width + 1), width + 1)
+    in_head = np.zeros(len(body), bool)
+    for i in range(width + 1):
+        in_head[starts + i] = True
+    heads = np.empty((n, width + 1), "<u4")
+    heads[:, :width] = contexts
+    heads[:, width] = sizes
+    body[in_head] = heads.ravel()
+    del heads
+    entries = np.empty((len(tokens), 3), "<u4")
+    entries[:, 0] = tokens
+    entries[:, 1:] = counts.astype("<u8", copy=False).view("<u4").reshape(-1, 2)
+    body[~in_head] = entries.ravel()
+    return words
 
 
 def load_kgram(path: str | Path) -> KGramModel:
     """Read an HDKG file; anything but a well-formed model raises ``ValueError``.
 
     Besides truncation and trailing bytes, the load rejects ``k < 1``,
-    ``vocab_size < 1``, a non-finite or non-positive ``alpha``, an order-1
-    section with more than one context, contexts or next tokens that are
-    not strictly ascending, a token or context id at or above
+    ``vocab_size < 1``, a ``vocab_size ** k`` past ``2 ** 63`` (which
+    ``fit_kgram`` refuses too), a non-finite or non-positive ``alpha``, an
+    order-1 section with more than one context, contexts or next tokens
+    that are not strictly ascending, a token or context id at or above
     ``vocab_size``, an empty table and a count below 1. Nothing it
     allocates is sized by ``vocab_size``.
     """
@@ -514,59 +572,67 @@ def load_kgram(path: str | Path) -> KGramModel:
     version, k, vocab_size, alpha = _HEADER.unpack_from(data, 4)
     if version != KGRAM_VERSION:
         raise ValueError(f"unsupported k-gram model file: version {version}")
-    offset = 4 + _HEADER.size
     try:
         # Each order takes at least its 8-byte context count, which bounds
         # k before anything per order is read.
-        if not 1 <= k <= (len(data) - offset) // 8:
+        if not 1 <= k <= (len(data) - 4 - _HEADER.size) // 8:
             raise ValueError(f"k = {k}")
         if vocab_size < 1:
             raise ValueError(f"vocab_size = {vocab_size}")
         if not (math.isfinite(alpha) and alpha > 0):
             raise ValueError(f"alpha = {alpha}")
-        return KGramModel(k, alpha, vocab_size, _read_tables(data, offset, k))
-    except (struct.error, ValueError) as exc:
+        return KGramModel(k, alpha, vocab_size, _read_tables(data, k))
+    except ValueError as exc:
         raise ValueError(f"corrupt k-gram model file: {exc}") from None
 
 
-def _read_tables(data: bytes, offset: int, k: int):
+def _read_tables(data: bytes, k: int):
     """Each order's columns, as ``KGramModel`` takes them, read from
-    ``data`` one order at a time; a fault raises ``ValueError``."""
-    raw = np.frombuffer(data, dtype=np.uint8)
-    read_size = _U32.unpack_from
+    ``data`` one order at a time; a fault raises ``ValueError``.
+
+    Past the header every field is one or two little-endian ``uint32``
+    words, so the sections are read as one word array. A table is
+    ``order - 1`` context ids, its size and three words per entry (a token,
+    then its ``u64`` count). A Python loop reads only the sizes, through a
+    memoryview of the words, to find where each table starts; numpy reads
+    the rest once the section's end is known.
+    """
+    base = 4 + _HEADER.size
+    words = np.frombuffer(data, "<u4", (len(data) - base) // 4, base)
+    scan = memoryview(words.astype(np.uint32, copy=False))  # items read as Python ints
+    at = 0
     for order in range(1, k + 1):
-        (n_ctx,) = _U64.unpack_from(data, offset)
-        offset += 8
+        try:
+            n_ctx = scan[at] | scan[at + 1] << 32
+        except IndexError:
+            raise ValueError(f"the file ends before order {order}") from None
+        at += 2
         if order == 1 and n_ctx > 1:
             raise ValueError(f"{n_ctx} order-1 contexts")
-        # A table is order - 1 context ids, its length and 12-byte
-        # (token, count) entries. The loop reads only the lengths, to find
-        # each table; numpy reads the rest once the section's end is known.
-        size_at = 4 * (order - 1)
-        starts, sizes = array("q"), array("I")
-        for _ in range(n_ctx):
-            (size,) = read_size(data, offset + size_at)
-            starts.append(offset)
-            sizes.append(size)
-            offset += size_at + 4 + 12 * size
-        if offset > len(data):
-            raise ValueError(f"an order-{order} table runs past the end of the file")
+        past_end = ValueError(f"an order-{order} table runs past the end of the file")
+        # A table takes at least its head of `order` words.
+        if n_ctx > (len(words) - at) // order:
+            raise past_end
+        starts = array("q", bytes(8 * n_ctx))
+        size_at = order - 1
+        try:
+            for i in range(n_ctx):
+                starts[i] = at
+                at += order + 3 * scan[at + size_at]
+        except IndexError:
+            raise past_end from None
+        if at > len(words):
+            raise past_end
         starts = np.frombuffer(starts, dtype=np.int64)
-        sizes = np.frombuffer(sizes, dtype=np.uint32).astype(np.int64)
-        # The byte offset of every entry: the j-th of a table lies 12 * j
-        # bytes past the table's ids and length.
-        heads = np.cumsum(sizes) - sizes
-        entries = np.repeat(starts + size_at + 4 - 12 * heads, sizes)
-        entries += 12 * np.arange(len(entries))
-        contexts = _read_uint(raw, starts[:, None] + 4 * np.arange(order - 1), 4)
-        if order == k and offset != len(data):
+        sizes = words[starts + size_at].astype(np.int64)
+        # The word index of every entry: the j-th of a table lies 3 * j
+        # words past the table's head.
+        firsts = np.cumsum(sizes) - sizes
+        entries = np.repeat(starts + order - 3 * firsts, sizes)
+        entries += 3 * np.arange(len(entries))
+        contexts = words[starts[:, None] + np.arange(size_at)]
+        if order == k and base + 4 * at != len(data):
             raise ValueError("trailing bytes")
-        yield contexts, sizes, _read_uint(raw, entries, 4), _read_uint(raw, entries + 4, 8)
-
-
-def _read_uint(raw: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
-    """The little-endian unsigned ints of ``width`` bytes at byte offsets ``at``."""
-    out = np.zeros(at.shape, dtype=f"<u{width}")
-    for byte in range(width):
-        out |= raw[at + byte].astype(out.dtype) << (8 * byte)
-    return out
+        counts = words[entries + 2].astype(np.uint64) << np.uint64(32)
+        counts |= words[entries + 1]
+        yield contexts, sizes, words[entries], counts

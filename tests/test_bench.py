@@ -284,3 +284,32 @@ def test_prompt_i_decodes_with_seed_plus_i(passage_setup, tmp_path):
         assert {(c.hierarchy.order, c.temperature, c.max_tokens) for c in configs} == {
             (order, temperature, 10)
         }
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.8])
+def test_a_row_whose_outputs_differ_from_ar_fails(passage_setup, monkeypatch, temperature):
+    """A verifier that emits a wrong last token once the context is long
+    spoils the long prompt's output only, and ``run_bench`` names the row
+    and that prompt."""
+    import hierdraft.engine as engine
+
+    model, model_db, stats_db, prompts = passage_setup
+    short, long = prompts[0][:3], prompts[0]
+    assert len(long) > 3 + 10
+    real = {name: getattr(engine, name) for name in ("verify_greedy", "verify_sampling")}
+
+    def sabotaged(name):
+        def verify(model, context, *args):
+            outcome = real[name](model, context, *args)
+            if len(context) > 3 + 10:
+                outcome.emitted[-1] = (outcome.emitted[-1] + 1) % model.vocab_size
+            return outcome
+        return verify
+
+    for name in real:
+        monkeypatch.setattr(engine, name, sabotaged(name))
+    with pytest.raises(ValueError, match=r"^row 'hd': prompt 1 decodes to other tokens"):
+        run_bench(
+            model, [short, long], [MethodSpec("hd", "cms", temperature)],
+            model_db=model_db, stats_db=stats_db, runs=1, max_tokens=10,
+        )
