@@ -45,7 +45,6 @@ from .engine import (
 from .kgram import (
     KGramModel,
     ModelCallCounter,
-    apply_temperature,
     fit_kgram,
     load_kgram,
     save_kgram,
@@ -85,7 +84,6 @@ __all__ = [
     "Vocab",
     "accepted_events",
     "aggregate_traces",
-    "apply_temperature",
     "autoregressive_decode",
     "build_model_db",
     "build_stats_db",

@@ -20,6 +20,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
+from ._checks import check_int
 from .context_db import ContextDB
 from .drafting import DatabaseSet, HierarchyConfig
 from .engine import (
@@ -73,10 +74,12 @@ def run_bench(
     """Run every method over all prompts and assemble a JSON-ready report.
 
     The autoregressive baseline is always included (prepended when absent)
-    and its speedup is 1.0 by construction. Prompt i always decodes with
-    seed ``seed + i``, so each row's warm-up outputs must equal
-    autoregressive decoding's at the row's temperature, computed once per
-    temperature; the first prompt that differs raises ``ValueError``
+    and its speedup is 1.0 by construction. Each row writes its traces to
+    ``trace_dir/<name>.traces.jsonl``, so a name that two rows share, the
+    prepended baseline's included, raises ``ValueError``. Prompt i always
+    decodes with seed ``seed + i``, so each row's warm-up outputs must
+    equal autoregressive decoding's at the row's temperature, computed once
+    per temperature; the first prompt that differs raises ``ValueError``
     naming the row and the prompt. The shared
     settings are checked, and every method's databases found, before any
     method runs. Every row shares the stats index's memo of rankings: each
@@ -85,9 +88,7 @@ def run_bench(
     """
     if not prompts:
         raise ValueError("no prompts")
-    # bool is an int subclass, and True must not pass as one run.
-    if type(runs) is not int or runs < 1:
-        raise ValueError(f"runs must be an integer >= 1, not {runs!r}")
+    check_int("runs", runs)
     hier = hierarchy or HierarchyConfig()
     shared = DecodeConfig(
         max_tokens=max_tokens, seed=seed, hierarchy=hier, model_call_cost_s=model_call_cost_s
@@ -95,8 +96,12 @@ def run_bench(
     methods = list(methods)
     if not any(m.is_autoregressive for m in methods):
         methods.insert(0, MethodSpec(AUTOREGRESSIVE, databases=""))
+    names = [m.name for m in methods]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"two method rows are named {name!r}")
     # One context DB serves every generation: its drafter empties it.
-    dbs = DatabaseSet(ContextDB(window=hier.draft_len, per_key=hier.set_size), model_db, stats_db)
+    dbs = DatabaseSet(ContextDB.for_hierarchy(hier), model_db, stats_db)
     configs = [
         replace(shared, temperature=m.temperature, hierarchy=replace(hier, order=m.databases))
         for m in methods
@@ -258,5 +263,7 @@ def file_fingerprint(path: str | Path) -> str:
 
 def write_report(report: dict, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        # A number setting may be any real number, a numpy scalar or a
+        # Fraction among them; the report holds it as a float.
+        json.dump(report, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")

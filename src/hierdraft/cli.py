@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 from . import analysis, bench
+from ._checks import check_number
 from .context_db import ContextDB
-from .corpus import Vocab, build_vocab, detokenize, load_corpus, tokenize_strict
+from .corpus import Vocab, _read_text, build_vocab, detokenize, load_corpus, tokenize_strict
 from .drafting import DatabaseSet, HierarchyConfig
 from .engine import DecodeConfig, decode, load_traces, save_traces
 from .kgram import fit_kgram, load_kgram, save_kgram
@@ -33,18 +33,8 @@ from .model_db import build_model_db, load_model_db, save_model_db
 from .stats_db import build_stats_db, load_stats_db, save_stats_db
 
 
-def _read_texts(paths: list[str]) -> list[str]:
-    texts = []
-    for path in paths:
-        try:
-            texts.append(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise SystemExit(f"error: cannot read {path}: {exc}")
-    return texts
-
-
 def _cmd_build_vocab(args: argparse.Namespace) -> int:
-    vocab = build_vocab(_read_texts(args.corpus))
+    vocab = build_vocab(map(_read_text, args.corpus))
     vocab.save(args.out)
     print(f"wrote vocab with {vocab.size} ids ({vocab.size - 3} words) to {args.out}")
     return 0
@@ -102,7 +92,7 @@ def _load_databases(args: argparse.Namespace, hier: HierarchyConfig) -> Database
         if not args.stats_db:
             raise SystemExit("error: databases include 's' but --stats-db is missing")
         stats_db = load_stats_db(args.stats_db)
-    context = ContextDB(window=hier.draft_len, per_key=hier.set_size) if "c" in order else None
+    context = ContextDB.for_hierarchy(hier) if "c" in order else None
     return DatabaseSet(context=context, model=model_db, stats=stats_db)
 
 
@@ -112,8 +102,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.prompt is not None:
         prompt = tokenize_strict(args.prompt, vocab, "--prompt")
     elif args.prompt_file is not None:
-        text = _read_texts([args.prompt_file])[0]
-        prompt = tokenize_strict(text, vocab, args.prompt_file)
+        prompt = tokenize_strict(_read_text(args.prompt_file), vocab, args.prompt_file)
     else:
         raise SystemExit("error: provide --prompt or --prompt-file")
     if not prompt:
@@ -167,10 +156,10 @@ def _load_bench_setup(config_path: str) -> dict:
     for key in ("vocab", "model"):
         if setup.get(key) is None:
             raise SystemExit(f"error: bench config missing {key!r}")
-    cost = setup.get("model_call_cost_ms", 0.0)
-    # bool is an int subclass, and JSON true must not pass as 1 ms.
-    if type(cost) not in (int, float) or not math.isfinite(cost) or cost < 0:
-        raise SystemExit(f"error: bad model_call_cost_ms in bench config: {cost!r}")
+    try:
+        check_number("model_call_cost_ms", setup.get("model_call_cost_ms", 0.0), positive=False)
+    except ValueError as exc:
+        raise SystemExit(f"error: bad model_call_cost_ms in bench config: {exc}")
     return setup
 
 
@@ -200,7 +189,7 @@ def _bench_files(setup: dict) -> tuple[dict, dict[str, str]]:
 
 def _load_prompts(path: str, vocab: Vocab) -> list[list[int]]:
     prompts = []
-    for number, line in enumerate(_read_texts([path])[0].splitlines(), 1):
+    for number, line in enumerate(_read_text(path).splitlines(), 1):
         if line.strip():
             prompts.append(tokenize_strict(line, vocab, path, number))
     if not prompts:

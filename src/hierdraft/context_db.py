@@ -20,6 +20,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Iterable
 
+from ._checks import check_int
+
 EvictionHook = Callable[[int, tuple[int, ...]], None]
 
 
@@ -33,9 +35,7 @@ class ContextDB:
         on_evict: EvictionHook | None = None,
     ):
         for name, value in (("window", window), ("per_key", per_key), ("capacity", capacity)):
-            # bool is an int subclass, and True must not pass as 1.
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+            check_int(name, value)
         self.window = window
         self.per_key = per_key
         self.capacity = capacity
@@ -44,6 +44,12 @@ class ContextDB:
         self._values: dict[int, OrderedDict[tuple[int, ...], None]] = {}
         # Global recency over (key, value) pairs, oldest first.
         self._order: OrderedDict[tuple[int, tuple[int, ...]], None] = OrderedDict()
+
+    @classmethod
+    def for_hierarchy(cls, hier) -> ContextDB:
+        """The context DB ``hd run`` and ``run_bench`` draft from: values of
+        ``hier.draft_len`` tokens, at most ``hier.set_size`` under one key."""
+        return cls(window=hier.draft_len, per_key=hier.set_size)
 
     def __len__(self) -> int:
         return len(self._order)

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from ._checks import check_int
 from .context_db import ContextDB
 from .model_db import ModelDB
 from .stats_db import StatsDB
@@ -53,8 +54,8 @@ class HierarchyConfig:
     set_size: draft-set capacity (candidates verified per step)
     tail_len: how many trailing context tokens the stats index matches on
     draft_len: maximum length of a stats continuation, and the length of
-        every value in the context DB that ``hd run`` and ``run_bench``
-        build; model-DB values keep the window their database was built with.
+        every value in the context DB built by ``ContextDB.for_hierarchy``;
+        model-DB values keep the window their database was built with.
         The context DB learns a position only once ``window`` tokens have
         followed it, so a larger ``draft_len`` there learns later
     """
@@ -66,10 +67,7 @@ class HierarchyConfig:
 
     def __post_init__(self) -> None:
         for name in ("set_size", "tail_len", "draft_len"):
-            value = getattr(self, name)
-            # bool is an int subclass, and JSON true must not pass as 1.
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+            check_int(name, getattr(self, name))
         order = self.order
         if not isinstance(order, str) or not set(order) <= set(DB_LETTERS):
             raise ValueError(f"order {order!r} is not made of letters from {DB_LETTERS!r}")

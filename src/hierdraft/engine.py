@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import check_int, check_number
 from .corpus import EOS
 from .drafting import (
     SOURCE_NAMES,
@@ -31,7 +32,7 @@ from .drafting import (
     Probe,
     hierarchical_draft,
 )
-from .kgram import KGramModel, ModelCallCounter, _check_temperature
+from .kgram import KGramModel, ModelCallCounter
 from .verification import StepOutcome, verify_greedy, verify_sampling
 
 
@@ -49,18 +50,12 @@ class DecodeConfig:
     model_call_cost_s: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, least in (("max_tokens", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if type(value) is not int or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
-        _check_temperature(self.temperature, positive=False)
+        check_int("max_tokens", self.max_tokens)
+        check_int("seed", self.seed, least=0)
+        check_number("temperature", self.temperature, positive=False)
         if type(self.trace) is not bool:
             raise ValueError(f"trace must be True or False, not {self.trace!r}")
-        cost = self.model_call_cost_s
-        # bool is an int subclass, and JSON true must not pass as 1.
-        number = isinstance(cost, (int, float)) and not isinstance(cost, bool)
-        if not number or not math.isfinite(cost) or cost < 0:
-            raise ValueError(f"model_call_cost_s must be a finite number >= 0, not {cost!r}")
+        check_number("model_call_cost_s", self.model_call_cost_s, positive=False)
 
 
 @dataclass
@@ -354,7 +349,9 @@ def aggregate_traces(traces: list[DecodeTrace]) -> DecodeMetrics:
 def save_traces(traces: list[DecodeTrace], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for trace in traces:
-            fh.write(json.dumps(trace.to_dict(), separators=(",", ":"), sort_keys=True))
+            # A number setting may be any real number; the file holds a float.
+            line = json.dumps(trace.to_dict(), separators=(",", ":"), sort_keys=True, default=float)
+            fh.write(line)
             fh.write("\n")
 
 

@@ -42,18 +42,19 @@ compiles on nearly every multi-entry draw, and there sampling is slower
 than the walk it replaced (``BENCH_14.json``, ``low_reuse``). A switch
 replaces the sampling state in one assignment, so a model stays safe to
 share between sessions that sample at different temperatures.
-``next_distribution`` and ``apply_temperature`` build the full
-vocabulary-sized law; with an inverse-CDF draw over it, they are the
+``next_distribution`` builds the full vocabulary-sized law; the tests
+rescale it by temperature and draw from it by inverse CDF, and that is the
 reference the sampler is tested against.
 
-HDKG loads fail closed: anything but a well-formed model raises
+``KGramModel.__init__`` holds the rules on ``k``, ``alpha`` and
+``vocab_size``, so ``fit_kgram`` and ``load_kgram`` refuse the same
+models. HDKG loads fail closed: anything but a well-formed model raises
 ``ValueError`` (see ``load_kgram``).
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import struct
 import time
 from array import array
@@ -66,12 +67,12 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import check_int, check_number
 from .corpus import Corpus
 
 KGRAM_MAGIC = b"HDKG"
 KGRAM_VERSION = 1
 _HEADER = struct.Struct("<IIId")
-_TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
 
 @dataclass
@@ -105,12 +106,17 @@ class KGramModel:
     ids (oldest first) per context; ``sizes``, each table's entry count;
     and ``tokens`` and ``counts``, every table's entries one table after
     another, tokens strictly ascending within a table. ``fit_kgram`` and
-    ``load_kgram`` build every model through here, one order at a time,
-    and anything but well-formed tables, or a ``vocab_size ** k`` past
-    ``2 ** 63``, raises ``ValueError``.
+    ``load_kgram`` build every model through here, one order at a time.
+    ``k`` and ``vocab_size`` must be integers >= 1, ``alpha`` a finite
+    number > 0, and ``vocab_size ** k`` at most ``2 ** 63``; they are
+    checked before ``tables`` is read. Anything but that and well-formed
+    tables raises ``ValueError``.
     """
 
     def __init__(self, k: int, alpha: float, vocab_size: int, tables: Iterable[tuple]):
+        check_int("k", k)
+        check_int("vocab_size", vocab_size)
+        check_number("alpha", alpha, positive=True)
         # Every window, and so every packed key, then fits an int64; past
         # 64 orders the rule fails for any vocabulary of two or more ids.
         if vocab_size ** min(k, 64) > 2**63:
@@ -229,7 +235,7 @@ class KGramModel:
         """One draw at temperature T > 0 after ``context``.
 
         The token is the inverse CDF, in token-id order, of
-        ``apply_temperature(next_distribution(context), T)`` at one
+        ``next_distribution(context) ** (1/T)``, normalised, at one
         ``rng.random()`` (the first token whose cumulative probability
         exceeds it), without the vocabulary-sized vectors. Weights are
         relative to the table's largest count ``c_max``, read at its
@@ -290,7 +296,7 @@ class KGramModel:
     def _switch_temperature(self, temperature: float, state: tuple) -> tuple:
         """Check a temperature other than the last one and make it the
         sampling state; a new value starts with no compiled tables."""
-        _check_temperature(temperature, positive=True)
+        check_number("temperature", temperature, positive=True)
         if temperature == state[0]:
             state = (temperature, state[1], state[2])
         else:
@@ -352,19 +358,11 @@ def fit_kgram(corpus: Corpus, k: int, alpha: float) -> KGramModel:
     Each window is packed into one int64, oldest id first in base
     ``vocab.size``, and counted by ``np.unique``; the packed windows sort
     as context-then-token tuples do, so they come out grouped into the
-    model's tables. A token that is not an integer id in
-    [0, ``vocab.size``), or a ``vocab.size ** k`` past ``2 ** 63`` (where
-    windows would wrap; ``load_kgram`` refuses it too), raises
-    ``ValueError`` before anything is counted.
+    model's tables. ``KGramModel``'s rules on ``k`` and ``alpha`` (among
+    them a ``vocab.size ** k`` past ``2 ** 63``, where windows would wrap),
+    an empty corpus and a token that is not an integer id in
+    [0, ``vocab.size``) raise ``ValueError`` before anything is counted.
     """
-    # load_kgram's rules; bool is an int subclass, and True is neither k nor alpha.
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be an integer >= 1, not {k!r}")
-    real = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
-    if not (real and math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be a finite number > 0, not {alpha!r}")
-    if not corpus.docs:
-        raise ValueError("empty corpus")
     vocab_size = corpus.vocab.size
     return KGramModel(k, alpha, vocab_size, _count_orders(corpus.docs, k, vocab_size))
 
@@ -373,6 +371,8 @@ def _count_orders(docs: list[list[int]], k: int, vocab_size: int) -> Iterator[tu
     """Each order's columns, counted from ``docs`` when ``KGramModel`` asks
     for them. This frame alone holds the token, room and window arrays, and
     drops them before the last order is counted."""
+    if not docs:
+        raise ValueError("empty corpus")
     tokens = np.array(list(chain.from_iterable(docs)))
     if tokens.size and (
         tokens.dtype.kind not in "iu" or tokens.min() < 0 or tokens.max() >= vocab_size
@@ -478,41 +478,6 @@ def _first_maxima(counts: np.ndarray, heads: np.ndarray, sizes: np.ndarray) -> n
     return on_top[np.searchsorted(on_top, heads)]
 
 
-def apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
-    """Rescale a distribution; T == 0 collapses to argmax (lowest id wins ties).
-
-    A temperature that is not a finite, non-bool number >= 0 raises
-    ``ValueError``.
-    """
-    _check_temperature(temperature, positive=False)
-    if temperature == 1.0:
-        return probs
-    if temperature == 0.0:
-        out = np.zeros_like(probs)
-        out[int(np.argmax(probs))] = 1.0
-        return out
-    powered = np.power(probs, 1.0 / temperature)
-    total = powered.sum()
-    if not total >= _TINY:
-        # At small T every power can underflow; scaled so the largest term
-        # is 1, the sum cannot. Only here, as the division costs a pass per
-        # sampled token.
-        powered = np.power(probs / probs.max(), 1.0 / temperature)
-        total = powered.sum()
-    return powered / total
-
-
-def _check_temperature(temperature: float, positive: bool) -> None:
-    """Raise ``ValueError`` unless ``temperature`` is a finite real number,
-    not a bool, and > 0 (``positive``) or >= 0."""
-    number = isinstance(temperature, numbers.Real) and not isinstance(temperature, bool)
-    if not (number and math.isfinite(temperature)) or temperature < 0 or (
-        positive and temperature == 0
-    ):
-        least = "> 0" if positive else ">= 0"
-        raise ValueError(f"temperature must be a finite number {least}, not {temperature!r}")
-
-
 def save_kgram(model: KGramModel, path: str | Path) -> None:
     """Versioned little-endian binary: magic, k, vocab_size, alpha, count tables.
 
@@ -555,13 +520,12 @@ def _section(contexts, sizes, tokens, counts) -> np.ndarray:
 def load_kgram(path: str | Path) -> KGramModel:
     """Read an HDKG file; anything but a well-formed model raises ``ValueError``.
 
-    Besides truncation and trailing bytes, the load rejects ``k < 1``,
-    ``vocab_size < 1``, a ``vocab_size ** k`` past ``2 ** 63`` (which
-    ``fit_kgram`` refuses too), a non-finite or non-positive ``alpha``, an
-    order-1 section with more than one context, contexts or next tokens
-    that are not strictly ascending, a token or context id at or above
-    ``vocab_size``, an empty table and a count below 1. Nothing it
-    allocates is sized by ``vocab_size``.
+    Besides truncation and trailing bytes, the load rejects a ``k`` of 0 or
+    past what the file can hold, what ``KGramModel`` refuses (so what
+    ``fit_kgram`` refuses too), an order-1 section with more than one
+    context, contexts or next tokens that are not strictly ascending, a
+    token or context id at or above ``vocab_size``, an empty table and a
+    count below 1. Nothing it allocates is sized by ``vocab_size``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -577,10 +541,6 @@ def load_kgram(path: str | Path) -> KGramModel:
         # k before anything per order is read.
         if not 1 <= k <= (len(data) - 4 - _HEADER.size) // 8:
             raise ValueError(f"k = {k}")
-        if vocab_size < 1:
-            raise ValueError(f"vocab_size = {vocab_size}")
-        if not (math.isfinite(alpha) and alpha > 0):
-            raise ValueError(f"alpha = {alpha}")
         return KGramModel(k, alpha, vocab_size, _read_tables(data, k))
     except ValueError as exc:
         raise ValueError(f"corrupt k-gram model file: {exc}") from None

@@ -23,6 +23,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Callable
 
+from ._checks import check_int
 from .corpus import Corpus
 
 MODEL_DB_MAGIC = "HDMD"
@@ -84,9 +85,7 @@ def build_model_db(
     values (count descending, value ascending).
     """
     for name, value in (("top_k", top_k), ("window", window), ("per_key", per_key)):
-        # bool is an int subclass, and True must not pass as 1.
-        if type(value) is not int or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+        check_int(name, value)
     if not generations.docs:
         raise ValueError("empty generations corpus")
     size = 1 + window

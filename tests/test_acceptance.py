@@ -21,7 +21,6 @@ from hierdraft import (
     DecodeConfig,
     HierarchyConfig,
     MethodSpec,
-    apply_temperature,
     autoregressive_decode,
     build_model_db,
     build_stats_db,
@@ -34,6 +33,7 @@ from hierdraft import (
 )
 
 from conftest import fresh_dbs, make_corpus, sample_prompts
+from oracles import apply_temperature
 from test_context_db import ReferenceLru
 
 

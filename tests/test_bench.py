@@ -76,6 +76,28 @@ def test_missing_db_fails_before_any_run(passage_setup):
         run_bench(model, prompts, [MethodSpec("hd", databases="cs")], runs=1)
 
 
+@pytest.mark.parametrize(
+    "methods, name",
+    [
+        ([MethodSpec("hd", databases="cms"), MethodSpec("hd", databases="m")], "hd"),
+        ([MethodSpec("autoregressive", databases="c")], "autoregressive"),
+    ],
+    ids=["two-hd-rows", "clash-with-the-prepended-baseline"],
+)
+def test_repeated_method_name_fails_before_any_run(passage_setup, monkeypatch, methods, name):
+    """Each row writes ``<name>.traces.jsonl``: a shared name would let a
+    later row overwrite an earlier row's traces."""
+    import hierdraft.bench as bench
+
+    model, model_db, stats_db, prompts = passage_setup
+    calls = []
+    monkeypatch.setattr(bench, "decode", lambda *args: calls.append("decode"))
+    monkeypatch.setattr(bench, "autoregressive_decode", lambda *args: calls.append("ar"))
+    with pytest.raises(ValueError, match=f"two method rows are named '{name}'"):
+        run_bench(model, prompts, methods, model_db=model_db, stats_db=stats_db, runs=1)
+    assert calls == []
+
+
 def test_fixture_speedup_with_busywork(passage_setup):
     model, model_db, stats_db, prompts = passage_setup
     report = run_bench(

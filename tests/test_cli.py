@@ -346,6 +346,8 @@ def test_analyze_locality_cli(workspace, tmp_path):
         ({"seed": True}, "error: .*seed"),
         ({"seed": -1}, "error: .*seed"),
         ({"max_token": 3}, "error: unknown key 'max_token' in bench config"),
+        ({"methods": [{"name": "hd", "databases": "c"}, {"name": "hd", "databases": "m"}]},
+         "error: two method rows are named 'hd'"),
         *_VOCAB_MISMATCHES,
     ],
     ids=["misspelt-hierarchy-key", "invalid-hierarchy-value", "misspelt-method-key",
@@ -356,7 +358,8 @@ def test_analyze_locality_cli(workspace, tmp_path):
          "negative-temperature", "bool-temperature", "misspelt-model-path-key",
          "model-object-rejected", "string-model-call-cost", "bool-model-call-cost",
          "negative-model-call-cost", "missing-vocab", "missing-model", "string-seed",
-         "bool-seed", "negative-seed", "misspelt-max-tokens-key", *_VOCAB_MISMATCH_IDS],
+         "bool-seed", "negative-seed", "misspelt-max-tokens-key", "repeated-method-name",
+         *_VOCAB_MISMATCH_IDS],
 )
 def test_bench_config_key_errors_exit(workspace, tmp_path, change, match):
     if callable(change):

@@ -21,8 +21,7 @@ from conftest import make_text
 
 def test_build_vocab_first_occurrence_order():
     vocab = build_vocab(["a b a"])
-    assert vocab.id_of("a") == 3
-    assert vocab.id_of("b") == 4
+    assert tokenize("a b", vocab) == [3, 4]
     assert vocab.size == 5
 
 
@@ -30,7 +29,7 @@ def test_build_vocab_deterministic():
     first = build_vocab(["x y z x"])
     second = build_vocab(["x y z x"])
     assert first == second
-    assert first.words == second.words
+    assert first == Vocab(["x", "y", "z"])
 
 
 def test_build_vocab_empty_is_error():

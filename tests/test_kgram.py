@@ -17,7 +17,6 @@ from hierdraft import (
     HierarchyConfig,
     KGramModel,
     ModelCallCounter,
-    apply_temperature,
     autoregressive_decode,
     corpus_from_texts,
     decode,
@@ -28,6 +27,7 @@ from hierdraft import (
 from hierdraft.kgram import _unseen_draw
 
 from conftest import fresh_dbs, make_corpus, sample_prompts
+from oracles import apply_temperature
 
 
 def _sample_token(probs, rng):
@@ -376,10 +376,10 @@ def test_sample_checks_the_temperature_only_when_it_changes(monkeypatch):
     model = fit_kgram(corpus, k=3, alpha=0.01)
     checked = []
 
-    def check(temperature, positive):
+    def check(name, temperature, positive):
         checked.append(temperature)
 
-    monkeypatch.setattr(kgram, "_check_temperature", check)
+    monkeypatch.setattr(kgram, "check_number", check)
     rng = np.random.default_rng(0)
     doc = corpus.docs[0]
     temperatures = [0.7] * 50 + [1.3] * 50 + [0.7] * 50
@@ -942,6 +942,9 @@ def test_save_kgram_writes_the_per_entry_writers_bytes(tmp_path_factory, model):
     assert loaded._argmax == model._argmax
 
 
+_BAD_ALPHA = "alpha must be a finite number > 0, not "
+
+
 @pytest.mark.parametrize(
     "data, match",
     [
@@ -957,11 +960,11 @@ def test_save_kgram_writes_the_per_entry_writers_bytes(tmp_path_factory, model):
         (_hdkg([_UNIGRAMS + _UNIGRAMS, _BIGRAMS]), "2 order-1 contexts"),
         (_hdkg([], k=0), "k = 0"),
         (_hdkg([_UNIGRAMS], k=2**32 - 1), "k = 4294967295"),
-        (_hdkg([_UNIGRAMS, _BIGRAMS], vocab_size=0), "vocab_size = 0"),
-        (_hdkg([_UNIGRAMS, _BIGRAMS], alpha=math.nan), "alpha = nan"),
-        (_hdkg([_UNIGRAMS, _BIGRAMS], alpha=math.inf), "alpha = inf"),
-        (_hdkg([_UNIGRAMS, _BIGRAMS], alpha=0.0), "alpha = 0.0"),
-        (_hdkg([_UNIGRAMS, _BIGRAMS], alpha=-0.5), "alpha = -0.5"),
+        (_hdkg([_UNIGRAMS, _BIGRAMS], vocab_size=0), "vocab_size must be an integer >= 1, not 0$"),
+        (_hdkg([_UNIGRAMS, _BIGRAMS], alpha=math.nan), _BAD_ALPHA + "nan$"),
+        (_hdkg([_UNIGRAMS, _BIGRAMS], alpha=math.inf), _BAD_ALPHA + "inf$"),
+        (_hdkg([_UNIGRAMS, _BIGRAMS], alpha=0.0), _BAD_ALPHA + "0.0$"),
+        (_hdkg([_UNIGRAMS, _BIGRAMS], alpha=-0.5), _BAD_ALPHA + "-0.5$"),
     ],
     ids=[
         "token-at-vocab-size", "token-999999-count-0", "context-id-at-vocab-size",

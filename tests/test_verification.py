@@ -12,7 +12,6 @@ from hierdraft import (
     ModelCallCounter,
     StepRecord,
     aggregate_traces,
-    apply_temperature,
     autoregressive_decode,
     corpus_from_texts,
     fit_kgram,
@@ -21,6 +20,7 @@ from hierdraft import (
 )
 
 from conftest import make_corpus
+from oracles import apply_temperature
 
 
 @pytest.fixture(scope="module")
