@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
+from ._checks import check_int
 from .corpus import Corpus
 from .engine import DecodeTrace
 
@@ -74,8 +75,7 @@ def locality_stats(
     and "first" otherwise. Returns per-occurrence rows
     (ngram_id, doc_index, position, class) and a per-n-gram summary.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_int("n", n)
     if len(corpus.docs) < 2:
         raise ValueError("locality stats need at least 2 documents")
     gram_ids: dict[tuple[int, ...], int] = {}

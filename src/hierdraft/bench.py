@@ -1,8 +1,11 @@
 """Benchmark harness: method comparison, access-order and DB-subset ablations.
 
-Timing methodology: monotonic clock, one warm-up pass discarded, then k
-timed passes over the whole prompt list run back to back; the reported
-tokens/sec is the median across passes (mean and stddev are emitted too).
+Timing methodology: monotonic clock; every row runs one warm-up pass,
+discarded from timing, then k timed passes over the whole prompt list,
+interleaved (pass i of every row before pass i + 1) so that a drift in the
+host's speed falls on every row alike. The reported tokens/sec is the
+median across passes (mean and stddev are emitted too); a row's speedup
+divides it by that of the autoregressive baseline at the row's temperature.
 The warm-up pass is the only one that builds decode traces: the row's
 quality metrics (alpha, tau, tallies, probe counts), its draft latencies
 and any saved trace files come from it, and the timed passes decode with
@@ -15,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import statistics
 import time
 from dataclasses import asdict, dataclass, replace
@@ -47,6 +51,10 @@ class MethodSpec:
     temperature: float = 0.0
 
     def __post_init__(self) -> None:
+        # A row writes ``<name>.traces.jsonl``, so its name must name one file.
+        name = self.name
+        if type(name) is not str or name in ("", ".", "..") or "/" in name or os.sep in name:
+            raise ValueError(f"a method name must name one file, not {self.name!r}")
         # A bad letter or temperature fails here, not after the baseline ran.
         DecodeConfig(temperature=self.temperature, hierarchy=HierarchyConfig(order=self.databases))
 
@@ -73,14 +81,15 @@ def run_bench(
 ) -> dict:
     """Run every method over all prompts and assemble a JSON-ready report.
 
-    The autoregressive baseline is always included (prepended when absent)
-    and its speedup is 1.0 by construction. Each row writes its traces to
-    ``trace_dir/<name>.traces.jsonl``, so a name that two rows share, the
-    prepended baseline's included, raises ``ValueError``. Prompt i always
-    decodes with seed ``seed + i``, so each row's warm-up outputs must
-    equal autoregressive decoding's at the row's temperature, computed once
-    per temperature; the first prompt that differs raises ``ValueError``
-    naming the row and the prompt. The shared
+    Each temperature T that a row uses has one baseline: its first
+    autoregressive row, or else one prepended, named ``autoregressive`` at
+    T = 0 and ``autoregressive@{float(T)}`` otherwise (with no rows, a T = 0
+    one). A row's speedup divides its tokens/sec by its baseline's, and its
+    warm-up outputs, prompt i with seed ``seed + i``, must equal the
+    baseline's: the first prompt that differs raises ``ValueError`` naming
+    the row and the prompt. Each row writes its traces to
+    ``trace_dir/<name>.traces.jsonl``, so a name that two rows share, a
+    prepended baseline's included, raises ``ValueError``. The shared
     settings are checked, and every method's databases found, before any
     method runs. Every row shares the stats index's memo of rankings: each
     row's warm-up pass fills it, so the warm-up ``s`` latencies of later
@@ -93,9 +102,18 @@ def run_bench(
     shared = DecodeConfig(
         max_tokens=max_tokens, seed=seed, hierarchy=hier, model_call_cost_s=model_call_cost_s
     )
-    methods = list(methods)
-    if not any(m.is_autoregressive for m in methods):
-        methods.insert(0, MethodSpec(AUTOREGRESSIVE, databases=""))
+    methods = list(methods) or [MethodSpec(AUTOREGRESSIVE, databases="")]
+    # Each temperature's baseline: its first autoregressive row, or a new one.
+    bases = {float(m.temperature): m for m in reversed(methods) if m.is_autoregressive}
+    added = []
+    for m in methods:
+        t = float(m.temperature)
+        if t not in bases:
+            name = f"{AUTOREGRESSIVE}@{t}" if t else AUTOREGRESSIVE
+            bases[t] = MethodSpec(name, databases="", temperature=m.temperature)
+            added.append(bases[t])
+    methods = added + methods
+    base = {m.name: bases[float(m.temperature)].name for m in methods}
     names = [m.name for m in methods]
     for name in names:
         if names.count(name) > 1:
@@ -109,26 +127,38 @@ def run_bench(
     for config in configs:
         dbs.drafters(config.hierarchy)  # a database ordered but not given fails here
 
-    rows = []
-    ar_tps: float | None = None
-    ar_outputs: dict[float, list[list[int]]] = {}  # per temperature
+    rows, outputs = {}, {}
     for method, config in zip(methods, configs):
-        row, outputs = _run_method(method, config, model, prompts, dbs, runs, trace_dir)
-        if config.temperature not in ar_outputs:
-            ar_outputs[config.temperature] = (
-                outputs if method.is_autoregressive else _ar_outputs(model, prompts, config)
-            )
-        for i, (output, expected) in enumerate(zip(outputs, ar_outputs[config.temperature])):
-            if output != expected:
+        traces = _run_pass(model, prompts, dbs, config, trace=True)
+        rows[method.name] = _row(method, traces)
+        outputs[method.name] = [trace.output for trace in traces]
+        if trace_dir is not None:
+            Path(trace_dir).mkdir(parents=True, exist_ok=True)
+            save_traces(traces, Path(trace_dir) / f"{method.name}.traces.jsonl")
+    for method in methods:
+        expected = outputs[base[method.name]]
+        for i, (output, want) in enumerate(zip(outputs[method.name], expected)):
+            if output != want:
                 raise ValueError(
                     f"row {method.name!r}: prompt {i} decodes to other tokens than "
-                    f"autoregressive decoding at temperature {config.temperature}"
+                    f"autoregressive decoding at temperature {method.temperature}"
                 )
-        if method.is_autoregressive and ar_tps is None:
-            ar_tps = row["tokens_per_sec"]
-        rows.append(row)
-    for row in rows:
-        row["speedup"] = row["tokens_per_sec"] / ar_tps if ar_tps else None
+    tps_runs: dict[str, list[float]] = {name: [] for name in names}
+    for _ in range(runs):
+        for method, config in zip(methods, configs):
+            start = time.perf_counter()
+            tokens = sum(map(len, _run_pass(model, prompts, dbs, config, trace=False)))
+            elapsed = time.perf_counter() - start
+            tps_runs[method.name].append(tokens / elapsed if elapsed > 0 else float("inf"))
+    for method in methods:
+        tps = tps_runs[method.name]
+        median = statistics.median(tps)
+        rows[method.name].update(
+            tokens_per_sec=median,
+            tokens_per_sec_mean=statistics.fmean(tps),
+            tokens_per_sec_stddev=statistics.pstdev(tps),
+            speedup=median / statistics.median(tps_runs[base[method.name]]),
+        )
     report = {
         "env": {
             "seed": seed,
@@ -140,101 +170,56 @@ def run_bench(
             "hierarchy": {k: v for k, v in asdict(hier).items() if k != "order"},
             "fingerprints": fingerprints or {},
         },
-        "rows": rows,
+        "rows": list(rows.values()),
     }
     if out is not None:
         write_report(report, out)
     return report
 
 
-def _ar_outputs(model: KGramModel, prompts: list[list[int]], config: DecodeConfig) -> list:
-    """Each prompt's autoregressive output at ``config``'s temperature, prompt
-    i with seed ``config.seed + i``, at no model cost."""
-    return [
-        autoregressive_decode(
-            model, prompt, replace(config, seed=config.seed + i, model_call_cost_s=0.0)
-        )[0]
-        for i, prompt in enumerate(prompts)
-    ]
-
-
-def _run_method(
-    method: MethodSpec,
-    method_config: DecodeConfig,
+def _run_pass(
     model: KGramModel,
     prompts: list[list[int]],
     dbs: DatabaseSet,
-    runs: int,
-    trace_dir: str | Path | None,
-) -> tuple[dict, list[list[int]]]:
-    """The method's report row and its warm-up pass's outputs."""
-    def run_pass(trace: bool) -> tuple[int, list[DecodeTrace]]:
-        total_tokens = 0
-        traces: list[DecodeTrace] = []
-        for i, prompt in enumerate(prompts):
-            config = replace(method_config, seed=method_config.seed + i, trace=trace)
-            if method.is_autoregressive:
-                output, metrics = autoregressive_decode(model, prompt, config)
-                if trace:
-                    traces.append(
-                        DecodeTrace(list(prompt), list(output), [], config, metrics.wall_time_s)
-                    )
-            else:
-                output, _metrics, decoded = decode(model, prompt, dbs, config)
-                if trace:
-                    traces.append(decoded)
-            total_tokens += len(output)
-        return total_tokens, traces
+    config: DecodeConfig,
+    trace: bool,
+) -> list:
+    """One row's pass over every prompt, prompt i with seed ``config.seed + i``:
+    each prompt's ``DecodeTrace`` when ``trace``, else its output alone."""
+    results = []
+    for i, prompt in enumerate(prompts):
+        prompt_config = replace(config, seed=config.seed + i, trace=trace)
+        if config.hierarchy.order:
+            output, _metrics, decoded = decode(model, prompt, dbs, prompt_config)
+        else:
+            output, metrics = autoregressive_decode(model, prompt, prompt_config)
+            if trace:
+                decoded = DecodeTrace(
+                    list(prompt), list(output), [], prompt_config, metrics.wall_time_s
+                )
+        results.append(decoded if trace else output)
+    return results
 
-    # The traced warm-up pass is discarded from timing.
-    _tokens, traces = run_pass(trace=True)
-    tps_runs: list[float] = []
-    for _ in range(runs):
-        start = time.perf_counter()
-        total_tokens, _traces = run_pass(trace=False)
-        elapsed = time.perf_counter() - start
-        tps_runs.append(total_tokens / elapsed if elapsed > 0 else float("inf"))
-    row: dict = {
+
+def _row(method: MethodSpec, traces: list[DecodeTrace]) -> dict:
+    """A report row without its timing: every number in it comes from the
+    row's warm-up ``traces``."""
+    agg = aggregate_traces(traces)
+    # An autoregressive trace records no steps: each token took one step.
+    ar = method.is_autoregressive
+    return {
         "name": method.name,
         "databases": method.databases,
         "temperature": method.temperature,
-        "tokens_per_sec": statistics.median(tps_runs),
-        "tokens_per_sec_mean": statistics.fmean(tps_runs),
-        "tokens_per_sec_stddev": statistics.pstdev(tps_runs),
+        "tokens": agg.tokens_generated,
+        "steps": agg.tokens_generated if ar else agg.steps,
+        "tau": 1.0 if ar else agg.tau,
+        "alpha": agg.alpha,
+        "alpha_all": agg.alpha_all,
+        "draft_latency_ns": agg.draft_latency_ns,
+        "tallies": agg.tallies,
+        "probes": agg.probes,
     }
-    if method.is_autoregressive:
-        tokens = sum(len(t.output) for t in traces)
-        row.update(
-            {
-                "tokens": tokens,
-                "steps": tokens,
-                "tau": 1.0,
-                "alpha": None,
-                "alpha_all": None,
-                "draft_latency_ns": {"mean": 0.0, "stddev": 0.0, "per_db": {}},
-                "tallies": {},
-                "probes": {},
-            }
-        )
-    else:
-        agg = aggregate_traces(traces)
-        row.update(
-            {
-                "tokens": agg.tokens_generated,
-                "steps": agg.steps,
-                "tau": agg.tau,
-                "alpha": agg.alpha,
-                "alpha_all": agg.alpha_all,
-                "draft_latency_ns": agg.draft_latency_ns,
-                "tallies": agg.tallies,
-                "probes": agg.probes,
-            }
-        )
-    if trace_dir is not None:
-        trace_dir = Path(trace_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        save_traces(traces, trace_dir / f"{method.name}.traces.jsonl")
-    return row, [trace.output for trace in traces]
 
 
 # The method rows of ``hd ablate``: all six access orders of the three

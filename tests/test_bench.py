@@ -1,4 +1,6 @@
 import json
+import os
+from fractions import Fraction
 
 import pytest
 
@@ -96,6 +98,89 @@ def test_repeated_method_name_fails_before_any_run(passage_setup, monkeypatch, m
     with pytest.raises(ValueError, match=f"two method rows are named '{name}'"):
         run_bench(model, prompts, methods, model_db=model_db, stats_db=stats_db, runs=1)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "name", ["", ".", "..", "../escaped", "a/b", f"a{os.sep}b", 3],
+    ids=["empty", "dot", "dot-dot", "parent-path", "slash", "os-sep", "not-a-string"],
+)
+def test_a_method_name_must_name_one_file(name):
+    """A row writes ``<name>.traces.jsonl``: a name that is no file name,
+    or one that reaches out of the trace directory, fails before any row runs."""
+    with pytest.raises(ValueError, match="a method name must name one file"):
+        MethodSpec(name, databases="c")
+
+
+def test_timed_passes_interleave(passage_setup, monkeypatch):
+    """Every row's traced warm-up runs first; then pass i of every row runs
+    before pass i + 1, with tracing off."""
+    import hierdraft.bench as bench
+
+    model, model_db, stats_db, prompts = passage_setup
+    prompts = prompts * 2
+    calls = []
+    real_decode, real_ar = bench.decode, bench.autoregressive_decode
+
+    def spy_decode(model, prompt, dbs, config):
+        calls.append(("hd", config.trace))
+        return real_decode(model, prompt, dbs, config)
+
+    def spy_ar(model, prompt, config):
+        calls.append(("ar", config.trace))
+        return real_ar(model, prompt, config)
+
+    monkeypatch.setattr(bench, "decode", spy_decode)
+    monkeypatch.setattr(bench, "autoregressive_decode", spy_ar)
+    run_bench(
+        model, prompts, [MethodSpec("hd", databases="cms")],
+        model_db=model_db, stats_db=stats_db, runs=3, max_tokens=20,
+    )
+    warm_up = [("ar", True)] * 2 + [("hd", True)] * 2
+    timed = [("ar", False)] * 2 + [("hd", False)] * 2
+    assert calls == warm_up + timed * 3
+
+
+def test_each_temperature_has_its_own_baseline(passage_setup):
+    """A row's speedup divides by autoregressive decoding at its own
+    temperature: the first such row listed, or one the bench prepends."""
+    model, model_db, stats_db, prompts = passage_setup
+    report = run_bench(
+        model, prompts,
+        [
+            MethodSpec("hd", "cms"),
+            MethodSpec("hd-hot", "cms", 0.8),
+            MethodSpec("hd-warm", "mc", 0.3),
+            MethodSpec("ar-warm", "", 0.3),
+            MethodSpec("ar-warm-2", "", 0.3),
+        ],
+        model_db=model_db, stats_db=stats_db, runs=2, max_tokens=20,
+    )
+    rows = {row["name"]: row for row in report["rows"]}
+    assert list(rows) == [
+        "autoregressive", "autoregressive@0.8", "hd", "hd-hot", "hd-warm", "ar-warm", "ar-warm-2",
+    ]
+    hot = rows["autoregressive@0.8"]
+    assert (hot["databases"], hot["temperature"], hot["speedup"]) == ("", 0.8, 1.0)
+    for name, base in (
+        ("autoregressive", "autoregressive"), ("hd", "autoregressive"),
+        ("autoregressive@0.8", "autoregressive@0.8"), ("hd-hot", "autoregressive@0.8"),
+        ("hd-warm", "ar-warm"), ("ar-warm", "ar-warm"), ("ar-warm-2", "ar-warm"),
+    ):
+        tps = rows[name]["tokens_per_sec"] / rows[base]["tokens_per_sec"]
+        assert rows[name]["speedup"] == tps
+
+
+def test_a_fraction_temperature_names_its_baseline_by_float(passage_setup, tmp_path):
+    """``str(Fraction(1, 2))`` holds a ``/``; the baseline's name and trace
+    file use ``float(T)``."""
+    model, *_, prompts = passage_setup
+    report = run_bench(
+        model, prompts, [MethodSpec("half", "c", Fraction(1, 2))],
+        runs=1, max_tokens=10, trace_dir=tmp_path,
+    )
+    assert [row["name"] for row in report["rows"]] == ["autoregressive@0.5", "half"]
+    traces = load_traces(tmp_path / "autoregressive@0.5.traces.jsonl")
+    assert [t.config.temperature for t in traces] == [0.5]
 
 
 def test_fixture_speedup_with_busywork(passage_setup):
@@ -249,25 +334,6 @@ def test_write_report_is_valid_json(passage_setup, tmp_path):
     assert loaded["rows"][0]["speedup"] == 1.0
 
 
-def test_only_the_warm_up_pass_traces(passage_setup, monkeypatch):
-    import hierdraft.bench as bench
-
-    model, model_db, stats_db, prompts = passage_setup
-    traced = []
-    real_decode = bench.decode
-
-    def spy(model, prompt, dbs, config):
-        traced.append(config.trace)
-        return real_decode(model, prompt, dbs, config)
-
-    monkeypatch.setattr(bench, "decode", spy)
-    run_bench(
-        model, prompts, [MethodSpec("hd", databases="cms")],
-        model_db=model_db, stats_db=stats_db, runs=3, max_tokens=20,
-    )
-    assert traced == [True] * len(prompts) + [False] * (3 * len(prompts))
-
-
 @pytest.mark.parametrize(
     "change, match",
     [
@@ -300,7 +366,7 @@ def test_prompt_i_decodes_with_seed_plus_i(passage_setup, tmp_path):
         model, prompts * 3, [MethodSpec("hd", databases="mc", temperature=0.8)],
         model_db=model_db, runs=1, seed=5, max_tokens=10, trace_dir=tmp_path,
     )
-    for name, order, temperature in (("autoregressive", "", 0.0), ("hd", "mc", 0.8)):
+    for name, order, temperature in (("autoregressive@0.8", "", 0.8), ("hd", "mc", 0.8)):
         configs = [t.config for t in load_traces(tmp_path / f"{name}.traces.jsonl")]
         assert [c.seed for c in configs] == [5, 6, 7]
         assert {(c.hierarchy.order, c.temperature, c.max_tokens) for c in configs} == {

@@ -335,6 +335,8 @@ def test_analyze_locality_cli(workspace, tmp_path):
         ({"methods": [{"name": "hd", "temperature": "hot"}]}, "error: bad method.*'hot'"),
         ({"methods": [{"name": "hd", "temperature": -1}]}, "error: bad method.*temperature"),
         ({"methods": [{"name": "hd", "temperature": True}]}, "error: bad method.*temperature"),
+        ({"methods": [{"name": "../escaped", "databases": "c"}]},
+         "error: bad method in bench config: a method name must name one file"),
         ({"model": {"pth": "model.hdkg"}}, "error: bad model in bench config"),
         (lambda ws: {"model": {"path": str(ws["model"])}}, "error: bad model in bench config"),
         ({"model_call_cost_ms": "x"}, "error: bad model_call_cost_ms in bench config"),
@@ -355,7 +357,8 @@ def test_analyze_locality_cli(workspace, tmp_path):
          "hierarchy-enabled-set-per-method", "removed-recycle-method-key",
          "removed-order-method-key", "repeated-database", "float-set-size",
          "bool-draft-len", "removed-capacity-hierarchy-key", "string-temperature",
-         "negative-temperature", "bool-temperature", "misspelt-model-path-key",
+         "negative-temperature", "bool-temperature", "method-name-outside-trace-dir",
+         "misspelt-model-path-key",
          "model-object-rejected", "string-model-call-cost", "bool-model-call-cost",
          "negative-model-call-cost", "missing-vocab", "missing-model", "string-seed",
          "bool-seed", "negative-seed", "misspelt-max-tokens-key", "repeated-method-name",

@@ -24,6 +24,7 @@ from hierdraft import (
     corpus_from_texts,
     fit_kgram,
     load_traces,
+    locality_stats,
     run_bench,
 )
 
@@ -55,6 +56,7 @@ INTEGER_SETTINGS = {
     "runs": ("runs", 1, lambda v: run_bench(_MODEL, [[3, 4]], [], runs=v)),
     "k": ("k", 1, lambda v: fit_kgram(_CORPUS, k=v, alpha=0.1)),
     "vocab_size": ("vocab_size", 1, lambda v: KGramModel(1, 0.1, v, [])),
+    "locality-n": ("n", 1, lambda v: locality_stats(_CORPUS, v)),
 }
 
 
