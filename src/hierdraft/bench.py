@@ -54,7 +54,7 @@ class MethodSpec:
         # A row writes ``<name>.traces.jsonl``, so its name must name one file.
         name = self.name
         if type(name) is not str or name in ("", ".", "..") or "/" in name or os.sep in name:
-            raise ValueError(f"a method name must name one file, not {self.name!r}")
+            raise ValueError(f"a method name must name one file, not {name!r}")
         # A bad letter or temperature fails here, not after the baseline ran.
         DecodeConfig(temperature=self.temperature, hierarchy=HierarchyConfig(order=self.databases))
 
