@@ -76,10 +76,11 @@ def run_bench(
     max_tokens: int = 64,
     model_call_cost_s: float = 0.0,
     trace_dir: str | Path | None = None,
-    fingerprints: dict[str, str] | None = None,
-    out: str | Path | None = None,
 ) -> dict:
-    """Run every method over all prompts and assemble a JSON-ready report.
+    """Run every method over all prompts and return a JSON-ready report.
+
+    Only trace files are written: ``write_report`` saves the report, and
+    ``hd bench`` adds the SHA-256 of its input files as ``env.fingerprints``.
 
     Each temperature T that a row uses has one baseline: its first
     autoregressive row, or else one prepended, named ``autoregressive`` at
@@ -159,7 +160,7 @@ def run_bench(
             tokens_per_sec_stddev=statistics.pstdev(tps),
             speedup=median / statistics.median(tps_runs[base[method.name]]),
         )
-    report = {
+    return {
         "env": {
             "seed": seed,
             "runs": runs,
@@ -168,13 +169,9 @@ def run_bench(
             "prompt_count": len(prompts),
             # Each row sets its own order.
             "hierarchy": {k: v for k, v in asdict(hier).items() if k != "order"},
-            "fingerprints": fingerprints or {},
         },
         "rows": list(rows.values()),
     }
-    if out is not None:
-        write_report(report, out)
-    return report
 
 
 def _run_pass(

@@ -67,38 +67,42 @@ def _cmd_build_stats_db(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_vocabulary(vocab: Vocab, model, model_db, stats_db) -> None:
-    """Stop unless the model, the model DB and the stats DB use the ids of ``vocab``."""
-    size = vocab.size
-    for what, item in (("model", model), ("stats DB", stats_db)):
+# The input files of hd run, hd bench and hd ablate, each keyed by its bench
+# config key, which is also its hd run flag's dest.
+_FILES = {
+    "vocab": Vocab.load,
+    "model": load_kgram,
+    "model_db": load_model_db,
+    "stats_db": load_stats_db,
+}
+
+
+def _load_files(paths: dict) -> dict:
+    """Load each file ``paths`` names by path string, ``None`` where it names
+    none, and stop unless the model and both DBs use the vocab's ids."""
+    files = {}
+    for key, load in _FILES.items():
+        path = paths.get(key)
+        if path is not None and not isinstance(path, str):
+            raise SystemExit(f"error: bad {key} in bench config: {path!r}")
+        files[key] = None if path is None else load(path)
+    size = files["vocab"].size
+    for what, item in (("model", files["model"]), ("stats DB", files["stats_db"])):
         if item is not None and item.vocab_size != size:
             raise SystemExit(
                 f"error: the {what} has vocab_size {item.vocab_size}, but the vocab has {size} ids"
             )
+    model_db = files["model_db"]
     if model_db is not None and model_db.max_id() >= size:
         raise SystemExit(
             f"error: the model DB holds token id {model_db.max_id()}, but the vocab has {size} ids"
         )
-
-
-def _load_databases(args: argparse.Namespace, hier: HierarchyConfig) -> DatabaseSet:
-    order = hier.order
-    model_db = stats_db = None
-    if "m" in order:
-        if not args.model_db:
-            raise SystemExit("error: databases include 'm' but --model-db is missing")
-        model_db = load_model_db(args.model_db)
-    if "s" in order:
-        if not args.stats_db:
-            raise SystemExit("error: databases include 's' but --stats-db is missing")
-        stats_db = load_stats_db(args.stats_db)
-    context = ContextDB.for_hierarchy(hier) if "c" in order else None
-    return DatabaseSet(context=context, model=model_db, stats=stats_db)
+    return files
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    vocab = Vocab.load(args.vocab)
-    model = load_kgram(args.model)
+    files = _load_files(vars(args))
+    vocab = files["vocab"]
     if args.prompt is not None:
         prompt = tokenize_strict(args.prompt, vocab, "--prompt")
     elif args.prompt_file is not None:
@@ -121,9 +125,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trace=True,  # latencies are measured only on a traced decode
         model_call_cost_s=args.model_cost_ms / 1e3,
     )
-    dbs = _load_databases(args, hier)
-    _check_vocabulary(vocab, model, dbs.model, dbs.stats)
-    output, metrics, trace = decode(model, prompt, dbs, config)
+    dbs = DatabaseSet(ContextDB.for_hierarchy(hier), files["model_db"], files["stats_db"])
+    output, metrics, trace = decode(files["model"], prompt, dbs, config)
     print(detokenize(output, vocab))
     print(json.dumps(asdict(metrics), indent=2, sort_keys=True), file=sys.stderr)
     if args.trace is not None:
@@ -131,15 +134,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-# The files a bench config names, each loaded and fingerprinted by its
-# loader; "vocab" and "model" are required.
-_BENCH_FILES = {
-    "vocab": Vocab.load,
-    "model": load_kgram,
-    "model_db": load_model_db,
-    "stats_db": load_stats_db,
-}
-_BENCH_KEYS = {*_BENCH_FILES, "max_tokens", "seed", "model_call_cost_ms", "hierarchy", "methods"}
+_BENCH_KEYS = {*_FILES, "max_tokens", "seed", "model_call_cost_ms", "hierarchy", "methods"}
 
 
 def _load_bench_setup(config_path: str) -> dict:
@@ -171,22 +166,6 @@ def _from_spec(cls, spec, what: str):
         raise SystemExit(f"error: bad {what} in bench config: {exc}")
 
 
-def _bench_files(setup: dict) -> tuple[dict, dict[str, str]]:
-    """Load and fingerprint every file the config names, each given as a
-    path string; an unnamed model DB or stats DB loads as ``None``."""
-    loaded, fingerprints = {}, {}
-    for key, load in _BENCH_FILES.items():
-        path = setup.get(key)
-        if path is None:
-            loaded[key] = None
-            continue
-        if not isinstance(path, str):
-            raise SystemExit(f"error: bad {key} in bench config: {path!r}")
-        loaded[key] = load(path)
-        fingerprints[key] = bench.file_fingerprint(path)
-    return loaded, fingerprints
-
-
 def _load_prompts(path: str, vocab: Vocab) -> list[list[int]]:
     prompts = []
     for number, line in enumerate(_read_text(path).splitlines(), 1):
@@ -212,8 +191,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         methods = [
             _from_spec(bench.MethodSpec, row, "method") for row in setup.get("methods", [])
         ]
-    files, fingerprints = _bench_files(setup)
-    _check_vocabulary(files["vocab"], files["model"], files["model_db"], files["stats_db"])
+    files = _load_files(setup)
     prompts = _load_prompts(args.prompts, files["vocab"])
     report = bench.run_bench(
         files["model"],
@@ -222,14 +200,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         model_db=files["model_db"],
         stats_db=files["stats_db"],
         hierarchy=hier,
-        fingerprints=fingerprints,
-        out=args.out,
         runs=args.runs,
         seed=setup.get("seed", 7),
         max_tokens=setup.get("max_tokens", 64),
         model_call_cost_s=setup.get("model_call_cost_ms", 0.0) / 1e3,
         trace_dir=args.trace_dir,
     )
+    report["env"]["fingerprints"] = {
+        key: bench.file_fingerprint(setup[key]) for key, item in files.items() if item is not None
+    }
+    bench.write_report(report, args.out)
     print(f"wrote report with {len(report['rows'])} rows to {args.out}")
     return 0
 
@@ -245,11 +225,17 @@ def _cmd_analyze_locality(args: argparse.Namespace) -> int:
 
 def _cmd_analyze_coverage(args: argparse.Namespace) -> int:
     trace_dir = Path(args.traces)
-    traces_by_db = {}
+    traces_by_db, paths = {}, {}
     for path in sorted(trace_dir.glob("*.traces.jsonl")):
-        label = path.name.split(".")[0].rsplit("-", 1)[-1]
-        if len(label) == 1 and label in "cms":
-            traces_by_db[label] = load_traces(path)
+        traces = load_traces(path)
+        orders = {trace.config.hierarchy.order for trace in traces}
+        if len(orders) != 1 or len(label := orders.pop()) != 1:
+            continue  # not one single-database run
+        if label in paths:
+            raise SystemExit(
+                f"error: {paths[label].name} and {path.name} both hold a run of database {label!r}"
+            )
+        traces_by_db[label], paths[label] = traces, path
     if not traces_by_db:
         raise SystemExit(f"error: no single-database trace files under {trace_dir}")
     report = analysis.coverage_report(traces_by_db)

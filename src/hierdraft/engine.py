@@ -94,6 +94,10 @@ class DecodeTrace:
 def _validate_prompt(prompt: list[int], vocab_size: int) -> None:
     if not prompt:
         raise ValueError("malformed prompt: empty")
+    # bool is an int subclass, and True must not pass as id 1 (EOS).
+    for kind in set(map(type, prompt)):
+        if kind is bool or not issubclass(kind, (int, np.integer)):
+            raise ValueError(f"malformed prompt: an id of type {kind.__name__}")
     if EOS in prompt[:-1]:
         raise ValueError("malformed prompt: EOS mid-sequence")
     # The model packs a context's ids into one key, unique only for ids

@@ -97,8 +97,8 @@ def build_model_db(
     entries: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     for gram, count in ranked:
         entries.setdefault(gram[0], []).append((gram[1:], count))
-    for key, rows in entries.items():
-        rows.sort(key=lambda vc: (-vc[1], vc[0]))
+    # In ``ranked`` order, each key's rows are already count-descending, value-ascending.
+    for rows in entries.values():
         del rows[per_key:]
     return ModelDB(window, entries)
 

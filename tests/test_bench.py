@@ -288,7 +288,7 @@ def test_report_deterministic_modulo_wallclock(passage_setup, tmp_path):
     reports = []
     for name in ("a", "b"):
         out = tmp_path / f"{name}.json"
-        run_bench(
+        report = run_bench(
             model,
             prompts,
             [MethodSpec("hd", databases="cms")],
@@ -296,8 +296,8 @@ def test_report_deterministic_modulo_wallclock(passage_setup, tmp_path):
             stats_db=stats_db,
             runs=2,
             max_tokens=30,
-            out=out,
         )
+        write_report(report, out)
         reports.append(scrub(json.loads(out.read_text(encoding="utf-8"))))
     assert json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)
 

@@ -165,7 +165,7 @@ def test_fit_kgram_requires_a_vocab(workspace, tmp_path, capsys):
 
 
 def test_run_missing_db_flag_fails(workspace):
-    with pytest.raises(SystemExit, match="stats-db"):
+    with pytest.raises(SystemExit, match="^error: the stats DB is ordered but not provided$"):
         main(
             ["run", "--prompt", "w0 w1", "--vocab", str(workspace["vocab"]),
              "--model", str(workspace["model"]), "--databases", "c,s",
@@ -250,6 +250,18 @@ def test_readme_bench_config_matches_the_loader(tmp_path):
         _from_spec(MethodSpec, row, "method")
 
 
+def test_readme_library_snippet_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.DOTALL).group(1)
+    rng = random.Random(5)
+    (tmp_path / "corpus.txt").write_text(
+        "\n".join(make_text(rng, 200, vocab_words=40) for _ in range(10)) + "\n",
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(tmp_path)
+    exec(snippet, {})
+
+
 def _documented_commands(text: str) -> list[list[str]]:
     """Every ``hd ...`` command in ``text``, continuation lines joined."""
     joined = re.sub(r"\\\n\s*", " ", text)
@@ -291,6 +303,29 @@ def test_ablate_and_coverage_cli(workspace, capsys):
     coverage = json.loads(venn.read_text(encoding="utf-8"))
     assert coverage["labels"] == ["c", "m", "s"]
     assert sum(coverage["regions"].values()) == coverage["events_union"]
+
+
+def test_coverage_picks_runs_by_their_recorded_order(workspace, tmp_path):
+    """A trace file is one database's run by the order its traces record,
+    whatever the row's name."""
+    setup = json.loads(workspace["configs"].read_text(encoding="utf-8"))
+    methods = [{"name": "db-c", "databases": "c"}, {"name": "db-m", "databases": "m"},
+               {"name": "hd-s", "databases": "cms"}]
+    configs = tmp_path / "bench.json"
+    configs.write_text(json.dumps({**setup, "methods": methods}), encoding="utf-8")
+    traces = tmp_path / "traces"
+    assert main(["bench", "--prompts", str(workspace["prompts"]), "--configs", str(configs),
+                 "--runs", "1", "--trace-dir", str(traces),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    coverage = ["analyze", "coverage", "--traces", str(traces), "--out", str(tmp_path / "v.json")]
+    assert main(coverage) == 0
+    report = json.loads((tmp_path / "v.json").read_text(encoding="utf-8"))
+    assert report["labels"] == ["c", "m"]
+    # A second run of c alone stops the command, under any file name.
+    (traces / "again.traces.jsonl").write_bytes((traces / "db-c.traces.jsonl").read_bytes())
+    both = "^error: again.traces.jsonl and db-c.traces.jsonl both hold a run of database 'c'$"
+    with pytest.raises(SystemExit, match=both):
+        main(coverage)
 
 
 def test_ablate_order_cli(workspace):

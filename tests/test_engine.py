@@ -70,6 +70,32 @@ def test_malformed_prompt_rejected(setup):
         autoregressive_decode(model, [-1, 3], DecodeConfig())
 
 
+@pytest.mark.parametrize("ar", [False, True], ids=["decode", "autoregressive"])
+@pytest.mark.parametrize(
+    "prompt, kind",
+    [([3, 4.5], "float"), ([3, True], "bool"), (["3"], "str"),
+     ([3, np.float64(4.0)], "float64"), ([3, np.bool_(True)], "")],
+    ids=["float", "bool", "str", "np-float", "np-bool"],
+)
+def test_prompt_ids_must_be_integers(setup, ar, prompt, kind):
+    # 4.5 decoded as if it were 4, True as EOS, and "3" escaped as TypeError.
+    _, model, *_ = setup
+    with pytest.raises(ValueError, match=f"^malformed prompt: an id of type {kind}"):
+        if ar:
+            autoregressive_decode(model, prompt, DecodeConfig(max_tokens=4))
+        else:
+            decode(model, prompt, fresh_dbs(), _hd_config(max_tokens=4))
+
+
+def test_numpy_integer_prompt_ids_decode_as_ints(setup):
+    _, model, model_db, stats_db = setup
+    config = _hd_config(max_tokens=8)
+    want, _, _ = decode(model, [3, 4, 5], fresh_dbs(model_db, stats_db), config)
+    prompt = [np.int64(3), np.uint16(4), 5]
+    assert decode(model, prompt, fresh_dbs(model_db, stats_db), config)[0] == want
+    assert autoregressive_decode(model, prompt, config)[0] == want
+
+
 def test_greedy_losslessness_random_prompts(setup):
     corpus, model, model_db, stats_db = setup
     prompts = sample_prompts(corpus, 25, seed=4)

@@ -27,6 +27,7 @@ from hierdraft import (
     locality_stats,
     run_bench,
 )
+from hierdraft.bench import write_report
 
 _CORPUS = corpus_from_texts(["a b a b c", "b c a"])
 _MODEL = fit_kgram(_CORPUS, k=2, alpha=0.1)
@@ -101,10 +102,11 @@ def test_integer_settings_share_one_rule(setting, value):
 def test_number_settings_are_written_as_floats(tmp_path, value):
     """A report and a trace file hold an accepted number setting as a float."""
     cost = value / 10**6
-    run_bench(
+    report = run_bench(
         _MODEL, [[3, 4]], [MethodSpec("hd", "c", value)], runs=1, max_tokens=4,
-        model_call_cost_s=cost, trace_dir=tmp_path, out=tmp_path / "report.json",
+        model_call_cost_s=cost, trace_dir=tmp_path,
     )
+    write_report(report, tmp_path / "report.json")
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert report["env"]["model_call_cost_s"] == float(cost)
     assert report["rows"][1]["temperature"] == float(value)
