@@ -61,6 +61,10 @@ class ReferenceLru:
             entry[2] = self.clock
         return [e[1] for e in mine]
 
+    def order(self):
+        """Every (key, value) pair, least recently used first."""
+        return [(e[0], e[1]) for e in sorted(self.entries, key=lambda e: e[2])]
+
 
 def test_ingest_window_mechanics():
     db = ContextDB(window=4)
@@ -143,6 +147,19 @@ def test_non_integer_settings_rejected(settings):
         ContextDB(**settings)
 
 
+@pytest.mark.parametrize("hook", [0, "print", [print]], ids=["int", "string", "list"])
+def test_uncallable_eviction_hook_rejected(hook):
+    """A bad hook is refused when the table is made, not at its first
+    eviction deep inside a decode."""
+    with pytest.raises(ValueError, match="on_evict must be callable or None"):
+        ContextDB(on_evict=hook)
+
+
+def test_for_hierarchy_takes_window_and_per_key_from_the_hierarchy():
+    db = ContextDB.for_hierarchy(HierarchyConfig(set_size=3, draft_len=6))
+    assert (db.window, db.per_key, db.capacity) == (6, 3, 4096)
+
+
 def test_lookup_rejects_negative_want():
     db = ContextDB()
     with pytest.raises(ValueError):
@@ -183,6 +200,98 @@ def test_random_trace_matches_reference(seed):
             assert db.lookup(key, want) == ref.lookup(key, want)
     assert evicted == ref.evicted
     assert len(db) == len(ref.entries)
+
+
+def _random_ops(rng, db, ref, n_ops, n_keys):
+    """Random inserts, ingests and lookups on both tables; every lookup
+    must agree."""
+    for _ in range(n_ops):
+        op = rng.random()
+        if op < 0.4:
+            key = rng.randrange(n_keys)
+            value = tuple(rng.randrange(4) for _ in range(rng.randint(1, 2)))
+            db.insert(key, value)
+            ref.insert(key, value)
+        elif op < 0.6:
+            seq = [rng.randrange(n_keys) for _ in range(rng.randint(2, 8))]
+            db.ingest(seq)
+            ref.ingest(seq)
+        else:
+            key = rng.randrange(n_keys)
+            want = rng.randint(0, 4)
+            assert db.lookup(key, want) == ref.lookup(key, want)
+
+
+@pytest.mark.parametrize("capacity", [6, 30, 300])
+def test_long_stretch_below_capacity_then_overflow_matches_reference(capacity):
+    """The table keeps only use stamps while it holds at most ``capacity``
+    pairs, and builds the global order the first time it goes over. A long
+    stretch of refreshes, lookups and per-key evictions that cannot reach
+    ``capacity`` (its keys hold at most ``per_key * n_keys <= capacity``
+    pairs), then a stretch over more keys that overflows: lookups, victims
+    and recency all match the reference."""
+    rng = random.Random(capacity)
+    caps = dict(window=1, per_key=3, capacity=capacity)
+    evicted = []
+    db = ContextDB(on_evict=lambda k, v: evicted.append((k, v)), **caps)
+    ref = ReferenceLru(**caps)
+    _random_ops(rng, db, ref, 40 * capacity, n_keys=capacity // 3)
+    assert db._lru is None  # never over capacity: no global order yet
+    assert ref.evicted and evicted == ref.evicted  # per-key evictions only
+    assert list(db._order) == ref.order()
+    _random_ops(rng, db, ref, 40 * capacity, n_keys=2 * capacity)
+    assert db._lru is not None
+    assert evicted == ref.evicted
+    assert list(db._order) == ref.order()
+    assert len(db) == len(ref.entries) == capacity
+
+
+def test_one_ingest_crossing_capacity_matches_reference():
+    """One ``ingest`` call that takes the table over ``capacity`` partway
+    through its sequence evicts what inserting each pair in turn would."""
+    caps = dict(window=3, per_key=2, capacity=40)
+    evicted = []
+    db = ContextDB(on_evict=lambda k, v: evicted.append((k, v)), **caps)
+    ref = ReferenceLru(**caps)
+    rng = random.Random(5)
+    first = [rng.randrange(30) for _ in range(40)]
+    db.ingest(first)
+    ref.ingest(first)
+    for key in range(0, 30, 3):  # lookups move some pairs to the front
+        assert db.lookup(key, 2) == ref.lookup(key, 2)
+    assert db._lru is None and len(db) == len(ref.entries) < 40
+    crossing = [rng.randrange(60) for _ in range(60)]
+    db.ingest(crossing)
+    ref.ingest(crossing)
+    assert db._lru is not None
+    assert evicted == ref.evicted
+    assert len(db) == len(ref.entries) == 40
+    assert list(db._order) == ref.order()
+    for key in range(60):
+        assert db.lookup(key, 2) == ref.lookup(key, 2)
+
+
+def test_reset_after_overflow_matches_fresh_reference():
+    """``reset`` after the global order was built returns the table to
+    stamps alone; a new stretch, overflowing again, matches a fresh
+    reference."""
+    caps = dict(window=2, per_key=3, capacity=20)
+    evicted = []
+    db = ContextDB(on_evict=lambda k, v: evicted.append((k, v)), **caps)
+    rng = random.Random(8)
+    _random_ops(rng, db, ReferenceLru(**caps), 400, n_keys=30)
+    assert db._lru is not None
+    db.reset()
+    assert len(db) == 0 and db._lru is None and list(db._order) == []
+    evicted.clear()
+    ref = ReferenceLru(**caps)
+    _random_ops(rng, db, ref, 60, n_keys=6)
+    assert db._lru is None
+    assert list(db._order) == ref.order()
+    _random_ops(rng, db, ref, 400, n_keys=30)
+    assert db._lru is not None
+    assert evicted == ref.evicted
+    assert list(db._order) == ref.order()
 
 
 @pytest.mark.parametrize(
@@ -300,22 +409,45 @@ def test_stepwise_probes_complete_every_value(window):
     assert set(once._order) == set(db._order)
 
 
+def _issued(stamps):
+    """Pass on ``stamps`` one by one, listing each as it is issued."""
+    issued = []
+
+    def each():
+        for stamp in stamps:
+            issued.append(stamp)
+            yield stamp
+
+    return issued, each()
+
+
 @pytest.mark.parametrize("window", [1, 3, 4])
 def test_each_position_is_inserted_once(window):
     """Under a random probe schedule with skipped probes, position ``p`` is
     inserted exactly once, with its full window, for each
-    ``p < len(context) - window`` at the last probe."""
+    ``p < len(context) - window`` at the last probe.
+
+    ``ingest`` inserts below ``capacity`` inline, so the inserts are read
+    off the use stamps: each insert, of a new pair or a refresh, takes the
+    next stamp and leaves it on its pair. After each ``ingest`` call, the
+    call's stamps name its inserted pairs in order, and a pair inserted
+    again later in the call leaves its earlier stamp on no pair (``None``).
+    """
     rng = random.Random(window)
     context = rng.sample(range(500), 400)  # distinct, so a key names its position
     db = ContextDB(window=window, per_key=7, capacity=4096)
+    issued, db._stamps = _issued(db._stamps)
     inserted = []
-    real_insert = db.insert
+    real_ingest = db.ingest
 
-    def insert(key, value):
-        inserted.append((key, tuple(value)))
-        real_insert(key, value)
+    def ingest(seq):
+        first = len(issued)
+        real_ingest(seq)
+        by_stamp = {stamp: (key, value)
+                    for key, values in db._values.items() for value, stamp in values.items()}
+        inserted.extend(by_stamp.get(stamp) for stamp in issued[first:])
 
-    db.insert = insert
+    db.ingest = ingest
     draft = db.drafter(HierarchyConfig())
     n = rng.randint(1, 6)
     while n < len(context):
@@ -323,6 +455,7 @@ def test_each_position_is_inserted_once(window):
             draft(context[:n], 7)
         n += rng.randint(1, window + 2)
     draft(context, 7)
+    assert db._lru is None  # below capacity throughout: every insert stamped
     expected = [(context[p], tuple(context[p + 1:p + 1 + window]))
                 for p in range(len(context) - window)]
     assert inserted == expected
