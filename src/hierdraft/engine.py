@@ -16,6 +16,7 @@ import math
 import time
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from .verification import StepOutcome, verify_greedy, verify_sampling
 
 TRACE_SCHEMA = 4
 _SOURCE_TO_LETTER = {name: letter for letter, name in SOURCE_NAMES.items()}
+_UNIFORM_BLOCK = 128  # 22 ns a uniform, 1/20 of a scalar random(); see BENCH_27.json
 
 
 @dataclass
@@ -104,6 +106,14 @@ def _validate_prompt(prompt: list[int], vocab_size: int) -> None:
     # in its vocabulary.
     if min(prompt) < 0 or max(prompt) >= vocab_size:
         raise ValueError(f"malformed prompt: an id outside [0, {vocab_size})")
+
+
+class _Uniforms:
+    """The doubles of ``rng.random()`` in order, drawn ``_UNIFORM_BLOCK`` at a time."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        blocks = iter(lambda: rng.random(_UNIFORM_BLOCK).tolist(), None)
+        self.random = chain.from_iterable(blocks).__next__
 
 
 def _access_log(letters: list[str], probes: list[Probe], probe_ns: list[int]) -> AccessLog:
@@ -240,16 +250,16 @@ def decode(
     reads no clock and only adds to plain counters. Only a traced step is
     timed, each probe through a wrapped drafter and then the verify call,
     and builds its ``AccessRecord``s and ``StepRecord``; the metrics
-    replay those records, as ``aggregate_traces`` does. The RNG behind
-    sampling verification is made from ``config.seed`` only at T > 0; a
-    greedy generation draws nothing and builds none.
+    replay those records, as ``aggregate_traces`` does. At T > 0 each draw
+    takes the next uniform of one stream made from ``config.seed`` and
+    drawn in blocks; a greedy generation draws nothing and builds no RNG.
     """
     _validate_prompt(prompt, model.vocab_size)
     hier = config.hierarchy
     drafters = dbs.drafters(hier)
     counter = ModelCallCounter(cost_per_call_s=config.model_call_cost_s)
     greedy = config.temperature == 0
-    rng = None if greedy else np.random.default_rng(config.seed)
+    rng = None if greedy else _Uniforms(np.random.default_rng(config.seed))
     context = list(prompt)
     limit = len(prompt) + config.max_tokens
     letters = [letter for letter, _ in drafters]
@@ -304,14 +314,15 @@ def autoregressive_decode(
 ) -> tuple[list[int], DecodeMetrics]:
     """Token-by-token baseline: one model call per emitted token.
 
-    At T > 0 each token is one ``KGramModel.sample`` draw from an RNG made
-    from ``config.seed``; at T = 0 it is the argmax, and no RNG is made.
+    At T > 0 each token is one ``KGramModel.sample`` draw at the next
+    uniform of the stream ``decode`` makes from ``config.seed``; at T = 0
+    it is the argmax, and no RNG is made.
     Nothing is drafted or verified, so both latencies are ``None``.
     """
     _validate_prompt(prompt, model.vocab_size)
     counter = ModelCallCounter(cost_per_call_s=config.model_call_cost_s)
     greedy = config.temperature == 0
-    rng = None if greedy else np.random.default_rng(config.seed)
+    rng = None if greedy else _Uniforms(np.random.default_rng(config.seed))
     context = list(prompt)
     limit = len(prompt) + config.max_tokens
     start = time.perf_counter()

@@ -31,17 +31,17 @@ unseen token has the same closed-form weight, so the inverse CDF runs over
 the table in id order and steps over each run of unseen ids in one
 division. A table of two or more entries is compiled into two flat arrays
 on its first draw at a temperature, and every later draw from it is one
-``bisect``; a one-entry table is drawn from inline and never stored. The
-model keeps the compiled tables of the one temperature it last sampled at
-and drops them when it samples at another; greedy decoding compiles
-nothing. On the hdbench world, sampling 60 generations at T = 0.8
-compiles 5,046 tables, about 5.5 MB. A compile costs a few walks of its
-table, so the store pays only where a table is drawn from again at the
-same temperature: a model that switches temperature on every generation
-compiles on nearly every multi-entry draw, and there sampling is slower
-than the walk it replaced (``BENCH_14.json``, ``low_reuse``). A switch
-replaces the sampling state in one assignment, so a model stays safe to
-share between sessions that sample at different temperatures.
+table read and one ``bisect``; a one-entry table is drawn from inline and
+never stored. The model keeps the compiled tables of the one temperature
+it last sampled at and drops them when it samples at another; greedy
+decoding compiles nothing. On the hdbench world, its 120 mined generations
+at T = 0.8 compile 5,046 tables, about 5.5 MB. A compile costs a few walks
+of its table, so the store pays only where a table is drawn from again at
+the same temperature: a model that switches temperature on every
+generation compiles on nearly every multi-entry draw, and there sampling
+is slower than the walk it replaced (``BENCH_14.json``, ``low_reuse``). A
+switch replaces the sampling state in one assignment, so a model stays
+safe to share between sessions that sample at different temperatures.
 ``next_distribution`` builds the full vocabulary-sized law; the tests
 rescale it by temperature and draw from it by inverse CDF, and that is the
 reference the sampler is tested against.
@@ -171,9 +171,8 @@ class KGramModel:
         counts[in_multi] = array("Q", chain.from_iterable(map(dict.values, dicts)))
         return contexts, sizes, tokens, counts
 
-    def _backoff(self, context: list[int]) -> tuple[int | dict[int, int], int] | None:
-        """The table at the longest order whose context suffix has one (a
-        count for a one-entry table), and its argmax."""
+    def _backoff(self, context: list[int]) -> dict[int, int]:
+        """The backed-off table as ``{token: count}``, empty if order 1 has none."""
         n = len(context)
         # A while loop: range() and min() cost more than the reads here.
         order = self.k if n >= self.k - 1 else n + 1
@@ -182,29 +181,21 @@ class KGramModel:
         for token in context[n - order + 1:]:
             key = key * vocab_size + token
         tables = self._tables
-        while True:
-            table = tables[order].get(key)
-            if table is not None:
-                return table, self._argmax[order][key]
+        while (table := tables[order].get(key)) is None:
             if order == 1:
-                return None
+                return {}
             # Drop the oldest id: the key of the next order down.
             order -= 1
             key %= vocab_size ** (order - 1)
+        return {self._argmax[order][key]: table} if type(table) is int else table
 
     def next_distribution(self, context: list[int]) -> np.ndarray:
         """Smoothed next-token probabilities, length ``vocab_size``."""
         probs = np.full(self.vocab_size, self.alpha, dtype=np.float64)
-        found = self._backoff(context)
-        total = 0
-        if found is not None:
-            table, best = found
-            if type(table) is int:
-                table = {best: table}
-            for token, count in table.items():
-                probs[token] += count
-            total = sum(table.values())
-        return probs / (total + self.alpha * self.vocab_size)
+        table = self._backoff(context)
+        for token, count in table.items():
+            probs[token] += count
+        return probs / (sum(table.values()) + self.alpha * self.vocab_size)
 
     def argmax_token(self, context: list[int]) -> int:
         """Greedy next token: highest count at the backed-off order, lowest id on ties.
@@ -237,9 +228,9 @@ class KGramModel:
         The token is the inverse CDF, in token-id order, of
         ``next_distribution(context) ** (1/T)``, normalised, at one
         ``rng.random()`` (the first token whose cumulative probability
-        exceeds it), without the vocabulary-sized vectors. Weights are
-        relative to the table's largest count ``c_max``, read at its
-        precompiled argmax:
+        exceeds it; ``rng`` may be a numpy ``Generator``), without the
+        vocabulary-sized vectors. Weights are relative to the table's
+        largest count ``c_max``, read at its precompiled argmax:
         ``((c + alpha) / (c_max + alpha)) ** (1/T)`` for a seen token and
         ``(alpha / (c_max + alpha)) ** (1/T)`` for each unseen one. Every
         weight is in [0, 1] and the argmax weighs 1, so no power overflows
@@ -247,11 +238,12 @@ class KGramModel:
         underflows to 0 is never divided by.
 
         A table of two or more entries is compiled on its first draw at T
-        (``_compile``) and kept on the model, so a later draw is one
-        ``bisect``. The model keeps the tables of the one temperature it
-        last sampled at: a draw at another drops them. A one-entry table is
-        never stored; its draw is one power. A temperature that is not a
-        finite, non-bool number > 0 raises ``ValueError``; it is checked
+        (``_compile``) and kept on the model, so a later draw is an inline
+        backoff walk and one ``bisect``; the argmax is read only to compile
+        or for a one-entry table, whose draw is one power and is never
+        stored. The model keeps the tables of the one temperature it last
+        sampled at: a draw at another drops them. A temperature that is not
+        a finite, non-bool number > 0 raises ``ValueError``; it is checked
         when it differs from the last one.
         """
         state = self._sampling
@@ -259,15 +251,23 @@ class KGramModel:
             state = self._switch_temperature(temperature, state)
         _, inv_t, compiled_tables = state
         u = rng.random()
+        n = len(context)
+        order = self.k if n >= self.k - 1 else n + 1
+        key = 0
         vocab_size = self.vocab_size
-        found = self._backoff(context)
-        if found is None:
-            return min(int(u * vocab_size), vocab_size - 1)
-        table, best = found
+        for token in context[n - order + 1:]:
+            key = key * vocab_size + token
+        tables = self._tables
+        while (table := tables[order].get(key)) is None:
+            if order == 1:
+                return min(int(u * vocab_size), vocab_size - 1)
+            order -= 1
+            key %= vocab_size ** (order - 1)
         if type(table) is int:
             # A one-entry table is its count. The one seen token weighs
             # exactly 1 and has `best` unseen ids below it: a compiled
             # draw's arithmetic, done inline.
+            best = self._argmax[order][key]
             unseen = (self.alpha / (table + self.alpha)) ** inv_t
             x = u * (1.0 + (vocab_size - 1) * unseen)
             low = best * unseen
@@ -278,6 +278,7 @@ class KGramModel:
             return _unseen_draw(x - 1.0, unseen, 1, best, vocab_size)
         compiled = compiled_tables.get(id(table))
         if compiled is None or compiled[0] is not table:
+            best = self._argmax[order][key]
             compiled = compiled_tables[id(table)] = self._compile(table, best, inv_t)
         _, floats, tokens = compiled
         n = len(tokens)

@@ -309,6 +309,8 @@ class StatsDB:
         tail_len, draft_len, set_size = hier.tail_len, hier.draft_len, hier.set_size
 
         def draft(context: list[int], want: int) -> list[tuple[int, ...]]:
+            if want < 0:
+                raise ValueError("want must be >= 0")
             tail = tuple(context[-tail_len:])
             key = (tail, draft_len, set_size)
             ranked = memo.get(key)

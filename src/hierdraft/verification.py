@@ -10,9 +10,10 @@ path, which is the winner's accepted prefix plus one more target token
 (the correction at the first divergence, or the bonus after a full
 acceptance), so every step makes progress. Greedy draws the argmax;
 sampling draws from the exact temperature-scaled target distribution
-through ``KGramModel.sample``, as ``autoregressive_decode`` does, one
-``rng.random()`` per emitted token in order, so the output law and even
-the tokens for a given seed equal plain autoregressive decoding.
+through ``KGramModel.sample``, as ``autoregressive_decode`` does: each
+draw takes the next uniform of one stream made from the seed, drawn in
+blocks, so the output law and even the tokens for a given seed equal
+plain autoregressive decoding.
 Verification reads no clock; a traced ``decode`` times each call and
 writes ``StepOutcome.verify_elapsed_ns``.
 """

@@ -22,7 +22,9 @@ from hierdraft import (
     tokenize,
 )
 from hierdraft.drafting import SOURCE_NAMES
-from hierdraft.engine import TRACE_SCHEMA
+from hierdraft.engine import _UNIFORM_BLOCK, TRACE_SCHEMA
+from hierdraft.kgram import ModelCallCounter
+from hierdraft.verification import verify_sampling
 
 from conftest import fresh_dbs, make_corpus, sample_prompts
 
@@ -537,6 +539,39 @@ def test_sampling_decode_is_seed_deterministic(setup):
     a, _, _ = decode(model, prompt, fresh_dbs(model_db, stats_db), config)
     b, _, _ = decode(model, prompt, fresh_dbs(model_db, stats_db), config)
     assert a == b
+
+
+def _reference_sampling(model, prompt, max_tokens, temperature, seed):
+    """Autoregressive sampling with a plain generator, one ``rng.random()``
+    per ``KGramModel.sample`` draw."""
+    rng = np.random.default_rng(seed)
+    context = list(prompt)
+    for _ in range(max_tokens):
+        context.append(model.sample(context, temperature, rng))
+        if context[-1] == EOS:
+            break
+    return context[len(prompt):]
+
+
+@pytest.mark.parametrize("temperature", [0.5, 0.8])
+def test_sampling_stream_equals_one_draw_at_a_time(setup, temperature):
+    """Both decoders draw their uniforms in blocks, yet emit the tokens that
+    drawing them one ``Generator.random()`` at a time gives, across block
+    boundaries; ``verify_sampling`` and ``sample`` still take a generator."""
+    corpus, model, model_db, stats_db = setup
+    max_tokens = 2 * _UNIFORM_BLOCK + 50
+    longest = 0
+    for seed, prompt in enumerate(sample_prompts(corpus, 4, seed=21)):
+        want = _reference_sampling(model, prompt, max_tokens, temperature, seed)
+        config = _hd_config(max_tokens=max_tokens, temperature=temperature, seed=seed)
+        assert autoregressive_decode(model, prompt, config)[0] == want
+        assert decode(model, prompt, fresh_dbs(model_db, stats_db), config)[0] == want
+        rng, context = np.random.default_rng(seed), list(prompt)
+        while len(context) - len(prompt) < len(want):
+            context += verify_sampling(model, context, [], temperature, rng, ModelCallCounter()).emitted
+        assert context[len(prompt):] == want
+        longest = max(longest, len(want))
+    assert longest > 2 * _UNIFORM_BLOCK  # some generation crossed two block boundaries
 
 
 @pytest.mark.parametrize(
