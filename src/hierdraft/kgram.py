@@ -15,17 +15,24 @@ ties), the other to the table, a ``{token: count}`` dict in ascending id
 order, or only the count when the table has one entry (its token is the
 argmax). A greedy draw reads only the argmax dicts, one ``get`` per
 backed-off order. On the hdbench world, where 170,229 of the 186,799
-order-3 contexts have a one-entry table, the loaded model holds 38.6 MB
+order-3 contexts have a one-entry table, the built model holds 38.6 MB
 under ``tracemalloc``, 205 bytes per context, against 90.9 MB (482) when
 it kept a context tuple and a dict per table. ``fit_kgram`` counts packed
 windows with ``np.unique``, ``load_kgram`` reads each order's columns
-with numpy, and both build the dicts through ``KGramModel``, which
-refuses a ``vocab_size ** k`` past ``2 ** 63``: every key then fits a
-``uint64``. Past the HDKG header every field is one ``uint32`` word, or
-two for a ``u64``, so ``save_kgram`` builds each order's section as one
-word array from the model's columns and writes it in one call, and
-``load_kgram`` scans the table lengths through a memoryview of the
-words and gathers the rest with numpy. A sampling draw
+with numpy, and both hand the columns to ``KGramModel``, which checks
+them and refuses a ``vocab_size ** k`` past ``2 ** 63``: every key then
+fits a ``uint64``. The model keeps the checked columns and builds the
+dicts from them once, on its first read, so a fitted model holds only
+its columns (7.8 MB on the hdbench world's 270,120 training tokens) and
+fitting then saving builds no dict: the fit peaks at 18.6 MB, against
+52.1 MB when it built them. ``load_kgram`` drops the file's bytes and
+then builds before it returns, peaking at 51.9 MB, against 64.0 MB
+while the bytes lived through the build. Past the HDKG header every
+field is one ``uint32`` word, or two for a ``u64``, so ``save_kgram``
+builds each order's section as one word array from the model's columns
+(an unbuilt model's own) and writes it in one call, and ``load_kgram``
+scans the table lengths through a memoryview of the words and gathers
+the rest with numpy. A sampling draw
 (``KGramModel.sample``) reads only the backed-off count table: every
 unseen token has the same closed-form weight, so the inverse CDF runs over
 the table in id order and steps over each run of unseen ids in one
@@ -56,13 +63,14 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 import time
+import weakref
 from array import array
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, islice
-from operator import lt
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +119,12 @@ class KGramModel:
     number > 0, and ``vocab_size ** k`` at most ``2 ** 63``; they are
     checked before ``tables`` is read. Anything but that and well-formed
     tables raises ``ValueError``.
+
+    The model keeps the checked columns and builds its lookup dicts from
+    them on the first read (``load_kgram`` reads at once), dropping each
+    order's columns as that order's dicts are made. Sessions that first
+    read one model together wait for one build, and none sees a
+    half-built dict.
     """
 
     def __init__(self, k: int, alpha: float, vocab_size: int, tables: Iterable[tuple]):
@@ -124,16 +138,18 @@ class KGramModel:
         self.k = k
         self.alpha = alpha
         self.vocab_size = vocab_size
+        checked = []
+        for order, columns in enumerate(tables, 1):
+            checked.append(_checked(order, vocab_size, *columns))
+            del columns  # released before the next order is counted or read
         # Per order (index 0 is unused padding), keyed by the context packed
         # as one int in base vocab_size: the argmax of its table, and the
-        # table itself, a one-entry table being just its count.
-        self._argmax: list[dict[int, int]] = [{}]
-        self._tables: list[dict[int, int | dict[int, int]]] = [{}]
-        for order, columns in enumerate(tables, 1):
-            argmax, order_tables = _order_tables(order, vocab_size, *columns)
-            self._argmax.append(argmax)
-            self._tables.append(order_tables)
-            del columns  # released before the next order is counted or read
+        # table itself, a one-entry table being just its count. Until either
+        # is first read, both are `_Unbuilt` stand-ins, whose first index
+        # builds the two lists from the checked columns and puts them here.
+        pending = _Pending(self, checked)
+        self._argmax: list[dict[int, int]] | _Unbuilt = _Unbuilt(pending, 0)
+        self._tables: list[dict[int, int | dict[int, int]]] | _Unbuilt = _Unbuilt(pending, 1)
         # Sampling state: the last temperature drawn at (at first an object
         # no caller holds), 1 / it, and the tables compiled at it, keyed by
         # the id of the count table: an id is smaller to keep than a
@@ -146,10 +162,18 @@ class KGramModel:
         )
 
     def _columns(self, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Order ``order``'s tables as the four columns ``__init__`` takes:
-        ``uint32`` contexts, sizes and tokens, and ``uint64`` counts.
-        ``save_kgram`` writes these."""
-        tables = self._tables[order]
+        """Order ``order``'s tables as the four columns ``__init__`` takes,
+        contexts one row per table: the checked columns themselves while
+        the model is unbuilt, else ``uint32`` contexts, sizes and tokens,
+        and ``uint64`` counts, read back from the dicts. ``save_kgram``
+        writes these."""
+        tables = self._tables
+        if type(tables) is _Unbuilt:
+            kept = tables.pending.kept(order)
+            if kept is not None:
+                return kept
+            tables = self._tables  # built meanwhile
+        tables = tables[order]
         n = len(tables)
         # Every key fits a uint64 (the size rule in __init__).
         keys = np.fromiter(tables, np.uint64, n)
@@ -266,16 +290,19 @@ class KGramModel:
         if type(table) is int:
             # A one-entry table is its count. The one seen token weighs
             # exactly 1 and has `best` unseen ids below it: a compiled
-            # draw's arithmetic, done inline.
+            # draw's arithmetic and `_unseen_draw`'s, done inline. As x >= 0,
+            # x < low only when best > 0 and unseen > 0.
             best = self._argmax[order][key]
             unseen = (self.alpha / (table + self.alpha)) ** inv_t
             x = u * (1.0 + (vocab_size - 1) * unseen)
             low = best * unseen
             if x < low:
-                return _unseen_draw(x, unseen, 0, -1, best)
+                return int(min(x / unseen, best - 1))
             if x < low + 1.0:
                 return best
-            return _unseen_draw(x - 1.0, unseen, 1, best, vocab_size)
+            if unseen > 0 and best + 1 < vocab_size:
+                return int(min(max(1 + (x - 1.0) / unseen, best + 1), vocab_size - 1))
+            return best
         compiled = compiled_tables.get(id(table))
         if compiled is None or compiled[0] is not table:
             best = self._argmax[order][key]
@@ -338,6 +365,58 @@ class KGramModel:
             seen += weight
         floats[2 * n + 2] = seen
         return table, floats, array("I", list(table))
+
+
+class _Pending:
+    """A model's checked columns, one tuple per order, until its dicts are
+    built. The lock makes concurrent first reads build once, and a reader
+    sees the lists only once every order is in them."""
+
+    def __init__(self, model: KGramModel, columns: list[tuple]):
+        # A weak reference: a model that is never read is freed with its
+        # columns when its last holder drops it, not at the next collection.
+        self.model = weakref.ref(model)
+        self.columns = columns
+        self.lock = threading.Lock()
+        self.built: tuple[list, list] | None = None
+
+    def build(self) -> tuple[list, list]:
+        """The model's argmax and table lists, built on the first call and
+        put on the model; each order's columns are dropped once its dicts
+        are made."""
+        with self.lock:
+            if self.built is None:
+                model = self.model()
+                argmax, tables = [{}], [{}]
+                for i, order_columns in enumerate(self.columns):
+                    self.columns[i] = None
+                    order_argmax, order_tables = _order_dicts(
+                        i + 1, model.vocab_size, *order_columns
+                    )
+                    argmax.append(order_argmax)
+                    tables.append(order_tables)
+                self.built = argmax, tables
+                model._argmax, model._tables = self.built
+            return self.built
+
+    def kept(self, order: int) -> tuple | None:
+        """Order ``order``'s checked columns, or None once the dicts are built."""
+        with self.lock:
+            return None if self.built else self.columns[order - 1]
+
+
+class _Unbuilt:
+    """Stands in for a model's ``_argmax`` (``which`` 0) or ``_tables``
+    (``which`` 1) until the first read, which builds both."""
+
+    __slots__ = ("pending", "which")
+
+    def __init__(self, pending: _Pending, which: int):
+        self.pending = pending
+        self.which = which
+
+    def __getitem__(self, order: int) -> dict:
+        return self.pending.build()[self.which][order]
 
 
 def _unseen_draw(offset: float, unseen: float, j: int, prev: int, nxt: int) -> int:
@@ -410,21 +489,19 @@ def _count_windows(windows: np.ndarray, order: int, vocab_size: int) -> tuple:
     return contexts, sizes, nexts.astype(np.uint32), counts
 
 
-def _order_tables(
-    order: int, vocab_size: int, contexts, sizes, tokens, counts
-) -> tuple[dict[int, int], dict[int, int | dict[int, int]]]:
-    """One order's argmax and table dicts, from the columns ``KGramModel``
-    takes; the first fault found raises ``ValueError``.
+def _checked(order: int, vocab_size: int, contexts, sizes, tokens, counts) -> tuple:
+    """One order's columns, as ``KGramModel`` takes them, checked and made
+    arrays, with one row of contexts per table; the first fault found
+    raises ``ValueError``.
 
-    Keys are Python ints, packed in ``uint64``, which the size rule in
-    ``KGramModel.__init__`` keeps from wrapping. A table of two or more
-    entries is a ``{token: count}`` dict in id order, and a one-entry
-    table its count. The argmax (highest count, lowest id on ties) is the
-    first entry of each table that holds its maximum.
+    Keys pack a context in ``uint64`` without loss, which the size rule in
+    ``KGramModel.__init__`` keeps from wrapping, once every id is below
+    ``vocab_size``; they must then ascend strictly, as the contexts do.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     if not len(sizes):
-        return {}, {}
+        entries = np.empty(0, np.uint32)
+        return np.empty((0, order - 1), np.uint32), sizes, entries, entries.astype(np.uint64)
     contexts = np.asarray(contexts).reshape(len(sizes), order - 1)
     tokens, counts = np.asarray(tokens), np.asarray(counts)
     heads = np.cumsum(sizes) - sizes
@@ -435,6 +512,9 @@ def _order_tables(
     empty = np.flatnonzero(sizes < 1)
     if empty.size:
         raise ValueError(f"table of 0 entries for context {tuple(contexts[empty[0]].tolist())}")
+    n_entries = int(sizes.sum())
+    if not len(tokens) == len(counts) == n_entries:
+        raise ValueError(f"{len(tokens)} tokens and {len(counts)} counts for {n_entries} entries")
     high = np.flatnonzero(tokens >= vocab_size)
     if high.size:
         raise ValueError(f"token {tokens[high[0]]} >= vocab_size {vocab_size}")
@@ -447,16 +527,36 @@ def _order_tables(
     if falls.size:
         context = context_of(falls[0] + 1)
         raise ValueError(f"next tokens not strictly ascending for context {context}")
-    # Ids first: a key packs its context without loss only when every id
-    # is below vocab_size, and then keys ascend as the contexts do.
     if order > 1 and contexts.max() >= vocab_size:
         raise ValueError(f"an order-{order} context holds an id >= vocab_size {vocab_size}")
-    keys = np.zeros(len(sizes), dtype=np.uint64)
+    keys = _keys(contexts, vocab_size)
+    if not (keys[1:] > keys[:-1]).all():
+        raise ValueError(f"order-{order} contexts not strictly ascending")
+    return contexts, sizes, tokens, counts
+
+
+def _keys(contexts: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Each row of ``contexts`` packed as one ``uint64`` in base ``vocab_size``."""
+    keys = np.zeros(len(contexts), dtype=np.uint64)
     for column in contexts.T:
         keys = keys * np.uint64(vocab_size) + column.astype(np.uint64)
-    keys = keys.tolist()
-    if not all(map(lt, keys, islice(keys, 1, None))):
-        raise ValueError(f"order-{order} contexts not strictly ascending")
+    return keys
+
+
+def _order_dicts(
+    order: int, vocab_size: int, contexts, sizes, tokens, counts
+) -> tuple[dict[int, int], dict[int, int | dict[int, int]]]:
+    """One order's argmax and table dicts, from its ``_checked`` columns.
+
+    Keys are Python ints. A table of two or more entries is a
+    ``{token: count}`` dict in id order, and a one-entry table its count.
+    The argmax (highest count, lowest id on ties) is the first entry of
+    each table that holds its maximum.
+    """
+    if not len(sizes):
+        return {}, {}
+    heads = np.cumsum(sizes) - sizes
+    keys = _keys(contexts, vocab_size).tolist()
     # One int object per distinct token, shared by every table and argmax
     # that holds it.
     ids, index = np.unique(tokens, return_inverse=True)
@@ -542,9 +642,12 @@ def load_kgram(path: str | Path) -> KGramModel:
         # k before anything per order is read.
         if not 1 <= k <= (len(data) - 4 - _HEADER.size) // 8:
             raise ValueError(f"k = {k}")
-        return KGramModel(k, alpha, vocab_size, _read_tables(data, k))
+        model = KGramModel(k, alpha, vocab_size, _read_tables(data, k))
     except ValueError as exc:
         raise ValueError(f"corrupt k-gram model file: {exc}") from None
+    del data  # the columns are copies: the file's bytes go before the build
+    model._tables.pending.build()
+    return model
 
 
 def _read_tables(data: bytes, k: int):

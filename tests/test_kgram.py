@@ -3,6 +3,9 @@ import hashlib
 import math
 import random
 import struct
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -739,19 +742,139 @@ def test_argmax_table_matches_rescan_oracle(tmp_path):
     assert _assert_argmax_is_rescan(loaded) == _assert_argmax_is_rescan(model)
 
 
+_GOLDEN_CORPUS = {"seed": 23, "n_docs": 40, "doc_words": 300}
+_GOLDEN_DIGEST = "e2ee013cf15cdfd4b8b93feda507a9f3826d722d6f9eeced22388142b80aa74f"
+
+
+def _built(model):
+    """The model's argmax and table lists; the first read builds both."""
+    model._tables[1]
+    return model._argmax, model._tables
+
+
 def test_hdkg_bytes_match_the_golden_digest(tmp_path):
     """Packed keys sort as context tuples do, so the file of a fixed corpus
     keeps the digest it had when the model held a tuple and a dict per
     context; and loading it builds the very dicts fitting built."""
-    model = fit_kgram(make_corpus(seed=23, n_docs=40, doc_words=300), k=3, alpha=0.01)
+    model = fit_kgram(make_corpus(**_GOLDEN_CORPUS), k=3, alpha=0.01)
     path = tmp_path / "golden.hdkg"
     save_kgram(model, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "e2ee013cf15cdfd4b8b93feda507a9f3826d722d6f9eeced22388142b80aa74f"
-    )
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_DIGEST
     loaded = load_kgram(path)
-    assert loaded._argmax == model._argmax
-    assert loaded._tables == model._tables
+    argmax, tables = _built(model)
+    assert loaded._argmax == argmax
+    assert loaded._tables == tables
+
+
+@pytest.mark.parametrize(
+    "tokens, counts",
+    [([1], [1, 1]), ([1, 2], [1]), ([1, 2, 3], [1, 1, 1])],
+    ids=["tokens-short", "counts-short", "both-long"],
+)
+def test_entry_columns_must_match_the_sizes(tokens, counts):
+    """A model keeps its columns unbuilt, so entries that do not add up to
+    the tables' sizes are refused when it is made, not at its first read."""
+    unigrams = ((), [2], tokens, counts)
+    n_tokens, n_counts = len(tokens), len(counts)
+    with pytest.raises(ValueError, match=f"^{n_tokens} tokens and {n_counts} counts for 2 entries$"):
+        KGramModel(1, 0.5, 5, [unigrams])
+
+
+def _is_built(model) -> bool:
+    return type(model._argmax) is list and type(model._tables) is list
+
+
+def test_fit_then_save_builds_no_dicts(tmp_path):
+    """A fitted model keeps its checked columns and ``save_kgram`` writes
+    them, so fit-then-save never builds the dicts; an already-built model
+    writes the same bytes from its dicts."""
+    model = fit_kgram(make_corpus(**_GOLDEN_CORPUS), k=3, alpha=0.01)
+    assert not _is_built(model)
+    save_kgram(model, tmp_path / "unbuilt.hdkg")
+    assert not _is_built(model)
+    data = (tmp_path / "unbuilt.hdkg").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _GOLDEN_DIGEST
+    _built(model)
+    assert _is_built(model)
+    save_kgram(model, tmp_path / "built.hdkg")
+    assert (tmp_path / "built.hdkg").read_bytes() == data
+
+
+def test_load_returns_a_built_model(tmp_path, abab_model):
+    path = tmp_path / "model.hdkg"
+    save_kgram(abab_model[0], path)
+    assert _is_built(load_kgram(path))
+
+
+def _draws(model, contexts):
+    """What every reading method gives for each context."""
+    rng = np.random.default_rng(4)
+    return [
+        (
+            model.argmax_token(context),
+            model.sample(context, 0.7, rng),
+            model.next_distribution(context).tolist(),
+        )
+        for context in contexts
+    ]
+
+
+@pytest.mark.parametrize("first_read", ["argmax_token", "sample", "next_distribution"])
+def test_the_first_read_of_a_fitted_model_builds_what_load_builds(tmp_path, first_read):
+    corpus = make_corpus(seed=8, n_docs=8, doc_words=150, vocab_words=40)
+    model = fit_kgram(corpus, k=3, alpha=0.01)
+    save_kgram(model, tmp_path / "model.hdkg")
+    loaded = load_kgram(tmp_path / "model.hdkg")
+    doc = corpus.docs[1]
+    contexts = [[], [39]] + [doc[i:i + n] for i in range(0, 60, 3) for n in (1, 2, 5)]
+    read = {
+        "argmax_token": lambda: model.argmax_token(doc[:2]),
+        "sample": lambda: model.sample(doc[:2], 0.7, np.random.default_rng(0)),
+        "next_distribution": lambda: model.next_distribution(doc[:2]),
+    }[first_read]
+    assert not _is_built(model)
+    read()
+    assert _is_built(model)
+    assert model._argmax == loaded._argmax
+    assert model._tables == loaded._tables
+    assert _draws(model, contexts) == _draws(loaded, contexts)
+
+
+def test_concurrent_first_reads_build_once(monkeypatch):
+    """Threads that first-read one fitted model together all wait for one
+    build and get the tokens a built model gives."""
+    corpus = make_corpus(seed=9, n_docs=8, doc_words=150, vocab_words=40)
+    model = fit_kgram(corpus, k=3, alpha=0.01)
+    contexts = [corpus.docs[0][i:i + 2] for i in range(0, 100, 2)]
+    want = [fit_kgram(corpus, k=3, alpha=0.01).argmax_token(c) for c in contexts]
+    real, builds = kgram._order_dicts, []
+
+    def slow_order_dicts(*args):
+        builds.append(args[0])
+        time.sleep(0.01)  # the other threads arrive while the dicts are built
+        return real(*args)
+
+    monkeypatch.setattr(kgram, "_order_dicts", slow_order_dicts)
+    start = threading.Barrier(4)
+    got = [None] * 4
+
+    def first_read(i):
+        start.wait(timeout=10)
+        got[i] = [model.argmax_token(c) for c in contexts]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=first_read, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [want] * 4
+    assert builds == [1, 2, 3]
 
 
 def _traced(build):
@@ -772,22 +895,27 @@ def _traced(build):
 
 
 def test_fit_and_load_memory(tmp_path):
-    """On a 100k-token corpus with 2003 ids, a loaded model holds at most
-    200 bytes per context, and fitting peaks at 165 bytes per token (158.4
-    measured). It read 206.8 while the token, room and window arrays lived
-    through the last order's build and the tables were listed before their
-    dict was made, and 250 with a tuple and a dict per context, when a
-    loaded context held 453 bytes."""
+    """On a 100k-token corpus with 2003 ids, a loaded (built) model holds
+    at most 200 bytes per context (161.3 measured). Fitting, which builds
+    no dicts, peaks at 75 bytes per token (68.1 measured, 10% margin); it
+    read 158.4 while fitting built them, 206.8 while the token, room and
+    window arrays lived through the last order's build and the tables were
+    listed before their dict was made, and 250 with a tuple and a dict per
+    context, when a loaded context held 453 bytes. Loading, build
+    included, peaks at 240 bytes per context (224.3 measured, 7% margin);
+    it read 287.5 while the file's bytes lived through the build."""
     corpus = make_corpus(seed=5, n_docs=200, doc_words=500, vocab_words=2000)
     assert corpus.n_tokens == 100_200
     model, _, fit_peak = _traced(lambda: fit_kgram(corpus, k=3, alpha=0.01))
     save_kgram(model, tmp_path / "model.hdkg")
     n_contexts = sum(len(tables) for tables in _tables(model))
     del model
-    _, held, _ = _traced(lambda: load_kgram(tmp_path / "model.hdkg"))
+    loaded, held, load_peak = _traced(lambda: load_kgram(tmp_path / "model.hdkg"))
+    assert _is_built(loaded)
     assert n_contexts == 70_389
     assert held / n_contexts <= 200
-    assert fit_peak / corpus.n_tokens <= 165
+    assert load_peak / n_contexts <= 240
+    assert fit_peak / corpus.n_tokens <= 75
 
 
 def _hdkg(sections, k=None, vocab_size=7, alpha=0.5) -> bytes:
@@ -940,6 +1068,18 @@ def test_save_kgram_writes_the_per_entry_writers_bytes(tmp_path_factory, model):
     loaded = load_kgram(root / "bulk.hdkg")
     assert loaded._tables == model._tables
     assert loaded._argmax == model._argmax
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=_saveable_model())
+def test_a_built_model_writes_what_its_columns_write(tmp_path_factory, model):
+    """Counts at and past ``2 ** 63`` included, the bytes ``save_kgram``
+    reads back from a model's dicts are those of its kept columns."""
+    root = tmp_path_factory.mktemp("hdkg")
+    save_kgram(model, root / "unbuilt.hdkg")
+    _built(model)
+    save_kgram(model, root / "built.hdkg")
+    assert (root / "built.hdkg").read_bytes() == (root / "unbuilt.hdkg").read_bytes()
 
 
 _BAD_ALPHA = "alpha must be a finite number > 0, not "
