@@ -16,22 +16,24 @@ relative order (the first returned value stays the most recent).
 
 How recency is kept: each key's values sit in a plain dict, least
 recently used first, so a per-key eviction takes the dict's first value.
-The global order over all pairs only picks the victim once the table holds
-more than ``capacity`` pairs, and a table below that pays nothing for it.
-Until then each value maps to its use stamp, the next number of the
-table's one counter, taken again at every refresh; ``ingest`` inserts its
-pairs inline. The first time the table goes over ``capacity``, the global
-order is built once from the stamps, as an ``OrderedDict``. From then on
-every insert and returned value moves it, as the only recency kept, and
-no more stamps are taken. ``reset`` drops it, so each generation starts
-with stamps alone.
+Each value maps to its use stamp, the next number of the table's one
+counter, taken again at every refresh; that is the only recency kept, at
+every size. A table over ``capacity`` takes its global victim from a queue
+of the live (stamp, key, value) triples, sorted once and walked in order.
+An entry whose pair has been refreshed or removed since no longer matches
+its stamp and is skipped; any pair touched since the sort has a larger
+stamp than every entry, so the first entry that matches is the global
+least recently used. When the queue runs out it is sorted again from the
+live stamps. Each O(n log n) sort is paid for by the n refreshes,
+removals and evictions that used up the last queue, so an eviction costs
+O(log n) amortized, and the queue never holds more than ``capacity + 1``
+entries. A table that never goes over ``capacity`` sorts nothing.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from itertools import count
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from ._checks import check_int
 
@@ -55,15 +57,12 @@ class ContextDB:
         self.per_key = per_key
         self.capacity = capacity
         self.on_evict = on_evict
-        # Per key: value -> use stamp, least recently used first. Values
-        # inserted once the global order exists map to None.
-        self._values: dict[int, dict[tuple[int, ...], int | None]] = {}
+        # Per key: value -> use stamp, least recently used first.
+        self._values: dict[int, dict[tuple[int, ...], int]] = {}
         self._stamps = count()
-        # Pairs held while there is no global order; len(self._lru) after.
         self._size = 0
-        # Global recency over (key, value) pairs, oldest first; built the
-        # first time the table goes over ``capacity``.
-        self._lru: OrderedDict[tuple[int, tuple[int, ...]], None] | None = None
+        # Global eviction candidates, oldest first; see the module docstring.
+        self._victims: Iterator[tuple[int, int, tuple[int, ...]]] = iter(())
 
     @classmethod
     def for_hierarchy(cls, hier) -> ContextDB:
@@ -72,66 +71,65 @@ class ContextDB:
         return cls(window=hier.draft_len, per_key=hier.set_size)
 
     def __len__(self) -> int:
-        return self._size if self._lru is None else len(self._lru)
+        return self._size
 
-    @property
-    def _order(self) -> Iterable[tuple[int, tuple[int, ...]]]:
-        """Every (key, value) pair, least recently used first."""
-        if self._lru is not None:
-            return self._lru
-        stamped = sorted(
+    def _by_age(self) -> list[tuple[int, int, tuple[int, ...]]]:
+        """Every (stamp, key, value) triple, least recently used first."""
+        return sorted(
             (stamp, key, value)
             for key, values in self._values.items()
             for value, stamp in values.items()
         )
-        return [(key, value) for _stamp, key, value in stamped]
+
+    @property
+    def _order(self) -> list[tuple[int, tuple[int, ...]]]:
+        """Every (key, value) pair, least recently used first."""
+        return [(key, value) for _stamp, key, value in self._by_age()]
 
     def reset(self) -> None:
         """Drop every entry."""
         self._values.clear()
         self._size = 0
-        self._lru = None
+        self._victims = iter(())
 
     def _remove(self, key: int, value: tuple[int, ...]) -> None:
         per_key = self._values[key]
         del per_key[value]
         if not per_key:
             del self._values[key]
-        if self._lru is None:
-            self._size -= 1
-        else:
-            del self._lru[(key, value)]
+        self._size -= 1
         if self.on_evict is not None:
             self.on_evict(key, value)
 
+    def _evict_oldest(self) -> None:
+        """Remove the least recently used pair of the whole table."""
+        table = self._values
+        while True:
+            for stamp, key, value in self._victims:
+                per_key = table.get(key)
+                if per_key is not None and per_key.get(value) == stamp:
+                    self._remove(key, value)
+                    return
+            self._victims = iter(self._by_age())
+
     def insert(self, key: int, value: Iterable[int]) -> None:
+        """Store ``value`` under ``key`` as the table's most recent pair.
+
+        A pair already held is refreshed, not duplicated. A new pair that
+        takes ``key`` over ``per_key`` values evicts the key's least
+        recently used value; otherwise, one that takes the table over
+        ``capacity`` pairs evicts the table's least recently used pair.
+        Each eviction calls ``on_evict``. An empty value is ignored.
+        """
         value = tuple(value)
         if not value:
             return
-        lru = self._lru
-        per_key = self._values.get(key)
-        if lru is not None:
-            # The global order exists: it moves with every pair.
-            if per_key is None:
-                per_key = self._values[key] = {}
-            elif value in per_key:
-                if len(per_key) > 1:  # a key's only value needs no move
-                    del per_key[value]
-                    per_key[value] = None
-                lru.move_to_end((key, value))
-                return
-            per_key[value] = None
-            lru[(key, value)] = None
-            if len(per_key) > self.per_key:
-                self._remove(key, next(iter(per_key)))
-            if len(lru) > self.capacity:
-                self._remove(*next(iter(lru)))
-            return
         stamp = next(self._stamps)
+        per_key = self._values.get(key)
         if per_key is None:
             per_key = self._values[key] = {}
         elif value in per_key:
-            if len(per_key) > 1:
+            if len(per_key) > 1:  # a key's only value needs no move
                 del per_key[value]
             per_key[value] = stamp
             return
@@ -139,9 +137,8 @@ class ContextDB:
         self._size += 1
         if len(per_key) > self.per_key:
             self._remove(key, next(iter(per_key)))
-        if self._size > self.capacity:
-            self._lru = OrderedDict.fromkeys(self._order)
-            self._remove(*next(iter(self._lru)))
+        elif self._size > self.capacity:
+            self._evict_oldest()
 
     def ingest(self, seq: list[int]) -> None:
         """Insert one pair per position of ``seq`` whose window is full.
@@ -155,33 +152,30 @@ class ContextDB:
         if len(seq) < 2:
             raise ValueError("ingest needs a sequence of at least 2 tokens")
         window = self.window
-        end = len(seq) - window
-        if self._lru is not None or end > self.capacity - self._size:
-            # The global bound may bind: pair by pair, through ``insert``.
-            for i in range(end):
-                self.insert(seq[i], seq[i + 1:i + 1 + window])
-            return
-        # Each pair adds at most one entry, so these cannot take the table
-        # over ``capacity``: insert them inline, stamped.
+        # ``insert``'s steps, inline: a method call per pair was slower.
         table = self._values
         stamps = self._stamps
         tokens = tuple(seq)
-        for i in range(end):
+        for i in range(len(seq) - window):
             key = tokens[i]
             value = tokens[i + 1:i + 1 + window]
             per_key = table.get(key)
             if per_key is None:
                 table[key] = {value: next(stamps)}
-                self._size += 1
             elif value in per_key:
                 if len(per_key) > 1:
                     del per_key[value]
                 per_key[value] = next(stamps)
+                continue
             else:
                 per_key[value] = next(stamps)
-                self._size += 1
                 if len(per_key) > self.per_key:
+                    self._size += 1  # one pair in, then the key's oldest out
                     self._remove(key, next(iter(per_key)))
+                    continue
+            self._size += 1
+            if self._size > self.capacity:
+                self._evict_oldest()
 
     def lookup(self, key: int, want: int) -> list[tuple[int, ...]]:
         """Up to ``want`` values for ``key``, most recently used first.
@@ -196,17 +190,11 @@ class ContextDB:
             return []
         taken = list(reversed(per_key))[:want]
         # The values taken are already the key's most recent, in order, so
-        # only their stamps, or the global order, move. Refresh from last
-        # returned to first so the returned order is exactly the
-        # post-lookup recency order.
-        lru = self._lru
-        if lru is None:
-            stamps = self._stamps
-            for value in reversed(taken):
-                per_key[value] = next(stamps)
-        else:
-            for value in reversed(taken):
-                lru.move_to_end((key, value))
+        # only their stamps move. Refresh from last returned to first so
+        # the returned order is exactly the post-lookup recency order.
+        stamps = self._stamps
+        for value in reversed(taken):
+            per_key[value] = next(stamps)
         return taken
 
     def drafter(self, hier) -> Callable[[list[int], int], list[tuple[int, ...]]]:

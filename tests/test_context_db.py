@@ -224,23 +224,20 @@ def _random_ops(rng, db, ref, n_ops, n_keys):
 
 @pytest.mark.parametrize("capacity", [6, 30, 300])
 def test_long_stretch_below_capacity_then_overflow_matches_reference(capacity):
-    """The table keeps only use stamps while it holds at most ``capacity``
-    pairs, and builds the global order the first time it goes over. A long
-    stretch of refreshes, lookups and per-key evictions that cannot reach
-    ``capacity`` (its keys hold at most ``per_key * n_keys <= capacity``
-    pairs), then a stretch over more keys that overflows: lookups, victims
-    and recency all match the reference."""
+    """A long stretch of refreshes, lookups and per-key evictions that
+    cannot reach ``capacity`` (its keys hold at most
+    ``per_key * n_keys <= capacity`` pairs), then a stretch over more keys
+    that overflows: lookups, victims and recency all match the
+    reference."""
     rng = random.Random(capacity)
     caps = dict(window=1, per_key=3, capacity=capacity)
     evicted = []
     db = ContextDB(on_evict=lambda k, v: evicted.append((k, v)), **caps)
     ref = ReferenceLru(**caps)
     _random_ops(rng, db, ref, 40 * capacity, n_keys=capacity // 3)
-    assert db._lru is None  # never over capacity: no global order yet
     assert ref.evicted and evicted == ref.evicted  # per-key evictions only
     assert list(db._order) == ref.order()
     _random_ops(rng, db, ref, 40 * capacity, n_keys=2 * capacity)
-    assert db._lru is not None
     assert evicted == ref.evicted
     assert list(db._order) == ref.order()
     assert len(db) == len(ref.entries) == capacity
@@ -259,11 +256,10 @@ def test_one_ingest_crossing_capacity_matches_reference():
     ref.ingest(first)
     for key in range(0, 30, 3):  # lookups move some pairs to the front
         assert db.lookup(key, 2) == ref.lookup(key, 2)
-    assert db._lru is None and len(db) == len(ref.entries) < 40
+    assert len(db) == len(ref.entries) < 40
     crossing = [rng.randrange(60) for _ in range(60)]
     db.ingest(crossing)
     ref.ingest(crossing)
-    assert db._lru is not None
     assert evicted == ref.evicted
     assert len(db) == len(ref.entries) == 40
     assert list(db._order) == ref.order()
@@ -272,25 +268,68 @@ def test_one_ingest_crossing_capacity_matches_reference():
 
 
 def test_reset_after_overflow_matches_fresh_reference():
-    """``reset`` after the global order was built returns the table to
-    stamps alone; a new stretch, overflowing again, matches a fresh
-    reference."""
+    """``reset`` after the table went over ``capacity`` empties it; a new
+    stretch, overflowing again, matches a fresh reference."""
     caps = dict(window=2, per_key=3, capacity=20)
     evicted = []
     db = ContextDB(on_evict=lambda k, v: evicted.append((k, v)), **caps)
     rng = random.Random(8)
     _random_ops(rng, db, ReferenceLru(**caps), 400, n_keys=30)
-    assert db._lru is not None
     db.reset()
-    assert len(db) == 0 and db._lru is None and list(db._order) == []
+    assert len(db) == 0 and list(db._order) == []
     evicted.clear()
     ref = ReferenceLru(**caps)
     _random_ops(rng, db, ref, 60, n_keys=6)
-    assert db._lru is None
     assert list(db._order) == ref.order()
     _random_ops(rng, db, ref, 400, n_keys=30)
-    assert db._lru is not None
     assert evicted == ref.evicted
+    assert list(db._order) == ref.order()
+
+
+def test_stale_victim_queue_is_sorted_again_and_matches_reference():
+    """Overflow once, so the victim queue is sorted; refresh every live
+    pair, through lookups and re-inserts, so every entry left in the queue
+    is stale; then overflow again through ``insert`` and ``ingest``. The
+    next eviction walks the stale queue to its end and sorts it again, and
+    victims, ``on_evict`` order and later lookups match the reference."""
+    caps = dict(window=2, per_key=3, capacity=12)
+    evicted = []
+    db = ContextDB(on_evict=lambda k, v: evicted.append((k, v)), **caps)
+    ref = ReferenceLru(**caps)
+    sorts = []
+    by_age = db._by_age
+
+    def counted():
+        sorts.append(len(db))
+        return by_age()
+
+    db._by_age = counted
+    for key in range(7):
+        for value in ((key, 1), (key, 2)):
+            db.insert(key, value)
+            ref.insert(key, value)
+    assert sorts == [13] and evicted == ref.evicted and len(evicted) == 2
+    rng = random.Random(4)
+    live = ref.order()
+    rng.shuffle(live)
+    for key, value in live:
+        if key % 2:  # a lookup of 3 refreshes all of the key's values
+            assert db.lookup(key, 3) == ref.lookup(key, 3)
+        else:
+            db.insert(key, value)
+            ref.insert(key, value)
+    assert sorts == [13]
+    db.insert(20, (20, 1))  # every queued entry is stale now
+    ref.insert(20, (20, 1))
+    assert sorts == [13, 13]
+    seq = [rng.randrange(30, 40) for _ in range(40)]
+    db.ingest(seq)
+    ref.ingest(seq)
+    assert len(sorts) > 2  # the ingest used up the new queue
+    assert evicted == ref.evicted
+    assert len(db) == len(ref.entries) == 12
+    assert [db.lookup(key, 3) for key in range(40)] == [ref.lookup(key, 3) for key in range(40)]
+    db._by_age = by_age
     assert list(db._order) == ref.order()
 
 
@@ -427,11 +466,11 @@ def test_each_position_is_inserted_once(window):
     inserted exactly once, with its full window, for each
     ``p < len(context) - window`` at the last probe.
 
-    ``ingest`` inserts below ``capacity`` inline, so the inserts are read
-    off the use stamps: each insert, of a new pair or a refresh, takes the
-    next stamp and leaves it on its pair. After each ``ingest`` call, the
-    call's stamps name its inserted pairs in order, and a pair inserted
-    again later in the call leaves its earlier stamp on no pair (``None``).
+    ``ingest`` inserts inline, so the inserts are read off the use stamps:
+    each insert, of a new pair or a refresh, takes the next stamp and
+    leaves it on its pair. After each ``ingest`` call, the call's stamps
+    name its inserted pairs in order, and a pair inserted again later in
+    the call leaves its earlier stamp on no pair (``None``).
     """
     rng = random.Random(window)
     context = rng.sample(range(500), 400)  # distinct, so a key names its position
@@ -455,7 +494,6 @@ def test_each_position_is_inserted_once(window):
             draft(context[:n], 7)
         n += rng.randint(1, window + 2)
     draft(context, 7)
-    assert db._lru is None  # below capacity throughout: every insert stamped
     expected = [(context[p], tuple(context[p + 1:p + 1 + window]))
                 for p in range(len(context) - window)]
     assert inserted == expected

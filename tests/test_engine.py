@@ -305,6 +305,40 @@ def test_untraced_decode_builds_no_step_records(setup, monkeypatch, temperature,
     assert metrics.draft_latency_ns is None and metrics.verify_latency_ns_mean is None
 
 
+@pytest.mark.parametrize("order", ["cms", "mcs", "smc"])
+@pytest.mark.parametrize("temperature", [0.0, 0.8])
+def test_decode_over_context_capacity_matches_autoregressive(setup, temperature, order):
+    """A context DB of 16 pairs goes over its capacity in every generation:
+    the output still equals autoregressive decoding's, and the untraced
+    metrics equal the traced ones. A generation whose draft set fills
+    before ``c`` is probed learns nothing, so evictions are counted over
+    all four prompts."""
+    corpus, model, model_db, stats_db = setup
+    prompts = sample_prompts(corpus, 4, seed=17, min_len=20, max_len=40)
+    evicted = {True: [], False: []}
+    for seed, prompt in enumerate(prompts):
+        config = _hd_config(
+            hierarchy=HierarchyConfig(order=order),
+            max_tokens=60,
+            temperature=temperature,
+            seed=seed,
+            trace=True,
+        )
+        runs = []
+        for trace in (True, False):
+            dbs = fresh_dbs(model_db, stats_db, capacity=16)
+            dbs.context.on_evict = lambda k, v, trace=trace: evicted[trace].append((k, v))
+            runs.append(decode(model, prompt, dbs, dataclasses.replace(config, trace=trace)))
+        (traced_out, traced, _), (out, metrics, _) = runs
+        ar_output, _ = autoregressive_decode(
+            model, prompt, DecodeConfig(max_tokens=60, temperature=temperature, seed=seed)
+        )
+        assert out == traced_out == ar_output
+        for name in ("steps", "tau", "alpha", "alpha_all", "tallies", "probes"):
+            assert getattr(metrics, name) == getattr(traced, name), name
+    assert evicted[True] and evicted[True] == evicted[False]
+
+
 @pytest.mark.parametrize("order", ["cms", "smc"])
 @pytest.mark.parametrize("temperature", [0.0, 0.8])
 def test_untraced_decode_reads_no_clock(setup, monkeypatch, temperature, order):
