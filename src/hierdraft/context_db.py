@@ -119,51 +119,41 @@ class ContextDB:
         takes ``key`` over ``per_key`` values evicts the key's least
         recently used value; otherwise, one that takes the table over
         ``capacity`` pairs evicts the table's least recently used pair.
-        Each eviction calls ``on_evict``. An empty value is ignored.
+        Each eviction calls ``on_evict``. An empty value is ignored. The
+        pair goes through ``_insert_windows``, the routine ``ingest`` uses.
         """
         value = tuple(value)
-        if not value:
-            return
-        stamp = next(self._stamps)
-        per_key = self._values.get(key)
-        if per_key is None:
-            per_key = self._values[key] = {}
-        elif value in per_key:
-            if len(per_key) > 1:  # a key's only value needs no move
-                del per_key[value]
-            per_key[value] = stamp
-            return
-        per_key[value] = stamp
-        self._size += 1
-        if len(per_key) > self.per_key:
-            self._remove(key, next(iter(per_key)))
-        elif self._size > self.capacity:
-            self._evict_oldest()
+        if value:
+            self._insert_windows((key, *value), len(value))
 
     def ingest(self, seq: list[int]) -> None:
         """Insert one pair per position of ``seq`` whose window is full.
 
         Position ``i < len(seq) - window`` contributes key ``seq[i]`` with
-        the following ``window`` tokens as the value, with the refreshes,
-        evictions and ``on_evict`` calls of inserting each pair in turn.
-        A sequence of ``window`` or fewer tokens has no full window and
-        inserts nothing; only one shorter than 2 tokens raises.
+        the following ``window`` tokens as the value, inserted in turn by
+        ``_insert_windows``, the routine ``insert`` uses. A sequence of
+        ``window`` or fewer tokens has no full window and inserts nothing;
+        only one shorter than 2 tokens raises.
         """
         if len(seq) < 2:
             raise ValueError("ingest needs a sequence of at least 2 tokens")
-        window = self.window
-        # ``insert``'s steps, inline: a method call per pair was slower.
+        self._insert_windows(tuple(seq), self.window)
+
+    def _insert_windows(self, tokens: tuple[int, ...], window: int) -> None:
+        """Insert, in turn, each position of ``tokens`` followed by a full
+        ``window`` as a key and that window as its value, with ``insert``'s
+        refreshes, evictions and ``on_evict`` calls. The loop is inline: a
+        method call per pair was slower."""
         table = self._values
         stamps = self._stamps
-        tokens = tuple(seq)
-        for i in range(len(seq) - window):
+        for i in range(len(tokens) - window):
             key = tokens[i]
             value = tokens[i + 1:i + 1 + window]
             per_key = table.get(key)
             if per_key is None:
                 table[key] = {value: next(stamps)}
             elif value in per_key:
-                if len(per_key) > 1:
+                if len(per_key) > 1:  # a key's only value needs no move
                     del per_key[value]
                 per_key[value] = next(stamps)
                 continue

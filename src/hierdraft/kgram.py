@@ -121,10 +121,10 @@ class KGramModel:
     tables raises ``ValueError``.
 
     The model keeps the checked columns and builds its lookup dicts from
-    them on the first read (``load_kgram`` reads at once), dropping each
-    order's columns as that order's dicts are made. Sessions that first
-    read one model together wait for one build, and none sees a
-    half-built dict.
+    them once, in ``_build``, which its first read calls (``load_kgram``
+    calls it at once), dropping each order's columns as that order's dicts
+    are made. Sessions that first read one model together wait for one
+    build under the model's lock, and none sees a half-built dict.
     """
 
     def __init__(self, k: int, alpha: float, vocab_size: int, tables: Iterable[tuple]):
@@ -144,12 +144,15 @@ class KGramModel:
             del columns  # released before the next order is counted or read
         # Per order (index 0 is unused padding), keyed by the context packed
         # as one int in base vocab_size: the argmax of its table, and the
-        # table itself, a one-entry table being just its count. Until either
-        # is first read, both are `_Unbuilt` stand-ins, whose first index
-        # builds the two lists from the checked columns and puts them here.
-        pending = _Pending(self, checked)
-        self._argmax: list[dict[int, int]] | _Unbuilt = _Unbuilt(pending, 0)
-        self._tables: list[dict[int, int | dict[int, int]]] | _Unbuilt = _Unbuilt(pending, 1)
+        # table itself, a one-entry table being just its count. The model
+        # keeps its checked columns in `_kept` until `_build` makes the two
+        # lists from them; until then both are `_Unbuilt` stand-ins, whose
+        # first index calls `_build`.
+        self._kept: list[tuple] | None = checked
+        self._lock = threading.Lock()
+        build = weakref.WeakMethod(self._build)
+        self._argmax: list[dict[int, int]] | _Unbuilt = _Unbuilt(build, 0)
+        self._tables: list[dict[int, int | dict[int, int]]] | _Unbuilt = _Unbuilt(build, 1)
         # Sampling state: the last temperature drawn at (at first an object
         # no caller holds), 1 / it, and the tables compiled at it, keyed by
         # the id of the count table: an id is smaller to keep than a
@@ -167,13 +170,10 @@ class KGramModel:
         the model is unbuilt, else ``uint32`` contexts, sizes and tokens,
         and ``uint64`` counts, read back from the dicts. ``save_kgram``
         writes these."""
-        tables = self._tables
-        if type(tables) is _Unbuilt:
-            kept = tables.pending.kept(order)
-            if kept is not None:
-                return kept
-            tables = self._tables  # built meanwhile
-        tables = tables[order]
+        with self._lock:
+            if self._kept is not None:
+                return self._kept[order - 1]
+        tables = self._tables[order]
         n = len(tables)
         # Every key fits a uint64 (the size rule in __init__).
         keys = np.fromiter(tables, np.uint64, n)
@@ -194,6 +194,22 @@ class KGramModel:
         tokens[in_multi] = np.fromiter(chain.from_iterable(dicts), np.uint32)
         counts[in_multi] = array("Q", chain.from_iterable(map(dict.values, dicts)))
         return contexts, sizes, tokens, counts
+
+    def _build(self) -> tuple[list, list]:
+        """The argmax and table lists, built from the kept columns on the
+        first call and set on the model only once every order is in them."""
+        with self._lock:
+            kept = self._kept
+            if kept is not None:
+                argmax, tables = [{}], [{}]
+                for i, columns in enumerate(kept):
+                    kept[i] = None
+                    order_argmax, order_tables = _order_dicts(i + 1, self.vocab_size, *columns)
+                    argmax.append(order_argmax)
+                    tables.append(order_tables)
+                self._argmax, self._tables = argmax, tables
+                self._kept = None
+            return self._argmax, self._tables
 
     def _backoff(self, context: list[int]) -> dict[int, int]:
         """The backed-off table as ``{token: count}``, empty if order 1 has none."""
@@ -367,56 +383,20 @@ class KGramModel:
         return table, floats, array("I", list(table))
 
 
-class _Pending:
-    """A model's checked columns, one tuple per order, until its dicts are
-    built. The lock makes concurrent first reads build once, and a reader
-    sees the lists only once every order is in them."""
-
-    def __init__(self, model: KGramModel, columns: list[tuple]):
-        # A weak reference: a model that is never read is freed with its
-        # columns when its last holder drops it, not at the next collection.
-        self.model = weakref.ref(model)
-        self.columns = columns
-        self.lock = threading.Lock()
-        self.built: tuple[list, list] | None = None
-
-    def build(self) -> tuple[list, list]:
-        """The model's argmax and table lists, built on the first call and
-        put on the model; each order's columns are dropped once its dicts
-        are made."""
-        with self.lock:
-            if self.built is None:
-                model = self.model()
-                argmax, tables = [{}], [{}]
-                for i, order_columns in enumerate(self.columns):
-                    self.columns[i] = None
-                    order_argmax, order_tables = _order_dicts(
-                        i + 1, model.vocab_size, *order_columns
-                    )
-                    argmax.append(order_argmax)
-                    tables.append(order_tables)
-                self.built = argmax, tables
-                model._argmax, model._tables = self.built
-            return self.built
-
-    def kept(self, order: int) -> tuple | None:
-        """Order ``order``'s checked columns, or None once the dicts are built."""
-        with self.lock:
-            return None if self.built else self.columns[order - 1]
-
-
 class _Unbuilt:
     """Stands in for a model's ``_argmax`` (``which`` 0) or ``_tables``
-    (``which`` 1) until the first read, which builds both."""
+    (``which`` 1) until the first read, which builds both. It holds the
+    model's ``_build`` weakly: a model that is never read is freed with its
+    columns when its last holder drops it, not at the next collection."""
 
-    __slots__ = ("pending", "which")
+    __slots__ = ("build", "which")
 
-    def __init__(self, pending: _Pending, which: int):
-        self.pending = pending
+    def __init__(self, build: weakref.WeakMethod, which: int):
+        self.build = build
         self.which = which
 
     def __getitem__(self, order: int) -> dict:
-        return self.pending.build()[self.which][order]
+        return self.build()()[self.which][order]
 
 
 def _unseen_draw(offset: float, unseen: float, j: int, prev: int, nxt: int) -> int:
@@ -646,7 +626,7 @@ def load_kgram(path: str | Path) -> KGramModel:
     except ValueError as exc:
         raise ValueError(f"corrupt k-gram model file: {exc}") from None
     del data  # the columns are copies: the file's bytes go before the build
-    model._tables.pending.build()
+    model._build()
     return model
 
 

@@ -58,6 +58,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._checks import check_int
 from .corpus import Corpus, SEP
 
 STATS_MAGIC = b"HDSA"
@@ -247,9 +248,13 @@ class StatsDB:
         return self._sa
 
     def find_range(self, query: Sequence[int]) -> tuple[int, int]:
-        """Half-open slice of the suffix array whose suffixes start with ``query``."""
+        """Half-open slice of the suffix array whose suffixes start with
+        ``query``. An id that is a bool or not an integer (numpy integers
+        pass) raises ``ValueError``."""
         if len(query) < 1:
             raise ValueError("query must be non-empty")
+        if not all(isinstance(t, (int, np.integer)) and type(t) is not bool for t in query):
+            raise ValueError(f"query ids must be integers, not {list(query)!r}")
         q = [int(t) for t in query]
         bucket = self._bucket
         # Negative ids would wrap around the bucket list; ids past its end
@@ -281,12 +286,11 @@ class StatsDB:
         Tries the full tail first, shrinking one token at a time until some
         occurrences exist; collects up to ``draft_len`` following tokens per
         occurrence (truncated at SEP), and returns the ``want`` most frequent
-        distinct continuations as (tokens, count) pairs.
+        distinct continuations as (tokens, count) pairs. ``draft_len`` must
+        be an integer >= 1 and ``want`` one >= 0, else ``ValueError``.
         """
-        if want < 0:
-            raise ValueError("want must be >= 0")
-        if draft_len < 1:
-            raise ValueError("draft_len must be >= 1")
+        check_int("draft_len", draft_len)
+        check_int("want", want, 0)
         for length in range(len(tail), 0, -1):
             lo, hi = self.find_range(tail[-length:])
             if hi <= lo:

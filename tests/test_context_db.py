@@ -113,6 +113,24 @@ def test_reinsert_refreshes_without_duplicate():
     assert db.lookup(3, 7) == [(8, 9), (4, 5)]
 
 
+@pytest.mark.parametrize("capacity", [4096, 2], ids=["below-capacity", "at-capacity"])
+def test_insert_of_an_empty_value_is_ignored(capacity):
+    """An empty value adds no pair, refreshes nothing and evicts nothing,
+    even into a full table."""
+    evicted = []
+    db = ContextDB(window=2, per_key=7, capacity=capacity,
+                   on_evict=lambda k, v: evicted.append((k, v)))
+    db.insert(1, (10,))
+    db.insert(2, (20,))
+    db.insert(3, ())
+    db.insert(1, [])
+    assert len(db) == 2
+    assert db.lookup(3, 7) == []
+    assert evicted == []
+    db.insert(4, (40,))  # the oldest pair, not one the empty inserts touched
+    assert evicted == ([(1, (10,))] if capacity == 2 else [])
+
+
 def test_lookup_mru_first_after_two_ingests():
     db = ContextDB(window=2)
     db.ingest([3, 4, 5])

@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import math
 import random
@@ -7,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -838,6 +840,25 @@ def test_the_first_read_of_a_fitted_model_builds_what_load_builds(tmp_path, firs
     assert model._argmax == loaded._argmax
     assert model._tables == loaded._tables
     assert _draws(model, contexts) == _draws(loaded, contexts)
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+def test_a_dropped_model_is_freed_by_reference_counting(read):
+    """The stand-ins hold the model weakly, so a fitted model, read or not,
+    and its columns go as soon as its last holder drops it."""
+    model = fit_kgram(make_corpus(seed=9, n_docs=4, doc_words=100, vocab_words=20), k=3, alpha=0.01)
+    if read:
+        model.argmax_token([1, 2])
+    assert _is_built(model) == read
+    ref = weakref.ref(model)
+    enabled = gc.isenabled()
+    gc.disable()  # a reference cycle would then keep the model alive
+    try:
+        del model
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_concurrent_first_reads_build_once(monkeypatch):

@@ -19,6 +19,7 @@ from hierdraft import (
     build_stats_db,
     build_suffix_array,
     build_vocab,
+    corpus_from_texts,
     decode,
     fit_kgram,
     load_stats_db,
@@ -189,6 +190,40 @@ def test_find_range_whole_text_single_hit():
     db = build_stats_db(corpus)
     lo, hi = db.find_range(db.tokens.tolist())
     assert hi - lo == 1
+
+
+def _abcd_db():
+    return build_stats_db(corpus_from_texts(["a b c a b d", "b c a b c"]))
+
+
+def test_find_range_takes_numpy_integer_ids():
+    db = _abcd_db()
+    assert db.find_range([np.int64(3), np.uint32(4)]) == db.find_range([3, 4]) != (0, 0)
+
+
+@pytest.mark.parametrize("query", [[3.9], [3.0], [True], [np.bool_(True)], [3, "4"]],
+                         ids=["float", "whole-float", "bool", "numpy-bool", "string"])
+def test_find_range_refuses_an_id_that_is_not_an_integer(query):
+    """A non-integer id is refused, not truncated to another token's range."""
+    with pytest.raises(ValueError, match="query ids must be integers"):
+        _abcd_db().find_range(query)
+
+
+def test_retrieve_refuses_a_tail_id_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="query ids must be integers"):
+        _abcd_db().retrieve((3.7,), 2, 2)
+
+
+@pytest.mark.parametrize(
+    "draft_len, want, match",
+    [(True, 2, "draft_len"), (2.0, 2, "draft_len"), (0, 2, "draft_len"),
+     (2, 2.5, "want"), (2, False, "want"), (2, -1, "want")],
+    ids=["bool-draft-len", "float-draft-len", "zero-draft-len",
+         "float-want", "bool-want", "negative-want"],
+)
+def test_retrieve_refuses_a_bad_draft_len_or_want(draft_len, want, match):
+    with pytest.raises(ValueError, match=f"^{match} must be an integer >= "):
+        _abcd_db().retrieve((3,), draft_len, want)
 
 
 def test_retrieve_single_occurrence():
