@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -179,6 +180,28 @@ def test_build_deterministic_bytes(tmp_path):
         db = build_model_db(corpus, top_k=500, window=4)
         save_model_db(db, tmp_path / f"{name}.jsonl")
     assert (tmp_path / "x.jsonl").read_bytes() == (tmp_path / "y.jsonl").read_bytes()
+
+
+# A 12k-token corpus on 40 words: every key's list is cut to ``per_key``,
+# and at window 2 the ``top_k`` cut falls inside a run of tied counts.
+_GOLDEN_CORPUS = {"seed": 23, "n_docs": 40, "doc_words": 300, "vocab_words": 40}
+
+
+@pytest.mark.parametrize(
+    "settings, digest",
+    [
+        ({}, "dc449ac045b604439f8f14171b4acb6b5dc035591e255c1bc46d43eea1279669"),
+        ({"window": 2, "top_k": 600},
+         "03397a572f3a9827aea443b2d7037ec6649ade0f6ab1034fc22ffec123702e87"),
+    ],
+    ids=["defaults", "top-k-cut-in-a-tie"],
+)
+def test_hdmd_bytes_match_the_golden_digest(tmp_path, settings, digest):
+    """The file of a fixed corpus keeps the digest it had under the
+    Counter-and-sorted build."""
+    path = tmp_path / "golden.jsonl"
+    save_model_db(build_model_db(make_corpus(**_GOLDEN_CORPUS), **settings), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 _HEADER = '{"magic":"HDMD","version":1,"m":2,"records":%d}'
