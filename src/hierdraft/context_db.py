@@ -171,10 +171,11 @@ class ContextDB:
         """Up to ``want`` values for ``key``, most recently used first.
 
         The list is fresh; its values are the stored tuples themselves, not
-        copies, which is safe because tuples are immutable.
+        copies, which is safe because tuples are immutable. A ``want`` that
+        is not an ``int`` >= 0, or is a bool, raises ``ValueError``.
         """
-        if want < 0:
-            raise ValueError("want must be >= 0")
+        if type(want) is not int or want < 0:
+            check_int("want", want, 0)
         per_key = self._values.get(key)
         if per_key is None or want == 0:
             return []

@@ -19,9 +19,12 @@ descending, value ascending.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from itertools import chain
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._checks import check_int
 from .corpus import Corpus
@@ -54,9 +57,11 @@ class ModelDB:
 
         The list is a fresh slice; its values are the stored tuples
         themselves, not copies, which is safe because tuples are immutable.
+        A ``want`` that is not an ``int`` >= 0, or is a bool, raises
+        ``ValueError``.
         """
-        if want < 0:
-            raise ValueError("want must be >= 0")
+        if type(want) is not int or want < 0:
+            check_int("want", want, 0)
         return self._values.get(key, [])[:want]
 
     def drafter(self, hier) -> Callable[[list[int], int], list[tuple[int, ...]]]:
@@ -82,24 +87,69 @@ def build_model_db(
 
     Ties in frequency break by ascending token order so the build is fully
     deterministic. After the global cut, each key keeps at most ``per_key``
-    values (count descending, value ascending).
+    values (count descending, value ascending). Keys enter the table in
+    the order of their best gram's rank.
+
+    The grams are the rows of a sliding window over the concatenated docs,
+    less the rows that cross a document boundary. Each id is replaced by
+    its rank among the distinct ids, and each gram is packed into one int64
+    in that base, so one ``np.unique`` counts the grams in lexicographic
+    order. Ranking is a stable sort on the negated counts, both cuts are
+    array operations, and only the rows kept become tuples, of one int
+    object per distinct id. A token that is a bool, not an int, negative
+    or past int64 raises ``ValueError`` before anything is counted;
+    ``load_model_db`` would refuse a file holding the first three.
     """
     for name, value in (("top_k", top_k), ("window", window), ("per_key", per_key)):
         check_int(name, value)
-    if not generations.docs:
+    docs = generations.docs
+    if not docs:
         raise ValueError("empty generations corpus")
+    flat = list(chain.from_iterable(docs))
+    if not set(map(type, flat)) <= {int} or (flat and not 0 <= min(flat) <= max(flat) < 2**63):
+        raise ValueError("token ids must be integers in [0, 2**63)")
     size = 1 + window
-    freq: Counter[tuple[int, ...]] = Counter()
-    for doc in generations.docs:
-        for i in range(len(doc) - size + 1):
-            freq[tuple(doc[i:i + size])] += 1
-    ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-    entries: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for gram, count in ranked:
-        entries.setdefault(gram[0], []).append((gram[1:], count))
-    # In ``ranked`` order, each key's rows are already count-descending, value-ascending.
-    for rows in entries.values():
-        del rows[per_key:]
+    lengths = np.fromiter(map(len, docs), np.int64, len(docs))
+    if not (lengths >= size).any():
+        return ModelDB(window, {})
+    ids, index = np.unique(np.array(flat, dtype=np.int64), return_inverse=True)
+    index = index.reshape(-1)
+    del flat
+    # room[i]: the tokens from i to the end of its doc; the gram at i lies
+    # inside one doc when room[i] >= size.
+    room = np.repeat(np.cumsum(lengths), lengths)[: len(index) - size + 1]
+    room -= np.arange(len(room))
+    at = np.flatnonzero(room >= size)
+    del room
+    # Packed oldest id first, grams sort as their packed values do. Where
+    # the next id would not fit, the packed prefixes become their ranks.
+    base = len(ids)
+    packed = index[at]
+    for j in range(1, size):
+        if (int(packed.max()) + 1) * base > 2**63:
+            packed = np.unique(packed, return_inverse=True)[1].reshape(-1)
+        packed *= base
+        packed += index[at + j]
+    _, first, counts = np.unique(packed, return_index=True, return_counts=True)
+    grams = sliding_window_view(index, size)[at[first]]
+    del index, at, packed, first
+    # Rows of ``grams`` ascend, so a stable sort breaks count ties by gram.
+    ranked = np.argsort(-counts, kind="stable")[:top_k]
+    # By key, and in rank order within one; each key keeps its first
+    # ``per_key`` rows, and keys go in the order of their first row's rank.
+    by_key = np.argsort(grams[ranked, 0], kind="stable")
+    grouped = ranked[by_key]
+    heads = np.flatnonzero(np.diff(grams[grouped, 0], prepend=-1))
+    sizes = np.minimum(np.diff(heads, append=len(grouped)), per_key)
+    ends = np.cumsum(sizes)
+    kept = grouped[np.arange(ends[-1]) + np.repeat(heads - ends + sizes, sizes)]
+    columns = ids.astype(object)[grams[kept].T].tolist()
+    rows = list(zip(zip(*columns[1:]), counts[kept].tolist()))
+    starts, ends = (ends - sizes).tolist(), ends.tolist()
+    entries = {
+        columns[0][starts[g]]: rows[starts[g]:ends[g]]
+        for g in np.argsort(by_key[heads]).tolist()
+    }
     return ModelDB(window, entries)
 
 

@@ -1,9 +1,13 @@
-"""Reference laws the package's sampler is tested against.
+"""Plain references the package's vectorized code is tested against.
 
 ``KGramModel.sample`` draws without building a vocabulary-sized vector;
 the tests check it against ``apply_temperature`` applied to
 ``KGramModel.next_distribution`` and an inverse-CDF draw over the result.
+``build_model_db`` counts packed grams with numpy; the tests check its
+table against ``model_db_entries``, a ``Counter`` and one ``sorted``.
 """
+
+from collections import Counter
 
 import numpy as np
 
@@ -33,3 +37,22 @@ def apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
         powered = np.power(probs / probs.max(), 1.0 / temperature)
         total = powered.sum()
     return powered / total
+
+
+def model_db_entries(docs, top_k, window, per_key):
+    """The table ``build_model_db`` keeps, key order included: every
+    (1 + window)-gram inside a doc counted, the ``top_k`` most frequent
+    kept (ties by ascending gram), grouped under their first token in rank
+    order, and each key cut to ``per_key`` values."""
+    size = 1 + window
+    freq = Counter()
+    for doc in docs:
+        for i in range(len(doc) - size + 1):
+            freq[tuple(doc[i:i + size])] += 1
+    ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+    entries = {}
+    for gram, count in ranked:
+        entries.setdefault(gram[0], []).append((gram[1:], count))
+    for rows in entries.values():
+        del rows[per_key:]
+    return entries

@@ -184,6 +184,16 @@ def test_lookup_rejects_negative_want():
         db.lookup(3, -1)
 
 
+@pytest.mark.parametrize("want", [-1, True, 2.5])
+def test_lookup_rejects_a_want_that_is_not_a_count(want):
+    """A bool would run as 1 and a float fail inside the slice."""
+    db = ContextDB(window=1)
+    db.ingest([3, 4, 3, 5, 3, 6])
+    with pytest.raises(ValueError, match="want must be an integer >= 0"):
+        db.lookup(3, want)
+    assert db.lookup(3, 1) == [(6,)]
+
+
 def test_ingest_pair_count_matches_window_enumerator():
     rng = random.Random(31)
     seq = [rng.randrange(40) for _ in range(1000)]

@@ -298,8 +298,8 @@ def test_stats_drafters_share_one_memo(monkeypatch):
 @pytest.mark.parametrize("letter", ["c", "m", "s"])
 def test_every_drafter_refuses_a_negative_want(letter):
     """A quota below 0 raises, as ``lookup`` and ``retrieve`` do, where a
-    slice would hand back all continuations but the last; the stats
-    drafter raises on a memo hit as on a miss."""
+    slice would hand back all continuations but the last; so do a bool and
+    a float. The stats drafter raises on a memo hit as on a miss."""
     vocab = _vocab(10)
     docs = [[3, 4], [3, 5], [3, 6]]
     dbs = DatabaseSet(
@@ -309,9 +309,9 @@ def test_every_drafter_refuses_a_negative_want(letter):
     )
     (_, draft), = dbs.drafters(HierarchyConfig(order=letter, tail_len=1, draft_len=1))
     context = [3, 4, 3, 5, 3, 6, 3]
-    with pytest.raises(ValueError, match="want must be >= 0"):
+    with pytest.raises(ValueError, match="want must be an integer >= 0"):
         draft(context, -1)
     assert sorted(draft(context, 3)) == [(4,), (5,), (6,)]  # three continuations
-    for want in (-1, -3):
-        with pytest.raises(ValueError, match="want must be >= 0"):
+    for want in (-1, -3, True, 2.5):
+        with pytest.raises(ValueError, match="want must be an integer >= 0"):
             draft(context, want)

@@ -1,8 +1,9 @@
 import hashlib
 import json
-from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierdraft import (
     Corpus,
@@ -14,6 +15,7 @@ from hierdraft import (
 )
 
 from conftest import make_corpus
+from oracles import model_db_entries
 
 
 def _vocab(n):
@@ -39,39 +41,58 @@ def test_top_k_keeps_most_frequent():
     assert db.lookup(7, 7) == [(8, 9, 9, 9)]
 
 
-def _oracle_top_k(docs, top_k, window):
-    """Independent (1 + window)-gram counting with a plain Counter."""
-    size = 1 + window
-    freq = Counter()
-    for doc in docs:
-        for i in range(len(doc) - size + 1):
-            freq[tuple(doc[i:i + size])] += 1
-    return sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-
-
 def test_build_matches_brute_force_counter():
     corpus = make_corpus(seed=17, n_docs=100, doc_words=520, vocab_words=80)
     assert corpus.n_tokens >= 50_000
-    top_k = 300
-    db = build_model_db(corpus, top_k=top_k, window=4, per_key=10**9)
-    expected = _oracle_top_k(corpus.docs, top_k, 4)
-    got = []
-    for key in db.keys():
-        for value, count in db._entries[key]:
-            got.append(((key,) + value, count))
-    assert sorted(got, key=lambda kv: (-kv[1], kv[0])) == expected
+    db = build_model_db(corpus, top_k=300, window=4, per_key=10**9)
+    expected = model_db_entries(corpus.docs, 300, 4, 10**9)
+    assert db._entries == expected
+    assert list(db._entries) == list(expected)
 
 
 def test_lookup_order_matches_oracle_counts():
     corpus = make_corpus(seed=23, n_docs=20, doc_words=300, vocab_words=15)
     db = build_model_db(corpus, top_k=10_000, window=2, per_key=7)
-    expected = _oracle_top_k(corpus.docs, 10_000, 2)
-    by_key = {}
-    for gram, count in expected:
-        by_key.setdefault(gram[0], []).append((gram[1:], count))
-    for key in db.keys():
-        want = [v for v, _c in by_key[key][:7]]
-        assert db.lookup(key, 7) == want
+    expected = model_db_entries(corpus.docs, 10_000, 2, 7)
+    assert db.keys() == sorted(expected)
+    for key, rows in expected.items():
+        assert db.lookup(key, 7) == [value for value, _count in rows]
+
+
+def _docs():
+    """Up to 8 docs of 0-60 tokens over an alphabet of 1-16 ids, small or
+    up to 2**63 - 1: few ids make counts tie, and many ids at a long
+    window overflow one int64, so the builder re-ranks its packed
+    prefixes. Sizes are drawn first, as plain lists would mostly be
+    short."""
+    def exactly(n, elements, **kwargs):
+        return st.lists(elements, min_size=n, max_size=n, **kwargs)
+
+    ids = st.one_of(st.integers(0, 20), st.integers(0, 2**63 - 1))
+    alphabet = st.integers(1, 16).flatmap(lambda n: exactly(n, ids, unique=True))
+    return alphabet.flatmap(
+        lambda a: st.lists(
+            st.integers(0, 60).flatmap(lambda n: exactly(n, st.sampled_from(a))),
+            min_size=1, max_size=8,
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    docs=_docs(),
+    window=st.one_of(st.integers(1, 4), st.integers(16, 24)),
+    top_k=st.integers(1, 60),
+    per_key=st.integers(1, 8),
+)
+def test_build_matches_the_counter_oracle(docs, window, top_k, per_key):
+    """The table, key order included, equals the ``Counter`` build's, with
+    docs shorter than the window, tied counts and cuts that bite."""
+    corpus = Corpus(docs=docs, vocab=_vocab(5))
+    db = build_model_db(corpus, top_k=top_k, window=window, per_key=per_key)
+    expected = model_db_entries(docs, top_k, window, per_key)
+    assert db._entries == expected
+    assert list(db._entries) == list(expected)
 
 
 def test_lookup_edge_cases():
@@ -79,6 +100,15 @@ def test_lookup_edge_cases():
     db = build_model_db(corpus, window=4)
     assert db.lookup(99, 7) == []
     assert db.lookup(3, 0) == []
+
+
+@pytest.mark.parametrize("want", [-1, True, 2.5])
+def test_lookup_rejects_a_want_that_is_not_a_count(want):
+    """A bool would run as 1 and a float fail inside the slice."""
+    corpus = Corpus(docs=[[3, 4, 5, 6, 1], [3, 7, 8, 9, 1]], vocab=_vocab(12))
+    db = build_model_db(corpus, window=4)
+    with pytest.raises(ValueError, match="want must be an integer >= 0"):
+        db.lookup(3, want)
 
 
 def test_values_never_cross_doc_boundary():
@@ -113,6 +143,17 @@ def test_build_rejects_bad_sizes(setting, value):
     corpus = Corpus(docs=[[3, 4, 5, 6, 1]], vocab=_vocab(10))
     with pytest.raises(ValueError, match=f"{setting} must be an integer >= 1"):
         build_model_db(corpus, **{setting: value})
+
+
+@pytest.mark.parametrize(
+    "bad", [True, 2.5, -1, "3", 2**63], ids=["bool", "float", "negative", "string", "past-int64"]
+)
+def test_build_refuses_a_token_that_is_not_an_id(bad):
+    """An id ``load_model_db`` would refuse is refused before counting, in
+    a doc too short to hold a gram as well."""
+    for docs in ([[3, 4, 5, bad, 1]], [[3, 4, 5, 6, 1], [bad]]):
+        with pytest.raises(ValueError, match=r"token ids must be integers in \[0, 2\*\*63\)"):
+            build_model_db(Corpus(docs=docs, vocab=_vocab(10)), window=4)
 
 
 def test_per_key_cap():

@@ -107,6 +107,31 @@ def test_suffix_array_property_matches_naive_sort(text):
     assert sa.tolist() == naive_suffix_sort(text)
 
 
+@pytest.mark.parametrize(
+    "top", [0, 1, 2, 2**15 - 1, 2**16 - 2, 2**16 - 1, 2**16, 2**32 - 1],
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_suffix_array_at_the_packing_bounds(top, data):
+    """The first sort packs as many leading tokens as fit in 32 bits: 33
+    for a text of zeros, two up to a largest id of 2**16 - 2, one from
+    2**16 - 1 on. Texts of 1-24 tokens, many shorter than that width,
+    whose largest id is ``top``."""
+    ids = sorted({t for t in (0, 1, SEP, top - 1, top) if 0 <= t <= top})
+    text = data.draw(st.lists(st.sampled_from(ids), max_size=23))
+    text.insert(data.draw(st.integers(0, len(text))), top)
+    sa = build_suffix_array(np.asarray(text, dtype=np.uint32))
+    assert sa.tolist() == naive_suffix_sort(text)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(docs=st.lists(st.lists(st.sampled_from([0, 1, 3, 4]), max_size=2), min_size=1, max_size=60))
+def test_suffix_array_of_a_sep_heavy_text(docs):
+    """Docs of 0-2 tokens make a text that is mostly SEPs."""
+    db = build_stats_db(Corpus(docs=docs, vocab=_vocab(5)))
+    assert db.suffix_array.tolist() == naive_suffix_sort(db.tokens.tolist())
+
+
 def test_suffix_array_of_an_empty_text():
     sa = build_suffix_array(np.empty(0, dtype=np.uint32))
     assert sa.dtype == np.uint32 and len(sa) == 0
