@@ -29,10 +29,10 @@ writes documents and SEPs straight into one uint32 array.
 ``build_suffix_array`` is prefix doubling over the suffixes still tied,
 with uint32 ranks and no int64 array. Its first sort reads as many
 leading tokens as fit in 32 bits: two while the largest id is below
-2**16 - 1, more for fewer ids.
-On hdbench's 1M-token text (ids below 2004) it then runs three rounds,
-over 544k, 195k and 268 tied suffixes. The whole build peaks at about 22
-bytes per token under ``tracemalloc``, text and suffix array included.
+2**16 - 1, more for fewer ids. On hdbench's 1M-token text (ids below
+2004) three rounds follow, over 544k, 195k and 268 tied suffixes. The
+whole build peaks at about 22 bytes per token under ``tracemalloc``,
+text and suffix array included.
 
 Construction fails closed, whether the arrays come from the builder or
 from a file: a suffix-array entry past the text, a token id outside the
@@ -83,12 +83,12 @@ def build_suffix_array(tokens: np.ndarray) -> np.ndarray:
     end of the text, below every token. A first sort groups the suffixes
     by their first h tokens, h as many as one value below 2**32 holds:
     up to 33 for a text of zeros, two while the largest id is below
-    2**16 - 1, one from there on. Each round sorts
-    every group of two or more by the rank h tokens on, so groups then
-    share 2h tokens, and rewrites their ranks in place. A suffix alone in
-    its group has its final slot and drops out, so a round costs
-    O(m log m) for the m suffixes still tied, and there are about
-    log2(longest repeat / h) rounds.
+    2**16 - 1, one from there on. Each round sorts every group of two or
+    more by the rank h tokens on, so groups then share 2h tokens, and
+    rewrites their ranks in place. A suffix alone in its group has its
+    final slot and drops out, so a round costs O(m log m) for the m
+    suffixes still tied, and there are about log2(longest repeat / h)
+    rounds.
 
     Every sort is an in-place ``sort`` of uint64 keys that hold the value
     above the entry's index (``_order``). A round sorts by the rank h on,
