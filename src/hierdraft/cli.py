@@ -4,10 +4,10 @@ Typical flow:
 
     hd build-vocab --corpus text.txt --out vocab.txt
     hd fit-kgram --corpus text.txt --vocab vocab.txt --k 3 --out model.hdkg
-    hd build-model-db --generations gen.txt --vocab vocab.txt --out dm.jsonl
+    hd build-model-db --generations gen.txt --vocab vocab.txt --out dm.hdmd
     hd build-stats-db --corpus big.txt --vocab vocab.txt --out ds.hdsa
     hd run --prompt "..." --model model.hdkg --vocab vocab.txt \\
-        --model-db dm.jsonl --stats-db ds.hdsa
+        --model-db dm.hdmd --stats-db ds.hdsa
     hd bench --prompts prompts.txt --configs bench.json --runs 5 --out report.json
 
 The target model is always the file ``fit-kgram`` writes: ``hd run --model``,

@@ -16,42 +16,37 @@ order, or only the count when the table has one entry (its token is the
 argmax). A greedy draw reads only the argmax dicts, one ``get`` per
 backed-off order. On the hdbench world, where 170,229 of the 186,799
 order-3 contexts have a one-entry table, the built model holds 38.6 MB
-under ``tracemalloc``, 205 bytes per context, against 90.9 MB (482) when
-it kept a context tuple and a dict per table. ``fit_kgram`` counts packed
-windows with ``np.unique``, ``load_kgram`` reads each order's columns
-with numpy, and both hand the columns to ``KGramModel``, which checks
-them and refuses a ``vocab_size ** k`` past ``2 ** 63``: every key then
-fits a ``uint64``. The model keeps the checked columns and builds the
-dicts from them once, on its first read, so a fitted model holds only
-its columns (7.8 MB on the hdbench world's 270,120 training tokens) and
-fitting then saving builds no dict: the fit peaks at 18.6 MB, against
-52.1 MB when it built them. ``load_kgram`` drops the file's bytes and
-then builds before it returns, peaking at 51.9 MB, against 64.0 MB
-while the bytes lived through the build. Past the HDKG header every
-field is one ``uint32`` word, or two for a ``u64``, so ``save_kgram``
-builds each order's section as one word array from the model's columns
-(an unbuilt model's own) and writes it in one call, and ``load_kgram``
-scans the table lengths through a memoryview of the words and gathers
-the rest with numpy. A sampling draw
-(``KGramModel.sample``) reads only the backed-off count table: every
-unseen token has the same closed-form weight, so the inverse CDF runs over
-the table in id order and steps over each run of unseen ids in one
-division. A table of two or more entries is compiled into two flat arrays
-on its first draw at a temperature, and every later draw from it is one
-table read and one ``bisect``; a one-entry table is drawn from inline and
-never stored. The model keeps the compiled tables of the one temperature
-it last sampled at and drops them when it samples at another; greedy
-decoding compiles nothing. On the hdbench world, its 120 mined generations
-at T = 0.8 compile 5,046 tables, about 5.5 MB. A compile costs a few walks
-of its table, so the store pays only where a table is drawn from again at
-the same temperature: a model that switches temperature on every
-generation compiles on nearly every multi-entry draw, and there sampling
-is slower than the walk it replaced (``BENCH_14.json``, ``low_reuse``). A
-switch replaces the sampling state in one assignment, so a model stays
-safe to share between sessions that sample at different temperatures.
-``next_distribution`` builds the full vocabulary-sized law; the tests
-rescale it by temperature and draw from it by inverse CDF, and that is the
-reference the sampler is tested against.
+under ``tracemalloc``, 205 bytes per context.
+
+``fit_kgram`` counts packed windows with ``np.unique``, and ``load_kgram``
+reads each order's four columns as an HDKG v2 file stores them (see
+``_container``). Both hand the columns to ``KGramModel``, which checks
+them (``_checked``) and refuses a ``vocab_size ** k`` past ``2 ** 63``,
+so every key fits a ``uint64``. The model keeps the checked columns and
+builds the dicts from them once, on its first read, so fitting then
+saving builds no dict: ``save_kgram`` writes the columns as they are.
+``load_kgram`` copies each order's columns out of the file's bytes and
+drops the bytes before it builds.
+
+A sampling draw (``KGramModel.sample``) reads only the backed-off count
+table: every unseen token has the same closed-form weight, so the inverse
+CDF runs over the table in id order and steps over each run of unseen ids
+in one division. A table of two or more entries is compiled into two flat
+arrays on its first draw at a temperature, and every later draw from it is
+one table read and one ``bisect``; a one-entry table is drawn from inline
+and never stored. The model keeps the compiled tables of the one
+temperature it last sampled at and drops them when it samples at another;
+greedy decoding compiles nothing. On the hdbench world, its 120 mined
+generations at T = 0.8 compile 5,046 tables, about 5.5 MB. A compile costs
+a few walks of its table, so the store pays only where a table is drawn
+from again at the same temperature: a model that switches temperature on
+every generation compiles on nearly every multi-entry draw, and there
+sampling is slower than the walk it replaced (``BENCH_14.json``,
+``low_reuse``). A switch replaces the sampling state in one assignment, so
+a model stays safe to share between sessions that sample at different
+temperatures. ``next_distribution`` builds the full vocabulary-sized law;
+the tests rescale it by temperature and draw from it by inverse CDF, and
+that is the reference the sampler is tested against.
 
 ``KGramModel.__init__`` holds the rules on ``k``, ``alpha`` and
 ``vocab_size``, so ``fit_kgram`` and ``load_kgram`` refuse the same
@@ -62,7 +57,6 @@ models. HDKG loads fail closed: anything but a well-formed model raises
 from __future__ import annotations
 
 import math
-import struct
 import threading
 import time
 import weakref
@@ -75,12 +69,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import check_int, check_number
+from . import _container
+from ._checks import check_ids, check_int, check_number
 from .corpus import Corpus
 
 KGRAM_MAGIC = b"HDKG"
-KGRAM_VERSION = 1
-_HEADER = struct.Struct("<IIId")
+KGRAM_VERSION = 2
+_HEADER = "<IId"  # k, vocab_size, alpha
+# Each order's contexts (flattened), sizes, tokens and counts.
+_COLUMN_DTYPES = ("<u4", "<u4", "<u4", "<u8")
 
 
 @dataclass
@@ -110,15 +107,15 @@ class KGramModel:
     """Count tables for orders 1..k with add-alpha smoothing and backoff.
 
     ``tables`` yields order j's count tables j-th, as four columns, with
-    contexts in strictly ascending order: ``contexts``, one row of ``j - 1``
-    ids (oldest first) per context; ``sizes``, each table's entry count;
-    and ``tokens`` and ``counts``, every table's entries one table after
-    another, tokens strictly ascending within a table. ``fit_kgram`` and
-    ``load_kgram`` build every model through here, one order at a time.
-    ``k`` and ``vocab_size`` must be integers >= 1, ``alpha`` a finite
-    number > 0, and ``vocab_size ** k`` at most ``2 ** 63``; they are
-    checked before ``tables`` is read. Anything but that and well-formed
-    tables raises ``ValueError``.
+    contexts in strictly ascending order: ``contexts``, ``j - 1`` ids
+    (oldest first) per context, flat or in rows; ``sizes``, each table's
+    entry count; and ``tokens`` and ``counts``, every table's entries one
+    table after another, tokens strictly ascending within a table.
+    ``fit_kgram`` and ``load_kgram`` build every model through here, one
+    order at a time. ``k`` and ``vocab_size`` must be integers >= 1,
+    ``alpha`` a finite number > 0, and ``vocab_size ** k`` at most
+    ``2 ** 63``; they are checked before ``tables`` is read. Anything but
+    that and well-formed tables raises ``ValueError``.
 
     The model keeps the checked columns and builds its lookup dicts from
     them once, in ``_build``, which its first read calls (``load_kgram``
@@ -420,7 +417,7 @@ def fit_kgram(corpus: Corpus, k: int, alpha: float) -> KGramModel:
     as context-then-token tuples do, so they come out grouped into the
     model's tables. ``KGramModel``'s rules on ``k`` and ``alpha`` (among
     them a ``vocab.size ** k`` past ``2 ** 63``, where windows would wrap),
-    an empty corpus and a token that is not an integer id in
+    an empty corpus and a token that is not an ``int`` (a bool neither) in
     [0, ``vocab.size``) raise ``ValueError`` before anything is counted.
     """
     vocab_size = corpus.vocab.size
@@ -433,12 +430,7 @@ def _count_orders(docs: list[list[int]], k: int, vocab_size: int) -> Iterator[tu
     drops them before the last order is counted."""
     if not docs:
         raise ValueError("empty corpus")
-    tokens = np.array(list(chain.from_iterable(docs)))
-    if tokens.size and (
-        tokens.dtype.kind not in "iu" or tokens.min() < 0 or tokens.max() >= vocab_size
-    ):
-        raise ValueError(f"token ids must be integers in [0, {vocab_size})")
-    tokens = tokens.astype(np.int64, copy=False)
+    tokens = check_ids(docs, vocab_size)
     lengths = np.fromiter(map(len, docs), np.int64, len(docs))
     # room[i]: the tokens from i to the end of its doc, so the window of
     # `order` tokens at i lies inside one doc when room[i] >= order.
@@ -472,18 +464,22 @@ def _count_windows(windows: np.ndarray, order: int, vocab_size: int) -> tuple:
 def _checked(order: int, vocab_size: int, contexts, sizes, tokens, counts) -> tuple:
     """One order's columns, as ``KGramModel`` takes them, checked and made
     arrays, with one row of contexts per table; the first fault found
-    raises ``ValueError``.
+    raises ``ValueError``. Contexts may come flat, as an HDKG file holds
+    them.
 
-    Keys pack a context in ``uint64`` without loss, which the size rule in
+    Order 1 holds at most one table, that of the empty context. Keys pack
+    a context in ``uint64`` without loss, which the size rule in
     ``KGramModel.__init__`` keeps from wrapping, once every id is below
     ``vocab_size``; they must then ascend strictly, as the contexts do.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
-    if not len(sizes):
-        entries = np.empty(0, np.uint32)
-        return np.empty((0, order - 1), np.uint32), sizes, entries, entries.astype(np.uint64)
-    contexts = np.asarray(contexts).reshape(len(sizes), order - 1)
-    tokens, counts = np.asarray(tokens), np.asarray(counts)
+    contexts, tokens, counts = np.asarray(contexts), np.asarray(tokens), np.asarray(counts)
+    n = len(sizes)
+    if order == 1 and n > 1:
+        raise ValueError(f"{n} order-1 contexts")
+    if contexts.size != n * (order - 1):
+        raise ValueError(f"{contexts.size} context ids for {n} order-{order} tables")
+    contexts = contexts.reshape(n, order - 1)
     heads = np.cumsum(sizes) - sizes
 
     def context_of(entry: int) -> tuple[int, ...]:
@@ -507,7 +503,7 @@ def _checked(order: int, vocab_size: int, contexts, sizes, tokens, counts) -> tu
     if falls.size:
         context = context_of(falls[0] + 1)
         raise ValueError(f"next tokens not strictly ascending for context {context}")
-    if order > 1 and contexts.max() >= vocab_size:
+    if contexts.max(initial=0) >= vocab_size:
         raise ValueError(f"an order-{order} context holds an id >= vocab_size {vocab_size}")
     keys = _keys(contexts, vocab_size)
     if not (keys[1:] > keys[:-1]).all():
@@ -560,123 +556,32 @@ def _first_maxima(counts: np.ndarray, heads: np.ndarray, sizes: np.ndarray) -> n
 
 
 def save_kgram(model: KGramModel, path: str | Path) -> None:
-    """Versioned little-endian binary: magic, k, vocab_size, alpha, count tables.
-
-    Each order's section is built as one ``uint32`` array (``_section``)
-    and written in one call.
-    """
-    with open(path, "wb") as fh:
-        fh.write(KGRAM_MAGIC)
-        fh.write(_HEADER.pack(KGRAM_VERSION, model.k, model.vocab_size, model.alpha))
-        for order in range(1, model.k + 1):
-            fh.write(_section(*model._columns(order)))
-
-
-def _section(contexts, sizes, tokens, counts) -> np.ndarray:
-    """One order's section as little-endian ``uint32`` words: its ``u64``
-    table count, then per table its ``order - 1`` context ids, its size and
-    its entries, each a token and a ``u64`` count, low word first."""
-    n, width = contexts.shape  # width = order - 1
-    words = np.empty(2 + n * (width + 1) + 3 * len(tokens), "<u4")
-    words[:2] = n & 0xFFFFFFFF, n >> 32
-    body = words[2:]
-    # Table i's head lies past the heads and entries of tables 0..i-1.
-    starts = np.cumsum(sizes, dtype=np.int64) - sizes
-    starts = 3 * starts + np.arange(0, n * (width + 1), width + 1)
-    in_head = np.zeros(len(body), bool)
-    for i in range(width + 1):
-        in_head[starts + i] = True
-    heads = np.empty((n, width + 1), "<u4")
-    heads[:, :width] = contexts
-    heads[:, width] = sizes
-    body[in_head] = heads.ravel()
-    del heads
-    entries = np.empty((len(tokens), 3), "<u4")
-    entries[:, 0] = tokens
-    entries[:, 1:] = counts.astype("<u8", copy=False).view("<u4").reshape(-1, 2)
-    body[~in_head] = entries.ravel()
-    return words
+    """Write the model as an HDKG v2 container (see ``_container``): header
+    ``k``, ``vocab_size`` and ``alpha``, then per order 1..k its four
+    columns as ``KGramModel`` takes them, contexts flattened."""
+    columns = [column for order in range(1, model.k + 1) for column in model._columns(order)]
+    header = (model.k, model.vocab_size, model.alpha)
+    _container.write(path, KGRAM_MAGIC, KGRAM_VERSION, _HEADER, header, columns, _COLUMN_DTYPES)
 
 
 def load_kgram(path: str | Path) -> KGramModel:
     """Read an HDKG file; anything but a well-formed model raises ``ValueError``.
 
-    Besides truncation and trailing bytes, the load rejects a ``k`` of 0 or
-    past what the file can hold, what ``KGramModel`` refuses (so what
-    ``fit_kgram`` refuses too), an order-1 section with more than one
-    context, contexts or next tokens that are not strictly ascending, a
-    token or context id at or above ``vocab_size``, an empty table and a
-    count below 1. Nothing it allocates is sized by ``vocab_size``.
+    Besides what the container refuses, that is a ``k`` of 0 or other than
+    a quarter of the array count, and what ``KGramModel`` refuses, as for
+    a fit. Nothing it allocates is sized by ``vocab_size``.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != KGRAM_MAGIC:
-        raise ValueError("unsupported k-gram model file: bad magic")
-    if len(data) < 4 + _HEADER.size:
-        raise ValueError("corrupt k-gram model file: truncated header")
-    version, k, vocab_size, alpha = _HEADER.unpack_from(data, 4)
-    if version != KGRAM_VERSION:
-        raise ValueError(f"unsupported k-gram model file: version {version}")
+    (k, vocab_size, alpha), arrays = _container.read(
+        path, KGRAM_MAGIC, KGRAM_VERSION, "k-gram model", _HEADER, _COLUMN_DTYPES
+    )
     try:
-        # Each order takes at least its 8-byte context count, which bounds
-        # k before anything per order is read.
-        if not 1 <= k <= (len(data) - 4 - _HEADER.size) // 8:
-            raise ValueError(f"k = {k}")
-        model = KGramModel(k, alpha, vocab_size, _read_tables(data, k))
+        if k < 1 or 4 * k != len(arrays):
+            raise ValueError(f"k = {k} for {len(arrays)} arrays")
+        orders = (tuple(map(np.array, arrays[i:i + 4])) for i in range(0, len(arrays), 4))
+        model = KGramModel(k, alpha, vocab_size, orders)
     except ValueError as exc:
         raise ValueError(f"corrupt k-gram model file: {exc}") from None
-    del data  # the columns are copies: the file's bytes go before the build
+    # The model's columns are copies, so the file's bytes go before the build.
+    del arrays, orders
     model._build()
     return model
-
-
-def _read_tables(data: bytes, k: int):
-    """Each order's columns, as ``KGramModel`` takes them, read from
-    ``data`` one order at a time; a fault raises ``ValueError``.
-
-    Past the header every field is one or two little-endian ``uint32``
-    words, so the sections are read as one word array. A table is
-    ``order - 1`` context ids, its size and three words per entry (a token,
-    then its ``u64`` count). A Python loop reads only the sizes, through a
-    memoryview of the words, to find where each table starts; numpy reads
-    the rest once the section's end is known.
-    """
-    base = 4 + _HEADER.size
-    words = np.frombuffer(data, "<u4", (len(data) - base) // 4, base)
-    scan = memoryview(words.astype(np.uint32, copy=False))  # items read as Python ints
-    at = 0
-    for order in range(1, k + 1):
-        try:
-            n_ctx = scan[at] | scan[at + 1] << 32
-        except IndexError:
-            raise ValueError(f"the file ends before order {order}") from None
-        at += 2
-        if order == 1 and n_ctx > 1:
-            raise ValueError(f"{n_ctx} order-1 contexts")
-        past_end = ValueError(f"an order-{order} table runs past the end of the file")
-        # A table takes at least its head of `order` words.
-        if n_ctx > (len(words) - at) // order:
-            raise past_end
-        starts = array("q", bytes(8 * n_ctx))
-        size_at = order - 1
-        try:
-            for i in range(n_ctx):
-                starts[i] = at
-                at += order + 3 * scan[at + size_at]
-        except IndexError:
-            raise past_end from None
-        if at > len(words):
-            raise past_end
-        starts = np.frombuffer(starts, dtype=np.int64)
-        sizes = words[starts + size_at].astype(np.int64)
-        # The word index of every entry: the j-th of a table lies 3 * j
-        # words past the table's head.
-        firsts = np.cumsum(sizes) - sizes
-        entries = np.repeat(starts + order - 3 * firsts, sizes)
-        entries += 3 * np.arange(len(entries))
-        contexts = words[starts[:, None] + np.arange(size_at)]
-        if order == k and base + 4 * at != len(data):
-            raise ValueError("trailing bytes")
-        counts = words[entries + 2].astype(np.uint64) << np.uint64(32)
-        counts |= words[entries + 1]
-        yield contexts, sizes, words[entries], counts

@@ -6,19 +6,17 @@ the globally most frequent ``top_k`` windows are kept, grouped under their
 first token, and each key's list is capped so it can fill a draft set on
 its own.
 
-On-disk format is JSON lines: a header record {"magic": "HDMD",
-"version": 1, "m": ..., "records": K} followed by one record per key,
-keys ascending. Builds are deterministic, so equal inputs give
-byte-identical files. Loading raises ``ValueError`` unless every key is a
-token id (a non-negative integer) above the one before and holds at least
-one value, every value is ``m`` token ids with a positive count, no key
-repeats a value, and each key's rows are in lookup order: count
-descending, value ascending.
+On disk, an HDMD v2 file is the one container of ``_container``, magic
+"HDMD", with the window ``m`` (``u32``) as its one header number and four
+``u64`` columns: ``keys`` in ascending order, ``sizes`` (each key's row
+count), ``values`` (``m`` ids per row) and ``counts``, rows key by key in
+lookup order. Builds are deterministic, so equal inputs give
+byte-identical files, and ``load_model_db`` checks the columns with one
+vectorized rule (``_checked``) before it makes a row.
 """
 
 from __future__ import annotations
 
-import json
 from itertools import chain
 from pathlib import Path
 from typing import Callable
@@ -26,11 +24,15 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._checks import check_int
+from . import _container
+from ._checks import check_ids, check_int
 from .corpus import Corpus
 
-MODEL_DB_MAGIC = "HDMD"
-MODEL_DB_VERSION = 1
+MODEL_DB_MAGIC = b"HDMD"
+MODEL_DB_VERSION = 2
+_HEADER = "<I"  # the window m
+_U8 = ("<u8",)  # the dtype of every column
+_ID_BOUND = 2**63
 
 
 class ModelDB:
@@ -97,24 +99,22 @@ def build_model_db(
     order. Ranking is a stable sort on the negated counts, both cuts are
     array operations, and only the rows kept become tuples, of one int
     object per distinct id. A token that is a bool, not an int, negative
-    or past int64 raises ``ValueError`` before anything is counted;
-    ``load_model_db`` would refuse a file holding the first three.
+    or past int64 raises ``ValueError`` before anything is counted
+    (``check_ids``), so no build writes a file ``load_model_db`` refuses.
     """
     for name, value in (("top_k", top_k), ("window", window), ("per_key", per_key)):
         check_int(name, value)
     docs = generations.docs
     if not docs:
         raise ValueError("empty generations corpus")
-    flat = list(chain.from_iterable(docs))
-    if not set(map(type, flat)) <= {int} or (flat and not 0 <= min(flat) <= max(flat) < 2**63):
-        raise ValueError("token ids must be integers in [0, 2**63)")
+    tokens = check_ids(docs, _ID_BOUND)
     size = 1 + window
     lengths = np.fromiter(map(len, docs), np.int64, len(docs))
     if not (lengths >= size).any():
         return ModelDB(window, {})
-    ids, index = np.unique(np.array(flat, dtype=np.int64), return_inverse=True)
+    ids, index = np.unique(tokens, return_inverse=True)
     index = index.reshape(-1)
-    del flat
+    del tokens
     # room[i]: the tokens from i to the end of its doc; the gram at i lies
     # inside one doc when room[i] >= size.
     room = np.repeat(np.cumsum(lengths), lengths)[: len(index) - size + 1]
@@ -155,79 +155,81 @@ def build_model_db(
 
 def save_model_db(db: ModelDB, path: str | Path) -> None:
     keys = db.keys()
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "magic": MODEL_DB_MAGIC,
-            "version": MODEL_DB_VERSION,
-            "m": db.window,
-            "records": len(keys),
-        }
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for key in keys:
-            rows = db._entries[key]
-            record = {
-                "key": key,
-                "values": [list(v) for v, _c in rows],
-                "counts": [c for _v, c in rows],
-            }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+    rows = list(chain.from_iterable(map(db._entries.get, keys)))
+    columns = (
+        keys,
+        [len(db._entries[key]) for key in keys],
+        [i for value, _count in rows for i in value],
+        [count for _value, count in rows],
+    )
+    _container.write(path, MODEL_DB_MAGIC, MODEL_DB_VERSION, _HEADER, (db.window,), columns, _U8)
 
 
 def load_model_db(path: str | Path) -> ModelDB:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError("unsupported model-db file: empty")
+    """Read an HDMD file; anything but a well-formed table raises
+    ``ValueError``. Values share one int object per id, as built ones do."""
+    (window,), arrays = _container.read(
+        path, MODEL_DB_MAGIC, MODEL_DB_VERSION, "model-db", _HEADER, _U8
+    )
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"unsupported model-db file: {exc}") from exc
-    if (
-        not isinstance(header, dict)
-        or header.get("magic") != MODEL_DB_MAGIC
-        or type(header.get("version")) is not int
-        or header.get("version") != MODEL_DB_VERSION
-    ):
-        raise ValueError("unsupported model-db file")
-    expected = header.get("records")
-    records = lines[1:]
-    # bool is an int subclass, and JSON true/false must not pass as counts.
-    if type(expected) is not int or len(records) != expected:
-        raise ValueError(
-            f"corrupt model-db file: expected {expected} records, found {len(records)}"
-        )
-    window = header.get("m")
-    if type(window) is not int or window < 1:
-        raise ValueError(f"corrupt model-db file: header 'm' is {window!r}, not a window size")
-    entries: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    prev = None
-    for line in records:
-        try:
-            record = json.loads(line)
-            key, values, counts = record["key"], record["values"], record["counts"]
-            if len(values) != len(counts):
-                raise ValueError("values/counts length mismatch")
-            rows = [(tuple(v), c) for v, c in zip(values, counts)]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"corrupt model-db file: {exc}") from exc
-        if type(key) is not int or key < 0 or (prev is not None and key <= prev):
-            raise ValueError(
-                f"corrupt model-db file: key {key!r} is not a token id above {prev}"
-            )
-        if not rows:
-            raise ValueError(f"corrupt model-db file: key {key} has no values")
-        for value, count in rows:
-            if len(value) != window or any(type(t) is not int or t < 0 for t in value):
-                raise ValueError(f"corrupt model-db file: key {key} value {value} is not m ids")
-            if type(count) is not int or count < 1:
-                raise ValueError(f"corrupt model-db file: key {key} count {count!r} not positive")
-        if len({value for value, _count in rows}) != len(rows):
-            raise ValueError(f"corrupt model-db file: key {key} repeats a value")
-        ranks = [(-count, value) for value, count in rows]
-        if ranks != sorted(ranks):
-            raise ValueError(
-                f"corrupt model-db file: key {key} rows are not count-descending, value-ascending"
-            )
-        entries[key] = rows
-        prev = key
-    return ModelDB(window, entries)
+        keys, sizes, values, counts = _checked(window, arrays)
+    except ValueError as exc:
+        raise ValueError(f"corrupt model-db file: {exc}") from None
+    ids, index = np.unique(values, return_inverse=True)
+    columns = ids.astype(object)[index.reshape(-1, window).T].tolist()
+    del index  # the temporaries go before the rows are made
+    rows = list(zip(zip(*columns), counts.tolist()))
+    del columns
+    ends = np.cumsum(sizes).tolist()
+    spans = zip(keys.tolist(), sizes.tolist(), ends)
+    return ModelDB(window, {key: rows[end - size:end] for key, size, end in spans})
+
+
+def _checked(window: int, arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The four columns, sizes as int64 and values one row of ``window``
+    ids each, once they hold a well-formed table; else ``ValueError``.
+
+    Every id is below 2**63 and every count in [1, 2**63). Keys ascend
+    strictly, each holds at least one row, and each key's rows ascend
+    strictly in (-count, value), which also rules out a repeated value.
+    """
+    if window < 1:
+        raise ValueError(f"header 'm' is {window}, not a window size")
+    if len(arrays) != 4:
+        raise ValueError(f"{len(arrays)} arrays, not 4")
+    keys, sizes, values, counts = arrays
+    n_rows = len(counts)
+    if len(sizes) != len(keys):
+        raise ValueError(f"{len(keys)} keys and {len(sizes)} sizes")
+    if (sizes < 1).any():
+        raise ValueError(f"key {keys[np.argmax(sizes < 1)]} has no values")
+    # With every size at most n_rows, the sum cannot wrap.
+    if sizes.max(initial=0) > n_rows or sizes.sum() != n_rows:
+        raise ValueError(f"sizes that do not add up to {n_rows} rows")
+    if len(values) != window * n_rows:
+        raise ValueError(f"{len(values)} value ids for {n_rows} rows of m = {window} ids")
+    bad = keys >= _ID_BOUND
+    bad[1:] |= keys[1:] <= keys[:-1]
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"key {keys[i]} is not a token id above {keys[i - 1] if i else None}")
+    sizes, values = sizes.astype(np.int64), values.reshape(n_rows, window)
+    key_of = np.repeat(keys, sizes)
+    if (values >= _ID_BOUND).any():
+        i = np.argmax((values >= _ID_BOUND).any(axis=1))
+        raise ValueError(f"key {key_of[i]} value {tuple(values[i].tolist())} is not m ids")
+    if ((counts < 1) | (counts >= _ID_BOUND)).any():
+        i = np.argmax((counts < 1) | (counts >= _ID_BOUND))
+        raise ValueError(f"key {key_of[i]} count {counts[i]} not in [1, 2**63)")
+    # Rows i and i + 1 of one key ascend strictly in (-count, value): a
+    # higher count, or an equal one and a lower id where the values first
+    # differ.
+    differ = values[1:] != values[:-1]
+    at = (np.arange(n_rows - 1), np.argmax(differ, axis=1))
+    lower = differ[at] & (values[:-1][at] < values[1:][at])
+    ordered = (counts[:-1] > counts[1:]) | ((counts[:-1] == counts[1:]) & lower)
+    ordered |= key_of[:-1] != key_of[1:]
+    if not ordered.all():
+        i = np.argmin(ordered)
+        raise ValueError(f"key {key_of[i]} rows are not count-descending, value-ascending")
+    return keys, sizes, values, counts

@@ -43,30 +43,28 @@ raises ValueError. Every check is one O(n) vectorized pass, and every
 check always runs; the order check goes over the array in fixed-size
 chunks, so its only O(n) temporary is one uint32 rank array.
 
-Binary format v1, all integers little-endian:
-
-    magic "HDSA" (4 bytes), version u32, vocab_size u32, n_tokens u64,
-    tokens u32 * n_tokens, suffix array u32 * n_tokens
-
-u32 positions cap the corpus at 2**32 - 1 tokens; the builder refuses
-anything larger.
+Binary format v2 is the one container of ``_container``, magic "HDSA",
+with ``vocab_size`` (``u32``) as its one header number and two ``u32``
+arrays: the text and its suffix array. u32 positions cap the corpus at
+2**32 - 1 tokens; the builder refuses anything larger.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from pathlib import Path
-import struct
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._checks import check_int
+from . import _container
+from ._checks import check_ids, check_int
 from .corpus import Corpus, SEP
 
 STATS_MAGIC = b"HDSA"
-STATS_VERSION = 1
-_HEADER = struct.Struct("<4sIIQ")
+STATS_VERSION = 2
+_HEADER = "<I"  # vocab_size
+_ARRAY_DTYPES = ("<u4",)  # the text, then its suffix array
 _MAX_TOKENS = 2**32 - 1
 # Rankings the drafters' memo holds per index, the oldest dropped first;
 # about 1.4 kB each at the default set_size and draft_len.
@@ -394,45 +392,37 @@ class StatsDB:
 
 
 def build_stats_db(corpus: Corpus) -> StatsDB:
-    """Concatenate docs with SEP sentinels and index every suffix."""
+    """Concatenate docs with SEP sentinels and index every suffix. Docs
+    hold no SEP, and ids are checked (``check_ids``) after the length."""
     if not corpus.docs:
         raise ValueError("empty corpus")
     n = sum(len(doc) for doc in corpus.docs) + len(corpus.docs) + 1
     if n > _MAX_TOKENS:
-        raise ValueError("corpus too large for format v1")
-    # Every slot a document does not fill is a SEP.
-    tokens = np.full(n, SEP, dtype=np.uint32)
-    at = 0
-    for doc in corpus.docs:
-        tokens[at:at + len(doc)] = doc
-        at += len(doc) + 1
+        raise ValueError(f"corpus too large for format v{STATS_VERSION}")
+    ids = check_ids(corpus.docs, corpus.vocab.size)
+    if (ids == SEP).any():
+        raise ValueError("a document holds SEP")
+    # A SEP after each document, and the terminator after the last one.
+    ends = np.cumsum([len(doc) for doc in corpus.docs])
+    tokens = np.insert(ids.astype(np.uint32), np.append(ends, ends[-1]), SEP)
+    del ids
     sa = build_suffix_array(tokens)
     return StatsDB(tokens, sa, corpus.vocab.size)
 
 
 def save_stats_db(db: StatsDB, path: str | Path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(STATS_MAGIC, STATS_VERSION, db.vocab_size, db.n_tokens))
-        fh.write(db.tokens.astype("<u4").tobytes())
-        fh.write(db.suffix_array.astype("<u4").tobytes())
+    _container.write(
+        path, STATS_MAGIC, STATS_VERSION, _HEADER, (db.vocab_size,),
+        (db.tokens, db.suffix_array), _ARRAY_DTYPES,
+    )
 
 
 def load_stats_db(path: str | Path) -> StatsDB:
-    """Read a v1 file, failing closed: the header, the length and every
-    ``StatsDB`` check, suffix order included, are checked on each load."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise ValueError("corrupt stats-db file: truncated header")
-    magic, version, vocab_size, n_tokens = _HEADER.unpack_from(data, 0)
-    if magic != STATS_MAGIC:
-        raise ValueError("unsupported stats-db file: bad magic")
-    if version != STATS_VERSION:
-        raise ValueError(f"unsupported stats-db file: version {version}")
-    expected = _HEADER.size + 8 * n_tokens
-    if len(data) != expected:
-        raise ValueError(
-            f"corrupt stats-db file: expected {expected} bytes, found {len(data)}"
-        )
-    body = np.frombuffer(data, dtype="<u4", offset=_HEADER.size)
-    return StatsDB(body[:n_tokens], body[n_tokens:], vocab_size)
+    """Read an HDSA file, failing closed: the container's checks, two
+    arrays and every ``StatsDB`` check, suffix order included, run."""
+    (vocab_size,), arrays = _container.read(
+        path, STATS_MAGIC, STATS_VERSION, "stats-db", _HEADER, _ARRAY_DTYPES
+    )
+    if len(arrays) != 2:
+        raise ValueError(f"corrupt stats-db file: {len(arrays)} arrays, not 2")
+    return StatsDB(*arrays, vocab_size)

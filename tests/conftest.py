@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import struct
+import zlib
 
 import pytest
 
@@ -37,6 +39,22 @@ def make_text(
         else:
             out.append(rng.choice(words))
     return " ".join(out[:n_words])
+
+
+def container(magic: bytes, version: int, header: bytes, arrays: list[bytes]) -> bytes:
+    """Container bytes written with ``struct`` and ``zlib`` alone, not with
+    the package's writer: the magic, the version and the CRC32 of every
+    byte after it, then ``header``, the array count, each array's byte
+    length (``u64``) and the arrays, all little-endian."""
+    lengths = struct.pack(f"<I{len(arrays)}Q", len(arrays), *map(len, arrays))
+    body = header + lengths + b"".join(arrays)
+    return magic + struct.pack("<II", version, zlib.crc32(body)) + body
+
+
+def restamp(data: bytes | bytearray) -> bytes:
+    """``data`` with its CRC recomputed, so a damaged container reaches the
+    checks past the CRC."""
+    return bytes(data[:8]) + struct.pack("<I", zlib.crc32(data[12:])) + bytes(data[12:])
 
 
 def make_corpus(seed: int, n_docs: int, doc_words: int, **kwargs) -> Corpus:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hierdraft import HierarchyConfig, MethodSpec, Vocab, cli, load_traces
+from hierdraft import HierarchyConfig, MethodSpec, ModelDB, Vocab, cli, load_traces, save_model_db
 from hierdraft.bench import file_fingerprint
 from hierdraft.cli import _BENCH_KEYS, _from_spec, _load_bench_setup, build_parser, main
 
@@ -25,7 +25,7 @@ def workspace(tmp_path_factory):
     )
     vocab = root / "vocab.txt"
     model = root / "model.hdkg"
-    model_db = root / "dm.jsonl"
+    model_db = root / "dm.hdmd"
     stats_db = root / "ds.hdsa"
     assert main(["build-vocab", "--corpus", str(corpus_path), "--out", str(vocab)]) == 0
     assert main(
@@ -57,12 +57,10 @@ def workspace(tmp_path_factory):
          "--out", str(narrow_stats_db)]
     ) == 0
     size = Vocab.load(vocab).size
-    header = json.dumps({"magic": "HDMD", "version": 1, "m": 4, "records": 1})
     wide = {}
-    for name, key, value in (("key", size, [3, 4, 5, 6]), ("value", 3, [4, 5, 6, size])):
-        wide[name] = root / f"dm-wide-{name}.jsonl"
-        record = json.dumps({"key": key, "values": [value], "counts": [1]})
-        wide[name].write_text(f"{header}\n{record}\n", encoding="utf-8")
+    for name, key, value in (("key", size, (3, 4, 5, 6)), ("value", 3, (4, 5, 6, size))):
+        wide[name] = root / f"dm-wide-{name}.hdmd"
+        save_model_db(ModelDB(4, {key: [(value, 1)]}), wide[name])
     prompts = root / "prompts.txt"
     lines = corpus_path.read_text(encoding="utf-8").splitlines()
     prompts.write_text(

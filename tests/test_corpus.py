@@ -6,11 +6,16 @@ from hypothesis import strategies as st
 
 from hierdraft import (
     EOS,
+    SEP,
     UNK,
+    Corpus,
     Vocab,
+    build_model_db,
+    build_stats_db,
     build_vocab,
     corpus_from_texts,
     detokenize,
+    fit_kgram,
     load_corpus,
     tokenize,
 )
@@ -164,3 +169,35 @@ def test_corpus_from_texts_rejects_oov_words():
     with pytest.raises(ValueError, match="out-of-vocabulary word 'dog' in text 2$"):
         corpus_from_texts(["the cat", "  ", "the dog", "emu"], vocab=vocab)
     assert corpus_from_texts(["the cat", "cat"], vocab=vocab).docs == [[3, 4, EOS], [4, EOS]]
+
+
+_BUILDERS = {
+    "fit_kgram": lambda corpus: fit_kgram(corpus, k=2, alpha=0.5),
+    "build_model_db": lambda corpus: build_model_db(corpus, window=1),
+    "build_stats_db": build_stats_db,
+}
+
+
+@pytest.mark.parametrize("builder", _BUILDERS)
+@pytest.mark.parametrize(
+    "bad", [True, 2.7, -1, "past-the-bound"], ids=["bool", "float", "negative", "out-of-range"]
+)
+def test_every_builder_refuses_an_id_that_is_not_one(builder, bad):
+    """One rule for the three builders: an id is an ``int``, not a bool,
+    in [0, bound), the vocabulary's size for the model and the stats DB
+    and 2**63 for the model DB. A numpy cast would make 2.7 a 2 (SEP) and
+    ``True`` a 1."""
+    vocab = build_vocab(["a b c"])
+    if bad == "past-the-bound":
+        bad = 2**63 if builder == "build_model_db" else vocab.size
+    corpus = Corpus(docs=[[3, 4, 1], [3, bad, 5, 1]], vocab=vocab)
+    with pytest.raises(ValueError, match=r"^token ids must be integers in \[0, \d+\)$"):
+        _BUILDERS[builder](corpus)
+
+
+def test_the_stats_builder_refuses_a_sep_inside_a_document():
+    """A SEP inside a document would cut every continuation there."""
+    corpus = Corpus(docs=[[3, 4, 1], [3, SEP, 5, 1]], vocab=build_vocab(["a b c"]))
+    with pytest.raises(ValueError, match="^a document holds SEP$"):
+        build_stats_db(corpus)
+    build_stats_db(Corpus(docs=[[3, 4, 1], [3, 5, 1]], vocab=corpus.vocab))

@@ -1,11 +1,14 @@
-"""Every loader fails closed: a damaged file loads or raises ``ValueError``.
+"""Every loader fails closed on a damaged file.
 
 Small valid files of each on-disk format (HDKG, HDMD, HDSA, vocab) and a
 trace file are truncated, bit-flipped, byte-replaced or partly overwritten
-with garbage. A load may succeed, as a flip inside a count or a token id
-can leave a well-formed file, but it may raise nothing other than
-``ValueError``. A trace file that loads must also replay through
-``aggregate_traces``.
+with garbage. HDKG, HDMD and HDSA files carry a CRC32 over every byte past
+it, so each of them whose bytes differ from the original must raise
+``ValueError``; with its CRC restamped, it may load or raise
+``ValueError``, so the checks past the CRC are tried too. A vocab or
+trace file may still load, as a changed letter can leave a well-formed
+file, but it may raise nothing other than ``ValueError``, and a trace
+file that loads must also replay through ``aggregate_traces``.
 """
 
 import struct
@@ -35,8 +38,10 @@ from hierdraft import (
     save_traces,
 )
 
-from conftest import fresh_dbs
+from conftest import container, fresh_dbs, restamp
 
+# The formats whose every damaged file must raise.
+CHECKSUMMED = {"hdkg", "hdmd", "hdsa"}
 LOADERS = {
     "hdkg": load_kgram,
     "hdmd": load_model_db,
@@ -81,7 +86,13 @@ def _damage(data: bytes, draw) -> bytes:
 @given(data=st.data())
 def test_damaged_file_loads_or_raises_value_error(originals, tmp_path_factory, name, data):
     path = tmp_path_factory.getbasetemp() / f"damaged-{name}"
-    path.write_bytes(_damage(originals[name], data.draw))
+    damaged = _damage(originals[name], data.draw)
+    path.write_bytes(damaged)
+    if name in CHECKSUMMED and damaged != originals[name]:
+        with pytest.raises(ValueError):
+            LOADERS[name](path)
+        # Past a restamped CRC, the checks behind it still fail closed.
+        path.write_bytes(restamp(damaged) if len(damaged) >= 12 else damaged)
     try:
         loaded = LOADERS[name](path)
     except ValueError:
@@ -100,6 +111,38 @@ def test_hdsa_without_its_two_final_seps_is_rejected(tmp_path, tokens, sa):
     terminator. Shorter texts loaded as an index that answers nothing."""
     path = tmp_path / "short.hdsa"
     n = len(tokens)
-    path.write_bytes(struct.pack(f"<4sIIQ{2 * n}I", b"HDSA", 1, 10, n, *tokens, *sa))
+    arrays = [struct.pack(f"<{n}I", *tokens), struct.pack(f"<{n}I", *sa)]
+    path.write_bytes(container(b"HDSA", 2, struct.pack("<I", 10), arrays))
     with pytest.raises(ValueError, match="does not end with SEP SEP"):
         load_stats_db(path)
+
+
+def _v1_hdkg() -> bytes:
+    """A v1 HDKG file of one unigram table: header, then per order a
+    ``u64`` table count and each table's head and entries."""
+    return b"HDKG" + struct.pack("<IIIdQIIQ", 1, 1, 5, 0.5, 1, 1, 3, 2)
+
+
+def _v1_hdsa() -> bytes:
+    """A v1 HDSA file of the text [3, SEP, SEP]."""
+    return struct.pack("<4sIIQ6I", b"HDSA", 1, 5, 3, 3, SEP, SEP, 2, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "name, data, match",
+    [
+        ("hdkg", _v1_hdkg(), "^unsupported k-gram model file: version 1$"),
+        ("hdsa", _v1_hdsa(), "^unsupported stats-db file: version 1$"),
+        ("hdmd", b'{"magic":"HDMD","version":1,"m":1,"records":1}\n'
+                 b'{"key":3,"values":[[4]],"counts":[2]}\n', "^unsupported model-db file"),
+    ],
+    ids=["hdkg", "hdsa", "hdmd-json-lines"],
+)
+def test_a_v1_file_is_refused(tmp_path, name, data, match):
+    """Nothing falls back to reading the v1 formats. A v1 HDKG or HDSA
+    file is refused by its version; a v1 HDMD file was JSON lines, whose
+    first bytes are no magic."""
+    path = tmp_path / f"v1.{name}"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=match):
+        LOADERS[name[:4]](path)

@@ -31,7 +31,7 @@ from hierdraft import (
 )
 from hierdraft.kgram import _unseen_draw
 
-from conftest import fresh_dbs, make_corpus, sample_prompts
+from conftest import container, fresh_dbs, make_corpus, restamp, sample_prompts
 from oracles import apply_temperature
 
 
@@ -79,18 +79,22 @@ def _tables(model):
 
 
 def _save_kgram_per_entry(model, path):
-    """The reference HDKG writer: one ``struct.pack`` and one write per
-    table head and per entry, from ``_count_tables``."""
+    """The reference HDKG writer: one ``struct.pack`` per context id, table
+    size, token and count, from ``_count_tables``, framed by the
+    ``struct``-only ``container``."""
+    arrays = []
+    for order in range(1, model.k + 1):
+        contexts, sizes, tokens, counts = [], [], [], []
+        for ctx, table in _count_tables(model, order):
+            contexts += [struct.pack("<I", i) for i in ctx]
+            sizes.append(struct.pack("<I", len(table)))
+            for token, count in table.items():
+                tokens.append(struct.pack("<I", token))
+                counts.append(struct.pack("<Q", count))
+        arrays += [b"".join(column) for column in (contexts, sizes, tokens, counts)]
+    header = struct.pack("<IId", model.k, model.vocab_size, model.alpha)
     with open(path, "wb") as fh:
-        fh.write(b"HDKG")
-        fh.write(struct.pack("<IIId", 1, model.k, model.vocab_size, model.alpha))
-        for order in range(1, model.k + 1):
-            fh.write(struct.pack("<Q", len(model._tables[order])))
-            head = struct.Struct(f"<{order}I")
-            for ctx, table in _count_tables(model, order):
-                fh.write(head.pack(*ctx, len(table)))
-                for entry in table.items():
-                    fh.write(struct.pack("<IQ", *entry))
+        fh.write(container(b"HDKG", 2, header, arrays))
 
 
 _cached_tables = functools.lru_cache(maxsize=4)(_tables)  # models hash by identity
@@ -745,7 +749,7 @@ def test_argmax_table_matches_rescan_oracle(tmp_path):
 
 
 _GOLDEN_CORPUS = {"seed": 23, "n_docs": 40, "doc_words": 300}
-_GOLDEN_DIGEST = "e2ee013cf15cdfd4b8b93feda507a9f3826d722d6f9eeced22388142b80aa74f"
+_GOLDEN_DIGEST = "1629ace69f6f22b810a3c75f808fab85d8c4c1ff57e396fd82c6e3d1bfb7b768"
 
 
 def _built(model):
@@ -755,13 +759,15 @@ def _built(model):
 
 
 def test_hdkg_bytes_match_the_golden_digest(tmp_path):
-    """Packed keys sort as context tuples do, so the file of a fixed corpus
-    keeps the digest it had when the model held a tuple and a dict per
-    context; and loading it builds the very dicts fitting built."""
+    """The v2 file of a fixed corpus keeps one digest, which the per-entry
+    reference writer gives too; and loading it builds the very dicts
+    fitting built."""
     model = fit_kgram(make_corpus(**_GOLDEN_CORPUS), k=3, alpha=0.01)
     path = tmp_path / "golden.hdkg"
     save_kgram(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_DIGEST
+    _save_kgram_per_entry(model, tmp_path / "oracle.hdkg")
+    assert (tmp_path / "oracle.hdkg").read_bytes() == path.read_bytes()
     loaded = load_kgram(path)
     argmax, tables = _built(model)
     assert loaded._argmax == argmax
@@ -940,15 +946,21 @@ def test_fit_and_load_memory(tmp_path):
 
 
 def _hdkg(sections, k=None, vocab_size=7, alpha=0.5) -> bytes:
-    """HDKG bytes written exactly as given: ``sections[order - 1]`` lists
-    ``(context, [(token, count), ...])`` pairs."""
-    out = [b"HDKG", struct.pack("<IIId", 1, len(sections) if k is None else k, vocab_size, alpha)]
-    for order, contexts in enumerate(sections, 1):
-        out.append(struct.pack("<Q", len(contexts)))
-        for ctx, entries in contexts:
-            out.append(struct.pack(f"<{order}I", *ctx, len(entries)))
-            out.extend(struct.pack("<IQ", token, count) for token, count in entries)
-    return b"".join(out)
+    """HDKG bytes written exactly as given, with a valid CRC:
+    ``sections[order - 1]`` lists ``(context, [(token, count), ...])``
+    pairs, stored as that order's four columns."""
+    arrays = []
+    for contexts in sections:
+        ids = [i for ctx, _table in contexts for i in ctx]
+        entries = [entry for _ctx, table in contexts for entry in table]
+        arrays += [
+            struct.pack(f"<{len(ids)}I", *ids),
+            struct.pack(f"<{len(contexts)}I", *(len(table) for _ctx, table in contexts)),
+            struct.pack(f"<{len(entries)}I", *(token for token, _count in entries)),
+            struct.pack(f"<{len(entries)}Q", *(count for _token, count in entries)),
+        ]
+    header = struct.pack("<IId", len(sections) if k is None else k, vocab_size, alpha)
+    return container(b"HDKG", 2, header, arrays)
 
 
 _UNIGRAMS = [((), [(1, 1), (3, 2), (4, 1)])]
@@ -1006,34 +1018,35 @@ def test_load_refuses_what_fit_refuses(tmp_path, vocab_size, k):
         load_kgram(path)
 
 
-def _section_ends(data: bytes, k: int) -> list[int]:
-    """The byte offset where each order's section of an HDKG file ends."""
-    ends, at = [], 24
-    for order in range(1, k + 1):
-        (n_ctx,) = struct.unpack_from("<Q", data, at)
-        at += 8
-        for _ in range(n_ctx):
-            (size,) = struct.unpack_from("<I", data, at + 4 * (order - 1))
-            at += 4 * order + 12 * size
+def _array_ends(data: bytes) -> list[int]:
+    """The byte offset where each array of an HDKG file ends, read with
+    ``struct``: 12 bytes of magic, version and CRC, 16 of header, the
+    array count, then one ``u64`` length per array."""
+    (count,) = struct.unpack_from("<I", data, 28)
+    at = 32 + 8 * count
+    ends = [at]
+    for length in struct.unpack_from(f"<{count}Q", data, 32):
+        at += length
         ends.append(at)
     return ends
 
 
-def test_load_rejects_a_file_cut_at_any_section_boundary(tmp_path):
+def test_load_rejects_a_file_cut_at_any_array_boundary(tmp_path):
+    """A cut at the end of the header or of the length table, at any
+    array's start or end, or a byte or a word short of an end, raises;
+    with its CRC restamped too, so it reaches the length check."""
     model = fit_kgram(make_corpus(seed=2, n_docs=4, doc_words=60, vocab_words=20), k=3, alpha=0.5)
     path = tmp_path / "model.hdkg"
     save_kgram(model, path)
     data = path.read_bytes()
-    ends = _section_ends(data, 3)
-    assert ends[-1] == len(data)
-    # Each section's start and end, just past its table count, and a byte
-    # or a word short of its end.
-    cuts = {24, *ends[:-1]} | {end - 1 for end in ends} | {end - 4 for end in ends}
-    cuts |= {start + 8 for start in [24, *ends[:-1]]}
-    for cut in sorted(cuts):
-        path.write_bytes(data[:cut])
-        with pytest.raises(ValueError, match="corrupt k-gram model file"):
-            load_kgram(path)
+    ends = _array_ends(data)
+    assert len(ends) == 13 and ends[-1] == len(data)
+    cuts = {12, 28, 32, *ends} | {end - 1 for end in ends} | {end - 4 for end in ends}
+    for cut in sorted(cuts - {len(data)}):
+        for damaged in (data[:cut], restamp(data[:cut])):
+            path.write_bytes(damaged)
+            with pytest.raises(ValueError, match="corrupt k-gram model file"):
+                load_kgram(path)
 
 
 @pytest.mark.parametrize("extra", [1, 2, 3, 4, 12])
@@ -1042,6 +1055,9 @@ def test_load_rejects_trailing_bytes(tmp_path, abab_model, extra):
     path = tmp_path / "model.hdkg"
     save_kgram(model, path)
     path.write_bytes(path.read_bytes() + b"\x01" * extra)
+    with pytest.raises(ValueError, match="corrupt k-gram model file: checksum mismatch"):
+        load_kgram(path)
+    path.write_bytes(restamp(path.read_bytes()))
     with pytest.raises(ValueError, match="corrupt k-gram model file: trailing bytes"):
         load_kgram(path)
 
@@ -1139,4 +1155,39 @@ def test_load_fails_closed(tmp_path, data, match):
     path = tmp_path / "bad.hdkg"
     path.write_bytes(data)
     with pytest.raises(ValueError, match=f"corrupt k-gram model file: .*{match}"):
+        load_kgram(path)
+
+
+def test_an_order_1_section_holds_one_table_in_a_fit_and_a_load(tmp_path):
+    """One rule, in ``_checked``, refuses a second order-1 table however
+    the columns come."""
+    unigrams = ([(), ()], [1, 1], [1, 3], [1, 1])
+    with pytest.raises(ValueError, match="^2 order-1 contexts$"):
+        KGramModel(1, 0.5, 7, [unigrams])
+    path = tmp_path / "bad.hdkg"
+    path.write_bytes(_hdkg([_UNIGRAMS + _UNIGRAMS]))
+    with pytest.raises(ValueError, match="^corrupt k-gram model file: 2 order-1 contexts$"):
+        load_kgram(path)
+
+
+_U4 = struct.Struct("<I")
+
+
+@pytest.mark.parametrize(
+    "arrays, match",
+    [
+        ([b"", _U4.pack(3), b"".join(map(_U4.pack, (1, 3, 4))), struct.pack("<3Q", 1, 2, 1),
+          _U4.pack(3), struct.pack("<2I", 1, 1), struct.pack("<2I", 4, 3),
+          struct.pack("<2Q", 2, 1)],
+         "1 context ids for 2 order-2 tables"),
+        ([b"", _U4.pack(1), _U4.pack(1), b"\x01" * 12], "array 3's 12 bytes are not uint64s"),
+        ([b"", _U4.pack(1), _U4.pack(1), struct.pack("<Q", 1), b""], "k = 1 for 5 arrays"),
+    ],
+    ids=["contexts-short", "counts-not-whole-u8", "k-not-a-quarter-of-the-arrays"],
+)
+def test_load_refuses_columns_that_do_not_line_up(tmp_path, arrays, match):
+    path = tmp_path / "bad.hdkg"
+    k = max(1, len(arrays) // 4)
+    path.write_bytes(container(b"HDKG", 2, struct.pack("<IId", k, 7, 0.5), arrays))
+    with pytest.raises(ValueError, match=f"^corrupt k-gram model file: {match}"):
         load_kgram(path)

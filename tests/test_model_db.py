@@ -1,5 +1,5 @@
 import hashlib
-import json
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,7 @@ from hierdraft import (
     save_model_db,
 )
 
-from conftest import make_corpus
+from conftest import container, make_corpus, restamp
 from oracles import model_db_entries
 
 
@@ -27,10 +27,22 @@ def test_single_window_doc(tmp_path):
     db = build_model_db(corpus, window=4)
     assert db.lookup(3, 7) == [(4, 5, 6, 1)]
     assert db.n_sequences == 1
-    path = tmp_path / "db.jsonl"
+    path = tmp_path / "db.hdmd"
     save_model_db(db, path)
-    record = json.loads(path.read_text(encoding="utf-8").splitlines()[1])
-    assert record == {"key": 3, "values": [[4, 5, 6, 1]], "counts": [1]}
+    assert _read_hdmd(path.read_bytes()) == (4, [[3], [1], [4, 5, 6, 1], [1]])
+
+
+def _read_hdmd(data: bytes) -> tuple[int, list[list[int]]]:
+    """An HDMD v2 file's window and columns, read with ``struct`` alone:
+    12 bytes of magic, version and CRC, the ``u32`` window, the ``u32``
+    array count, one ``u64`` length per array, then the ``u64`` arrays."""
+    window, count = struct.unpack_from("<II", data, 12)
+    at = 20 + 8 * count
+    columns = []
+    for length in struct.unpack_from(f"<{count}Q", data, 20):
+        columns.append(list(struct.unpack_from(f"<{length // 8}Q", data, at)))
+        at += length
+    return window, columns
 
 
 def test_top_k_keeps_most_frequent():
@@ -152,7 +164,7 @@ def test_build_refuses_a_token_that_is_not_an_id(bad):
     """An id ``load_model_db`` would refuse is refused before counting, in
     a doc too short to hold a gram as well."""
     for docs in ([[3, 4, 5, bad, 1]], [[3, 4, 5, 6, 1], [bad]]):
-        with pytest.raises(ValueError, match=r"token ids must be integers in \[0, 2\*\*63\)"):
+        with pytest.raises(ValueError, match=rf"token ids must be integers in \[0, {2**63}\)"):
             build_model_db(Corpus(docs=docs, vocab=_vocab(10)), window=4)
 
 
@@ -171,45 +183,61 @@ def test_empty_generations_error():
 def test_save_load_roundtrip(tmp_path):
     corpus = Corpus(docs=[[3, 4, 5, 6, 1]], vocab=_vocab(10))
     db = build_model_db(corpus, window=4)
-    path = tmp_path / "db.jsonl"
+    path = tmp_path / "db.hdmd"
     save_model_db(db, path)
     assert load_model_db(path) == db
 
 
 def test_truncated_file_fails_closed(tmp_path):
+    """A file short of its last row fails its CRC, and with the CRC
+    restamped, its lengths."""
     corpus = make_corpus(seed=3, n_docs=5, doc_words=100, vocab_words=20)
     db = build_model_db(corpus, window=4)
-    path = tmp_path / "db.jsonl"
+    path = tmp_path / "db.hdmd"
     save_model_db(db, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) > 2
-    path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="corrupt"):
-        load_model_db(path)
+    data = path.read_bytes()
+    assert _read_hdmd(data)[1][3][-1] > 0  # the last row's count ends the file
+    cuts = [(data[:-8], "checksum mismatch"), (restamp(data[:-8]), "an array overruns the file")]
+    for cut, match in cuts:
+        path.write_bytes(cut)
+        with pytest.raises(ValueError, match=f"corrupt model-db file: {match}"):
+            load_model_db(path)
 
 
 def test_bad_magic_rejected(tmp_path):
-    path = tmp_path / "db.jsonl"
-    path.write_text('{"magic":"XXXX","version":1,"m":4,"records":0}\n', encoding="utf-8")
+    path = tmp_path / "db.hdmd"
+    path.write_bytes(container(b"XXXX", 2, struct.pack("<I", 4), [b""] * 4))
     with pytest.raises(ValueError, match="unsupported model-db file"):
         load_model_db(path)
 
 
 def test_malformed_header_rejected(tmp_path):
-    path = tmp_path / "db.jsonl"
-    path.write_text('{"magic":"HDMD","version":1,"records":0}\n', encoding="utf-8")
-    with pytest.raises(ValueError, match="corrupt model-db file"):
+    """A file that ends inside its header numbers, and one that is not an
+    HDMD file at all."""
+    path = tmp_path / "db.hdmd"
+    path.write_bytes(restamp(container(b"HDMD", 2, b"", [])[:12] + b"\x04\x00"))
+    with pytest.raises(ValueError, match="corrupt model-db file: truncated header"):
         load_model_db(path)
     path.write_text("[1, 2]\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unsupported model-db file"):
         load_model_db(path)
 
 
+def test_an_empty_table_round_trips(tmp_path):
+    """Docs shorter than the window give a table of no keys, and its file
+    loads back empty."""
+    db = build_model_db(Corpus(docs=[[3, 4, 1]], vocab=_vocab(10)), window=4)
+    assert db.keys() == []
+    save_model_db(db, tmp_path / "db.hdmd")
+    assert _read_hdmd((tmp_path / "db.hdmd").read_bytes()) == (4, [[], [], [], []])
+    assert load_model_db(tmp_path / "db.hdmd") == db
+
+
 def test_save_is_byte_stable(tmp_path):
     corpus = make_corpus(seed=41, n_docs=30, doc_words=400, vocab_words=50)
     db = build_model_db(corpus, top_k=100_000, window=4)
-    first = tmp_path / "a.jsonl"
-    second = tmp_path / "b.jsonl"
+    first = tmp_path / "a.hdmd"
+    second = tmp_path / "b.hdmd"
     save_model_db(db, first)
     save_model_db(load_model_db(first), second)
     assert first.read_bytes() == second.read_bytes()
@@ -219,8 +247,8 @@ def test_build_deterministic_bytes(tmp_path):
     for name in ("x", "y"):
         corpus = make_corpus(seed=41, n_docs=10, doc_words=200, vocab_words=30)
         db = build_model_db(corpus, top_k=500, window=4)
-        save_model_db(db, tmp_path / f"{name}.jsonl")
-    assert (tmp_path / "x.jsonl").read_bytes() == (tmp_path / "y.jsonl").read_bytes()
+        save_model_db(db, tmp_path / f"{name}.hdmd")
+    assert (tmp_path / "x.hdmd").read_bytes() == (tmp_path / "y.hdmd").read_bytes()
 
 
 # A 12k-token corpus on 40 words: every key's list is cut to ``per_key``,
@@ -231,45 +259,63 @@ _GOLDEN_CORPUS = {"seed": 23, "n_docs": 40, "doc_words": 300, "vocab_words": 40}
 @pytest.mark.parametrize(
     "settings, digest",
     [
-        ({}, "dc449ac045b604439f8f14171b4acb6b5dc035591e255c1bc46d43eea1279669"),
+        ({}, "5b012fce1c04af65a7296685ca027e71bac61671cb3095be1d7c4a0617c2ef6d"),
         ({"window": 2, "top_k": 600},
-         "03397a572f3a9827aea443b2d7037ec6649ade0f6ab1034fc22ffec123702e87"),
+         "47f0eb9560b806ae3abdb1a5a06fd86aad84c2a1cdf1ebd3cabe58b46d66e68b"),
     ],
     ids=["defaults", "top-k-cut-in-a-tie"],
 )
 def test_hdmd_bytes_match_the_golden_digest(tmp_path, settings, digest):
-    """The file of a fixed corpus keeps the digest it had under the
-    Counter-and-sorted build."""
-    path = tmp_path / "golden.jsonl"
-    save_model_db(build_model_db(make_corpus(**_GOLDEN_CORPUS), **settings), path)
+    """The file of a fixed corpus keeps one digest, and it is the
+    ``struct``-only container of the table's columns."""
+    db = build_model_db(make_corpus(**_GOLDEN_CORPUS), **settings)
+    path = tmp_path / "golden.hdmd"
+    save_model_db(db, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    rows = [row for key in sorted(db._entries) for row in db._entries[key]]
+    columns = [
+        sorted(db._entries),
+        [len(db._entries[key]) for key in sorted(db._entries)],
+        [i for value, _count in rows for i in value],
+        [count for _value, count in rows],
+    ]
+    assert path.read_bytes() == _hdmd(columns, db.window)
 
 
-_HEADER = '{"magic":"HDMD","version":1,"m":2,"records":%d}'
+def _hdmd(columns, window=2, version=2) -> bytes:
+    """HDMD bytes written exactly as given, with a valid CRC: ``columns``
+    holds the keys, sizes, values and counts, each a list of ints stored
+    as ``u64`` or the raw bytes of one array."""
+    arrays = [c if isinstance(c, bytes) else struct.pack(f"<{len(c)}Q", *c) for c in columns]
+    return container(b"HDMD", version, struct.pack("<I", window), arrays)
 
 
+# Each v1 case, by its id, and the v2 columns that break the same rule:
+# v1's string key, negative key and negative value ids are ids at or past
+# 2**63 (a negative id read as u64 lands there); a string value and a
+# float count are columns that hold no whole number of u64s; a record that
+# is not an object is a sizes column longer than the keys; a record whose
+# values are not a list is a values column of no ids.
 @pytest.mark.parametrize(
-    "records, match",
+    "columns, match",
     [
-        (['{"key":"3","values":[[4,5]],"counts":[1]}'], "key '3'"),
-        (['{"key":3,"values":[[4,5]],"counts":[2]}', '{"key":3,"values":[[6,7]],"counts":[1]}'],
-         "key 3 is not a token id above 3"),
-        (['{"key":5,"values":[[4,5]],"counts":[2]}', '{"key":3,"values":[[6,7]],"counts":[1]}'],
-         "key 3 is not a token id above 5"),
-        (['{"key":-3,"values":[[1,2]],"counts":[1]}'], "key -3 is not a token id"),
-        (['{"key":3,"values":[[-1,-2]],"counts":[1]}'], "is not m ids"),
-        (['{"key":3,"values":[[4,5,6]],"counts":[1]}'], "is not m ids"),
-        (['{"key":3,"values":[[4]],"counts":[1]}'], "is not m ids"),
-        (['{"key":3,"values":["ab"],"counts":[1]}'], "is not m ids"),
-        (['{"key":3,"values":[[4,5]],"counts":[0]}'], "key 3 count 0 not"),
-        (['{"key":3,"values":[[4,5]],"counts":[-2]}'], "key 3 count -2 not"),
-        (['{"key":3,"values":[[4,5]],"counts":[1.5]}'], "key 3 count 1.5 not"),
-        (['[3]'], "corrupt model-db file"),
-        (['{"key":3,"values":7,"counts":[1]}'], "corrupt model-db file"),
-        (['{"key":3,"values":[[4,5],[4,5]],"counts":[1,1]}'], "key 3 repeats a value"),
-        (['{"key":3,"values":[[4,5],[6,7]],"counts":[1,2]}'], "key 3 rows are not count-desc"),
-        (['{"key":3,"values":[[6,7],[4,5]],"counts":[1,1]}'], "key 3 rows are not count-desc"),
-        (['{"key":3,"values":[],"counts":[]}'], "key 3 has no values"),
+        ([[2**63], [1], [4, 5], [1]], "key 9223372036854775808 is not a token id above None"),
+        ([[3, 3], [1, 1], [4, 5, 6, 7], [2, 1]], "key 3 is not a token id above 3"),
+        ([[5, 3], [1, 1], [4, 5, 6, 7], [2, 1]], "key 3 is not a token id above 5"),
+        ([[2**64 - 3], [1], [1, 2], [1]], "key 18446744073709551613 is not a token id"),
+        ([[3], [1], [2**64 - 1, 2**64 - 2], [1]], "is not m ids"),
+        ([[3], [1], [4, 5, 6], [1]], "3 value ids for 1 rows of m = 2 ids"),
+        ([[3], [1], [4], [1]], "1 value ids for 1 rows of m = 2 ids"),
+        ([[3], [1], b"ab", [1]], "array 2's 2 bytes are not uint64s"),
+        ([[3], [1], [4, 5], [0]], "key 3 count 0 not"),
+        ([[3], [1], [4, 5], [2**64 - 2]], "key 3 count 18446744073709551614 not"),
+        ([[3], [1], [4, 5], struct.pack("<d", 1.5)[:4]], "array 3's 4 bytes are not uint64s"),
+        ([[3], [1, 1], [4, 5], [1]], "1 keys and 2 sizes"),
+        ([[3], [1], [], [1]], "0 value ids for 1 rows"),
+        ([[3], [2], [4, 5, 4, 5], [1, 1]], "key 3 rows are not count-descending"),
+        ([[3], [2], [4, 5, 6, 7], [1, 2]], "key 3 rows are not count-descending"),
+        ([[3], [2], [6, 7, 4, 5], [1, 1]], "key 3 rows are not count-descending"),
+        ([[3, 4], [0, 1], [6, 7], [1]], "key 3 has no values"),
     ],
     ids=["string-key", "duplicate-key", "descending-keys", "negative-key", "negative-value-ids",
          "long-value", "short-value",
@@ -277,26 +323,38 @@ _HEADER = '{"magic":"HDMD","version":1,"m":2,"records":%d}'
          "int-values", "repeated-value", "count-ascending", "value-descending-at-tie",
          "no-values"],
 )
-def test_malformed_record_rejected(tmp_path, records, match):
-    path = tmp_path / "db.jsonl"
-    path.write_text("\n".join([_HEADER % len(records), *records]) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=match):
+def test_malformed_record_rejected(tmp_path, columns, match):
+    path = tmp_path / "db.hdmd"
+    path.write_bytes(_hdmd(columns))
+    with pytest.raises(ValueError, match=f"corrupt model-db file: .*{match}"):
         load_model_db(path)
 
 
+# v1's boolean header fields, by id: a window of 0, keys and sizes columns
+# of different lengths (v1's record count), and a version that is not 2.
 @pytest.mark.parametrize(
-    "header, match",
+    "data, match",
     [
-        ('{"magic":"HDMD","version":1,"m":true,"records":1}', "header 'm' is True"),
-        ('{"magic":"HDMD","version":1,"m":1,"records":true}', "expected True records"),
-        ('{"magic":"HDMD","version":true,"m":1,"records":1}', "unsupported model-db file"),
+        (_hdmd([[3], [1], [4], [2]], window=0), "corrupt model-db file: header 'm' is 0"),
+        (_hdmd([[3, 4], [1], [4], [2]], window=1), "corrupt model-db file: 2 keys and 1 sizes"),
+        (_hdmd([[3], [1], [4], [2]], window=1, version=3), "unsupported model-db file: version 3"),
     ],
     ids=["bool-window", "bool-records", "bool-version"],
 )
-def test_bool_header_fields_rejected(tmp_path, header, match):
-    # bool is an int subclass, so JSON true would pass a plain isinstance
-    # or equality check as 1.
-    path = tmp_path / "db.jsonl"
-    path.write_text(header + '\n{"key":3,"values":[[4]],"counts":[2]}\n', encoding="utf-8")
+def test_bool_header_fields_rejected(tmp_path, data, match):
+    path = tmp_path / "db.hdmd"
+    path.write_bytes(data)
     with pytest.raises(ValueError, match=match):
         load_model_db(path)
+
+
+def test_a_load_shares_one_int_per_id(tmp_path):
+    """A loaded value holds one int object per distinct id, as a build's
+    does, and the load equals the build. Ids past 256 are not cached by
+    Python, so each would otherwise be an object of its own."""
+    db = build_model_db(make_corpus(seed=23, n_docs=40, doc_words=300, vocab_words=600), window=2)
+    save_model_db(db, tmp_path / "db.hdmd")
+    loaded = load_model_db(tmp_path / "db.hdmd")
+    assert loaded._entries == db._entries
+    ids = [i for rows in loaded._entries.values() for value, _count in rows for i in value]
+    assert len({id(i) for i in ids}) == len(set(ids)) > 256

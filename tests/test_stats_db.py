@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import struct
 import tracemalloc
 import weakref
 
@@ -26,7 +27,11 @@ from hierdraft import (
     save_stats_db,
 )
 
-from conftest import make_corpus
+from conftest import container, make_corpus, restamp
+
+# An HDSA v2 file's text starts past 12 bytes of magic, version and CRC,
+# its u32 vocab_size, the u32 array count and two u64 array lengths.
+_TEXT_AT = 36
 
 
 def _vocab(n):
@@ -147,12 +152,15 @@ def test_suffix_array_rejects_ids_outside_u32(text):
 
 def test_hdsa_bytes_match_the_golden_digest(tmp_path):
     """A text has exactly one suffix array, so the file of a fixed corpus
-    keeps the digest it had under the lexsort construction."""
+    keeps one digest, and it is the ``struct``-only container's."""
     path = tmp_path / "golden.hdsa"
-    save_stats_db(build_stats_db(make_corpus(seed=23, n_docs=40, doc_words=300)), path)
+    db = build_stats_db(make_corpus(seed=23, n_docs=40, doc_words=300))
+    save_stats_db(db, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "e1f2626d5d7af0f9de9475fdbefc0f523eb65f8497274b0f492c74906a933044"
+        "ffb641c39be83a86db3b0cb4569aa19e0a755e36b73fd35b5c6d6099bcf302cf"
     )
+    arrays = [db.tokens.astype("<u4").tobytes(), db.suffix_array.astype("<u4").tobytes()]
+    assert path.read_bytes() == container(b"HDSA", 2, struct.pack("<I", db.vocab_size), arrays)
 
 
 def test_build_memory_per_token():
@@ -453,8 +461,8 @@ def test_flipped_token_byte_fails_verify(tmp_path):
     save_stats_db(db, path)
     data = bytearray(path.read_bytes())
     # Highest byte of the first token becomes 0xFF: id flies out of vocab range.
-    data[20 + 3] ^= 0xFF
-    path.write_bytes(bytes(data))
+    data[_TEXT_AT + 3] ^= 0xFF
+    path.write_bytes(restamp(data))
     with pytest.raises(ValueError, match="verification failed"):
         load_stats_db(path)
 
@@ -464,7 +472,7 @@ def test_oversized_corpus_rejected(monkeypatch):
 
     monkeypatch.setattr(stats_db_mod, "_MAX_TOKENS", 10)
     corpus = make_corpus(seed=2, n_docs=2, doc_words=50, vocab_words=10)
-    with pytest.raises(ValueError, match="corpus too large for format v1"):
+    with pytest.raises(ValueError, match="corpus too large for format v2"):
         stats_db_mod.build_stats_db(corpus)
 
 
@@ -480,7 +488,7 @@ class _UnreadDoc:
 
 def test_oversized_corpus_refused_before_reading_a_token():
     corpus = Corpus(docs=[_UnreadDoc(), _UnreadDoc()], vocab=_vocab(10))
-    with pytest.raises(ValueError, match="corpus too large for format v1"):
+    with pytest.raises(ValueError, match="corpus too large for format v2"):
         build_stats_db(corpus)
 
 
@@ -504,16 +512,16 @@ def _saved_bytes(tmp_path):
 def test_out_of_range_suffix_array_entry_rejected_without_verify(tmp_path):
     db, path, data = _saved_bytes(tmp_path)
     assert db.n_tokens == 7
-    data[20 + 4 * db.n_tokens + 8] = 99  # third suffix-array entry
-    path.write_bytes(bytes(data))
+    data[_TEXT_AT + 4 * db.n_tokens + 8] = 99  # third suffix-array entry
+    path.write_bytes(restamp(data))
     with pytest.raises(ValueError, match="suffix array entry out of range"):
         load_stats_db(path)
 
 
 def test_text_without_final_sep_rejected(tmp_path):
     db, path, data = _saved_bytes(tmp_path)
-    data[20 + 4 * (db.n_tokens - 1)] = 3  # final SEP becomes a word id
-    path.write_bytes(bytes(data))
+    data[_TEXT_AT + 4 * (db.n_tokens - 1)] = 3  # final SEP becomes a word id
+    path.write_bytes(restamp(data))
     with pytest.raises(ValueError, match="does not end with SEP"):
         load_stats_db(path)
 
@@ -526,10 +534,10 @@ def test_damaged_suffix_array_rejected_on_every_load(tmp_path, damage, match):
     """Two entries swapped, or one entry written twice: every entry is in
     range, and a plain load still raises."""
     db, path, data = _saved_bytes(tmp_path)
-    at = 20 + 4 * db.n_tokens  # the first suffix-array entry
+    at = _TEXT_AT + 4 * db.n_tokens  # the first suffix-array entry
     first, second = data[at:at + 4], data[at + 4:at + 8]
     data[at:at + 8] = second + first if damage == "swap" else first + first
-    path.write_bytes(bytes(data))
+    path.write_bytes(restamp(data))
     with pytest.raises(ValueError, match=f"verification failed: {match}"):
         load_stats_db(path)
 
