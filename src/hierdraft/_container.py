@@ -50,8 +50,7 @@ def read(
 ) -> tuple[list, list[np.ndarray]]:
     """The header's fields and the arrays of the file at ``path``, as
     read-only views of its bytes; ``name`` names the format in errors."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = Path(path).read_bytes()
     # A file too short to hold the magic is still refused for a wrong byte.
     if data[:4] != magic[:len(data)]:
         raise ValueError(f"unsupported {name} file: bad magic")

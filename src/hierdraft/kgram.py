@@ -581,7 +581,6 @@ def load_kgram(path: str | Path) -> KGramModel:
         model = KGramModel(k, alpha, vocab_size, orders)
     except ValueError as exc:
         raise ValueError(f"corrupt k-gram model file: {exc}") from None
-    # The model's columns are copies, so the file's bytes go before the build.
-    del arrays, orders
+    del arrays, orders  # the columns are copies: the file's bytes go before the build
     model._build()
     return model

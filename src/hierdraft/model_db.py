@@ -8,11 +8,10 @@ its own.
 
 On disk, an HDMD v2 file is the one container of ``_container``, magic
 "HDMD", with the window ``m`` (``u32``) as its one header number and four
-``u64`` columns: ``keys`` in ascending order, ``sizes`` (each key's row
-count), ``values`` (``m`` ids per row) and ``counts``, rows key by key in
-lookup order. Builds are deterministic, so equal inputs give
-byte-identical files, and ``load_model_db`` checks the columns with one
-vectorized rule (``_checked``) before it makes a row.
+``u64`` columns: ``keys`` (ascending), ``sizes`` (each key's row count),
+``values`` (``m`` ids per row) and ``counts``, rows key by key in lookup
+order. Builds are deterministic, so equal inputs give byte-identical
+files, and ``load_model_db`` checks the columns (``_checked``) first.
 """
 
 from __future__ import annotations
@@ -175,13 +174,14 @@ def load_model_db(path: str | Path) -> ModelDB:
         keys, sizes, values, counts = _checked(window, arrays)
     except ValueError as exc:
         raise ValueError(f"corrupt model-db file: {exc}") from None
+    if not len(counts):  # no rows to size by ``window``
+        return ModelDB(window, {})
     ids, index = np.unique(values, return_inverse=True)
     columns = ids.astype(object)[index.reshape(-1, window).T].tolist()
     del index  # the temporaries go before the rows are made
     rows = list(zip(zip(*columns), counts.tolist()))
     del columns
-    ends = np.cumsum(sizes).tolist()
-    spans = zip(keys.tolist(), sizes.tolist(), ends)
+    spans = zip(keys.tolist(), sizes.tolist(), np.cumsum(sizes).tolist())
     return ModelDB(window, {key: rows[end - size:end] for key, size, end in spans})
 
 
@@ -190,8 +190,8 @@ def _checked(window: int, arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     ids each, once they hold a well-formed table; else ``ValueError``.
 
     Every id is below 2**63 and every count in [1, 2**63). Keys ascend
-    strictly, each holds at least one row, and each key's rows ascend
-    strictly in (-count, value), which also rules out a repeated value.
+    strictly, each holds at least one row, each key's rows ascend
+    strictly in (-count, value), and no key holds one value twice.
     """
     if window < 1:
         raise ValueError(f"header 'm' is {window}, not a window size")
@@ -221,15 +221,18 @@ def _checked(window: int, arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     if ((counts < 1) | (counts >= _ID_BOUND)).any():
         i = np.argmax((counts < 1) | (counts >= _ID_BOUND))
         raise ValueError(f"key {key_of[i]} count {counts[i]} not in [1, 2**63)")
-    # Rows i and i + 1 of one key ascend strictly in (-count, value): a
-    # higher count, or an equal one and a lower id where the values first
-    # differ.
-    differ = values[1:] != values[:-1]
-    at = (np.arange(n_rows - 1), np.argmax(differ, axis=1))
-    lower = differ[at] & (values[:-1][at] < values[1:][at])
-    ordered = (counts[:-1] > counts[1:]) | ((counts[:-1] == counts[1:]) & lower)
-    ordered |= key_of[:-1] != key_of[1:]
-    if not ordered.all():
-        i = np.argmin(ordered)
-        raise ValueError(f"key {key_of[i]} rows are not count-descending, value-ascending")
+    # Rows sorted by key, then value, as big-endian bytes: a value repeated
+    # under one key sits next to itself, and ``rank`` orders a key's values.
+    if n_rows > 1:  # else there are no two rows to compare
+        rows = np.column_stack([key_of, values]).astype(">u8").view(f"V{8 * window + 8}").ravel()
+        by = np.argsort(rows, kind="stable")
+        repeated = rows[by[1:]] == rows[by[:-1]]
+        if repeated.any():
+            raise ValueError(f"key {key_of[by[np.argmax(repeated)]]} repeats a value")
+        rank = np.argsort(by)
+        ordered = (counts[:-1] > counts[1:]) | (counts[:-1] == counts[1:]) & (rank[:-1] < rank[1:])
+        ordered |= key_of[:-1] != key_of[1:]
+        if not ordered.all():
+            i = np.argmin(ordered)
+            raise ValueError(f"key {key_of[i]} rows are not count-descending, value-ascending")
     return keys, sizes, values, counts

@@ -396,14 +396,13 @@ def build_stats_db(corpus: Corpus) -> StatsDB:
     hold no SEP, and ids are checked (``check_ids``) after the length."""
     if not corpus.docs:
         raise ValueError("empty corpus")
-    n = sum(len(doc) for doc in corpus.docs) + len(corpus.docs) + 1
-    if n > _MAX_TOKENS:
+    ends = np.cumsum([len(doc) for doc in corpus.docs])
+    if ends[-1] + len(corpus.docs) + 1 > _MAX_TOKENS:
         raise ValueError(f"corpus too large for format v{STATS_VERSION}")
     ids = check_ids(corpus.docs, corpus.vocab.size)
     if (ids == SEP).any():
         raise ValueError("a document holds SEP")
     # A SEP after each document, and the terminator after the last one.
-    ends = np.cumsum([len(doc) for doc in corpus.docs])
     tokens = np.insert(ids.astype(np.uint32), np.append(ends, ends[-1]), SEP)
     del ids
     sa = build_suffix_array(tokens)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hierdraft import (
     Corpus,
     HierarchyConfig,
+    ModelDB,
     build_model_db,
     build_vocab,
     load_model_db,
@@ -233,6 +234,25 @@ def test_an_empty_table_round_trips(tmp_path):
     assert load_model_db(tmp_path / "db.hdmd") == db
 
 
+def test_an_empty_table_of_the_widest_window_loads_at_once(tmp_path):
+    """A table of no rows sizes nothing by its window, so the widest
+    ``u32`` window loads without building a row, and saves back the same
+    bytes."""
+    path = tmp_path / "db.hdmd"
+    path.write_bytes(_hdmd([[], [], [], []], window=2**32 - 1))
+    loaded = load_model_db(path)
+    assert loaded == ModelDB(2**32 - 1, {})
+    save_model_db(loaded, tmp_path / "again.hdmd")
+    assert (tmp_path / "again.hdmd").read_bytes() == path.read_bytes()
+
+
+def test_one_value_under_two_keys_loads(tmp_path):
+    """Only a value repeated under one key is refused."""
+    path = tmp_path / "db.hdmd"
+    path.write_bytes(_hdmd([[3, 4], [1, 1], [4, 5, 4, 5], [2, 1]]))
+    assert load_model_db(path)._entries == {3: [((4, 5), 2)], 4: [((4, 5), 1)]}
+
+
 def test_save_is_byte_stable(tmp_path):
     corpus = make_corpus(seed=41, n_docs=30, doc_words=400, vocab_words=50)
     db = build_model_db(corpus, top_k=100_000, window=4)
@@ -312,7 +332,9 @@ def _hdmd(columns, window=2, version=2) -> bytes:
         ([[3], [1], [4, 5], struct.pack("<d", 1.5)[:4]], "array 3's 4 bytes are not uint64s"),
         ([[3], [1, 1], [4, 5], [1]], "1 keys and 2 sizes"),
         ([[3], [1], [], [1]], "0 value ids for 1 rows"),
-        ([[3], [2], [4, 5, 4, 5], [1, 1]], "key 3 rows are not count-descending"),
+        ([[3], [2], [4, 5, 4, 5], [1, 1]], "key 3 repeats a value"),
+        ([[3], [2], [4, 5, 4, 5], [2, 1]], "key 3 repeats a value"),
+        ([[3], [3], [4, 5, 6, 7, 4, 5], [3, 2, 1]], "key 3 repeats a value"),
         ([[3], [2], [4, 5, 6, 7], [1, 2]], "key 3 rows are not count-descending"),
         ([[3], [2], [6, 7, 4, 5], [1, 1]], "key 3 rows are not count-descending"),
         ([[3, 4], [0, 1], [6, 7], [1]], "key 3 has no values"),
@@ -320,7 +342,8 @@ def _hdmd(columns, window=2, version=2) -> bytes:
     ids=["string-key", "duplicate-key", "descending-keys", "negative-key", "negative-value-ids",
          "long-value", "short-value",
          "string-value", "zero-count", "negative-count", "float-count", "list-record",
-         "int-values", "repeated-value", "count-ascending", "value-descending-at-tie",
+         "int-values", "repeated-value", "repeated-value-at-two-counts",
+         "repeated-value-two-rows-apart", "count-ascending", "value-descending-at-tie",
          "no-values"],
 )
 def test_malformed_record_rejected(tmp_path, columns, match):
