@@ -13,11 +13,14 @@ from itertools import chain
 
 import numpy as np
 
+U32_MAX = 2**32 - 1  # the largest value a ``u32`` header field holds
 
-def check_int(name: str, value: object, least: int = 1) -> None:
-    """Raise ``ValueError`` unless ``value`` is an ``int``, not a bool, >= ``least``."""
-    if type(value) is not int or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+
+def check_int(name: str, value: object, least: int = 1, most: float = math.inf) -> None:
+    """Raise ``ValueError`` unless ``value`` is an ``int``, not a bool, in [``least``, ``most``]."""
+    if type(value) is not int or not least <= value <= most:
+        bound = f"<= {most}" if type(value) is int and value > most else f">= {least}"
+        raise ValueError(f"{name} must be an integer {bound}, not {value!r}")
 
 
 def check_number(name: str, value: object, positive: bool) -> None:

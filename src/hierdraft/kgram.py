@@ -70,7 +70,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _container
-from ._checks import check_ids, check_int, check_number
+from ._checks import U32_MAX, check_ids, check_int, check_number
 from .corpus import Corpus
 
 KGRAM_MAGIC = b"HDKG"
@@ -106,16 +106,18 @@ class ModelCallCounter:
 class KGramModel:
     """Count tables for orders 1..k with add-alpha smoothing and backoff.
 
-    ``tables`` yields order j's count tables j-th, as four columns, with
-    contexts in strictly ascending order: ``contexts``, ``j - 1`` ids
-    (oldest first) per context, flat or in rows; ``sizes``, each table's
-    entry count; and ``tokens`` and ``counts``, every table's entries one
-    table after another, tokens strictly ascending within a table.
-    ``fit_kgram`` and ``load_kgram`` build every model through here, one
-    order at a time. ``k`` and ``vocab_size`` must be integers >= 1,
-    ``alpha`` a finite number > 0, and ``vocab_size ** k`` at most
-    ``2 ** 63``; they are checked before ``tables`` is read. Anything but
-    that and well-formed tables raises ``ValueError``.
+    ``tables`` yields exactly ``k`` orders, order j's count tables j-th,
+    as four columns, with contexts in strictly ascending order:
+    ``contexts``, ``j - 1`` ids (oldest first) per context, flat or in
+    rows; ``sizes``, each table's entry count; and ``tokens`` and
+    ``counts``, every table's entries one table after another, tokens
+    strictly ascending within a table. ``fit_kgram`` and ``load_kgram``
+    build every model through here, one order at a time. ``k`` and
+    ``vocab_size`` must be integers >= 1, ``vocab_size`` at most
+    ``2 ** 32 - 1`` (its header field is a ``u32``), ``alpha`` a finite
+    number > 0, and ``vocab_size ** k`` at most ``2 ** 63``; they are
+    checked before ``tables`` is read. Anything but that and well-formed
+    tables raises ``ValueError``.
 
     The model keeps the checked columns and builds its lookup dicts from
     them once, in ``_build``, which its first read calls (``load_kgram``
@@ -126,7 +128,7 @@ class KGramModel:
 
     def __init__(self, k: int, alpha: float, vocab_size: int, tables: Iterable[tuple]):
         check_int("k", k)
-        check_int("vocab_size", vocab_size)
+        check_int("vocab_size", vocab_size, 1, U32_MAX)
         check_number("alpha", alpha, positive=True)
         # Every window, and so every packed key, then fits an int64; past
         # 64 orders the rule fails for any vocabulary of two or more ids.
@@ -139,6 +141,8 @@ class KGramModel:
         for order, columns in enumerate(tables, 1):
             checked.append(_checked(order, vocab_size, *columns))
             del columns  # released before the next order is counted or read
+        if len(checked) != k:
+            raise ValueError(f"k = {k} for {len(checked)} orders of tables")
         # Per order (index 0 is unused padding), keyed by the context packed
         # as one int in base vocab_size: the argmax of its table, and the
         # table itself, a one-entry table being just its count. The model

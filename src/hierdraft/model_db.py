@@ -6,17 +6,18 @@ the globally most frequent ``top_k`` windows are kept, grouped under their
 first token, and each key's list is capped so it can fill a draft set on
 its own.
 
-On disk, an HDMD v2 file is the one container of ``_container``, magic
-"HDMD", with the window ``m`` (``u32``) as its one header number and four
-``u64`` columns: ``keys`` (ascending), ``sizes`` (each key's row count),
-``values`` (``m`` ids per row) and ``counts``, rows key by key in lookup
-order. Builds are deterministic, so equal inputs give byte-identical
-files, and ``load_model_db`` checks the columns (``_checked``) first.
+A ``ModelDB`` is four columns, as an HDMD v2 file holds them: ``keys``
+(ascending), ``sizes`` (each key's row count), ``values`` (``window`` ids
+per row) and ``counts``, rows key by key in lookup order. Its constructor
+refuses anything but a well-formed table (``_checked``) with
+``ValueError``, so a build or a load does too and every table saves to a
+file that loads back. The file is the one container of ``_container``,
+magic "HDMD", the window ``m`` (``u32``) its one header number and the
+columns ``u64``. Equal inputs build byte-identical files.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -24,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _container
-from ._checks import check_ids, check_int
+from ._checks import U32_MAX, check_ids, check_int
 from .corpus import Corpus
 
 MODEL_DB_MAGIC = b"HDMD"
@@ -35,23 +36,31 @@ _ID_BOUND = 2**63
 
 
 class ModelDB:
-    def __init__(self, window: int, entries: dict[int, list[tuple[tuple[int, ...], int]]]):
+    """Four checked ``uint64`` columns, and the lookup dict made from them
+    once: key -> values in stored order, sharing one int object per id."""
+
+    def __init__(self, window: int, keys, sizes, values, counts):
         self.window = window
-        # key -> [(value, count), ...] sorted by count desc, value asc.
-        self._entries = entries
-        # key -> [value, ...] in the same order; ``lookup`` slices it.
-        self._values = {key: [value for value, _count in rows] for key, rows in entries.items()}
+        keys, sizes, values, counts = self._columns = _checked(window, keys, sizes, values, counts)
+        self._values: dict[int, list[tuple[int, ...]]] = {}
+        if len(counts):  # else there are no rows to size by ``window``
+            ids, index = np.unique(values, return_inverse=True)
+            rows = list(zip(*ids.astype(object)[index.reshape(-1, window).T].tolist()))
+            del index
+            spans = zip(keys.tolist(), sizes.tolist(), np.cumsum(sizes).tolist())
+            self._values = {key: rows[end - size:end] for key, size, end in spans}
 
     @property
     def n_sequences(self) -> int:
-        return sum(len(v) for v in self._entries.values())
+        return len(self._columns[3])
 
     def keys(self) -> list[int]:
-        return sorted(self._entries)
+        return self._columns[0].tolist()
 
     def max_id(self) -> int:
         """The largest token id in any key or value; -1 for an empty table."""
-        return max((max(key, *map(max, rows)) for key, rows in self._values.items()), default=-1)
+        keys, _sizes, values, _counts = self._columns
+        return int(max(keys.max(), values.max())) if len(keys) else -1
 
     def lookup(self, key: int, want: int) -> list[tuple[int, ...]]:
         """Up to ``want`` values for ``key`` in stored (count-descending) order.
@@ -73,7 +82,7 @@ class ModelDB:
         return (
             isinstance(other, ModelDB)
             and self.window == other.window
-            and self._entries == other._entries
+            and all(map(np.array_equal, self._columns, other._columns))
         )
 
 
@@ -88,18 +97,16 @@ def build_model_db(
 
     Ties in frequency break by ascending token order so the build is fully
     deterministic. After the global cut, each key keeps at most ``per_key``
-    values (count descending, value ascending). Keys enter the table in
-    the order of their best gram's rank.
+    values (count descending, value ascending).
 
     The grams are the rows of a sliding window over the concatenated docs,
     less the rows that cross a document boundary. Each id is replaced by
     its rank among the distinct ids, and each gram is packed into one int64
     in that base, so one ``np.unique`` counts the grams in lexicographic
-    order. Ranking is a stable sort on the negated counts, both cuts are
-    array operations, and only the rows kept become tuples, of one int
-    object per distinct id. A token that is a bool, not an int, negative
-    or past int64 raises ``ValueError`` before anything is counted
-    (``check_ids``), so no build writes a file ``load_model_db`` refuses.
+    order. Ranking is a stable sort on the negated counts, and both cuts
+    are array operations; the rows kept go to ``ModelDB`` as its columns.
+    A token that is a bool, not an int, negative or past int64 raises
+    ``ValueError`` before anything is counted (``check_ids``).
     """
     for name, value in (("top_k", top_k), ("window", window), ("per_key", per_key)):
         check_int(name, value)
@@ -110,7 +117,7 @@ def build_model_db(
     size = 1 + window
     lengths = np.fromiter(map(len, docs), np.int64, len(docs))
     if not (lengths >= size).any():
-        return ModelDB(window, {})
+        return ModelDB(window, [], [], [], [])
     ids, index = np.unique(tokens, return_inverse=True)
     index = index.reshape(-1)
     del tokens
@@ -142,62 +149,45 @@ def build_model_db(
     sizes = np.minimum(np.diff(heads, append=len(grouped)), per_key)
     ends = np.cumsum(sizes)
     kept = grouped[np.arange(ends[-1]) + np.repeat(heads - ends + sizes, sizes)]
-    columns = ids.astype(object)[grams[kept].T].tolist()
-    rows = list(zip(zip(*columns[1:]), counts[kept].tolist()))
-    starts, ends = (ends - sizes).tolist(), ends.tolist()
-    entries = {
-        columns[0][starts[g]]: rows[starts[g]:ends[g]]
-        for g in np.argsort(by_key[heads]).tolist()
-    }
-    return ModelDB(window, entries)
+    rows, counts = ids[grams[kept]], counts[kept]
+    del ids, grams, ranked, by_key, grouped, kept  # freed before the table is checked
+    return ModelDB(window, rows[ends - sizes, 0], sizes, rows[:, 1:], counts)
 
 
 def save_model_db(db: ModelDB, path: str | Path) -> None:
-    keys = db.keys()
-    rows = list(chain.from_iterable(map(db._entries.get, keys)))
-    columns = (
-        keys,
-        [len(db._entries[key]) for key in keys],
-        [i for value, _count in rows for i in value],
-        [count for _value, count in rows],
-    )
-    _container.write(path, MODEL_DB_MAGIC, MODEL_DB_VERSION, _HEADER, (db.window,), columns, _U8)
+    header = (db.window,)
+    _container.write(path, MODEL_DB_MAGIC, MODEL_DB_VERSION, _HEADER, header, db._columns, _U8)
 
 
 def load_model_db(path: str | Path) -> ModelDB:
     """Read an HDMD file; anything but a well-formed table raises
-    ``ValueError``. Values share one int object per id, as built ones do."""
+    ``ValueError``. The columns stay views of the file's bytes."""
     (window,), arrays = _container.read(
         path, MODEL_DB_MAGIC, MODEL_DB_VERSION, "model-db", _HEADER, _U8
     )
     try:
-        keys, sizes, values, counts = _checked(window, arrays)
+        if len(arrays) != 4:
+            raise ValueError(f"{len(arrays)} arrays, not 4")
+        return ModelDB(window, *arrays)
     except ValueError as exc:
         raise ValueError(f"corrupt model-db file: {exc}") from None
-    if not len(counts):  # no rows to size by ``window``
-        return ModelDB(window, {})
-    ids, index = np.unique(values, return_inverse=True)
-    columns = ids.astype(object)[index.reshape(-1, window).T].tolist()
-    del index  # the temporaries go before the rows are made
-    rows = list(zip(zip(*columns), counts.tolist()))
-    del columns
-    spans = zip(keys.tolist(), sizes.tolist(), np.cumsum(sizes).tolist())
-    return ModelDB(window, {key: rows[end - size:end] for key, size, end in spans})
 
 
-def _checked(window: int, arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """The four columns, sizes as int64 and values one row of ``window``
+def _checked(window: int, *columns) -> tuple[np.ndarray, ...]:
+    """The four columns as ``uint64`` arrays, values one row of ``window``
     ids each, once they hold a well-formed table; else ``ValueError``.
 
-    Every id is below 2**63 and every count in [1, 2**63). Keys ascend
-    strictly, each holds at least one row, each key's rows ascend
-    strictly in (-count, value), and no key holds one value twice.
+    The window is an int in [1, 2**32), as the header's ``u32`` holds it,
+    and each column holds integers >= 0. Every id is below 2**63 and every
+    count in [1, 2**63). Keys ascend strictly, each holds at least one
+    row, each key's rows ascend strictly in (-count, value), and no key
+    holds one value twice.
     """
-    if window < 1:
-        raise ValueError(f"header 'm' is {window}, not a window size")
-    if len(arrays) != 4:
-        raise ValueError(f"{len(arrays)} arrays, not 4")
-    keys, sizes, values, counts = arrays
+    check_int("window", window, 1, U32_MAX)
+    columns = [np.asarray(column) for column in columns]
+    if any(c.size and not (c.dtype.kind in "iu" and c.min() >= 0) for c in columns):
+        raise ValueError("a column holds what is not an integer >= 0")
+    keys, sizes, values, counts = (c.astype(np.uint64, copy=False).reshape(-1) for c in columns)
     n_rows = len(counts)
     if len(sizes) != len(keys):
         raise ValueError(f"{len(keys)} keys and {len(sizes)} sizes")
@@ -213,8 +203,8 @@ def _checked(window: int, arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     if bad.any():
         i = np.argmax(bad)
         raise ValueError(f"key {keys[i]} is not a token id above {keys[i - 1] if i else None}")
-    sizes, values = sizes.astype(np.int64), values.reshape(n_rows, window)
-    key_of = np.repeat(keys, sizes)
+    values = values.reshape(n_rows, window)
+    key_of = np.repeat(keys, sizes.astype(np.int64))
     if (values >= _ID_BOUND).any():
         i = np.argmax((values >= _ID_BOUND).any(axis=1))
         raise ValueError(f"key {key_of[i]} value {tuple(values[i].tolist())} is not m ids")

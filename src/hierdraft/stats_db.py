@@ -35,10 +35,11 @@ whole build peaks at about 22 bytes per token under ``tracemalloc``,
 text and suffix array included.
 
 Construction fails closed, whether the arrays come from the builder or
-from a file: a suffix-array entry past the text, a token id outside the
-vocabulary, a text that does not end with SEP SEP (a document's SEP, then
-the terminator; so an empty or one-token text fails), an array that is
-not a permutation of the positions or one whose suffixes are out of order
+from a file: a ``vocab_size`` that is not an integer in [1, 2**32), a
+suffix-array entry past the text, a token id outside the vocabulary, a
+text that does not end with SEP SEP (a document's SEP, then the
+terminator; so an empty or one-token text fails), an array that is not a
+permutation of the positions or one whose suffixes are out of order
 raises ValueError. Every check is one O(n) vectorized pass, and every
 check always runs; the order check goes over the array in fixed-size
 chunks, so its only O(n) temporary is one uint32 rank array.
@@ -58,7 +59,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _container
-from ._checks import check_ids, check_int
+from ._checks import U32_MAX, check_ids, check_int
 from .corpus import Corpus, SEP
 
 STATS_MAGIC = b"HDSA"
@@ -228,6 +229,7 @@ class StatsDB:
     that is not the suffix array of its text."""
 
     def __init__(self, tokens: np.ndarray, sa: np.ndarray, vocab_size: int):
+        check_int("vocab_size", vocab_size, 1, U32_MAX)
         tokens = np.ascontiguousarray(tokens, dtype=np.uint32)
         sa = np.ascontiguousarray(sa, dtype=np.uint32)
         n = len(tokens)

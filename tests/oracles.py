@@ -40,10 +40,11 @@ def apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
 
 
 def model_db_entries(docs, top_k, window, per_key):
-    """The table ``build_model_db`` keeps, key order included: every
-    (1 + window)-gram inside a doc counted, the ``top_k`` most frequent
-    kept (ties by ascending gram), grouped under their first token in rank
-    order, and each key cut to ``per_key`` values."""
+    """The table ``build_model_db`` keeps, as key -> [(value, count), ...]
+    in each key's row order: every (1 + window)-gram inside a doc counted,
+    the ``top_k`` most frequent kept (ties by ascending gram), grouped
+    under their first token in rank order, and each key cut to
+    ``per_key`` values. The table has no key order of its own."""
     size = 1 + window
     freq = Counter()
     for doc in docs:

@@ -60,7 +60,7 @@ def workspace(tmp_path_factory):
     wide = {}
     for name, key, value in (("key", size, (3, 4, 5, 6)), ("value", 3, (4, 5, 6, size))):
         wide[name] = root / f"dm-wide-{name}.hdmd"
-        save_model_db(ModelDB(4, {key: [(value, 1)]}), wide[name])
+        save_model_db(ModelDB(4, [key], [1], value, [1]), wide[name])
     prompts = root / "prompts.txt"
     lines = corpus_path.read_text(encoding="utf-8").splitlines()
     prompts.write_text(

@@ -175,7 +175,7 @@ def test_eos_truncation_matches_autoregressive():
     a, b, c, d = tokenize("a b c d", corpus.vocab)
     # The one candidate runs past EOS: the step accepts c, d, EOS and the
     # output stops there.
-    dbs = DatabaseSet(model=ModelDB(4, {b: [((c, d, EOS, a), 1)]}))
+    dbs = DatabaseSet(model=ModelDB(4, [b], [1], [c, d, EOS, a], [1]))
     config = _hd_config(
         hierarchy=HierarchyConfig(order="m"), max_tokens=50, trace=True
     )

@@ -1191,3 +1191,26 @@ def test_load_refuses_columns_that_do_not_line_up(tmp_path, arrays, match):
     path.write_bytes(container(b"HDKG", 2, struct.pack("<IId", k, 7, 0.5), arrays))
     with pytest.raises(ValueError, match=f"^corrupt k-gram model file: {match}"):
         load_kgram(path)
+
+
+_ORDER_1 = ((), [2], [1, 3], [1, 2])
+_ORDER_2 = ([1, 3], [1, 1], [3, 1], [1, 1])
+
+
+@pytest.mark.parametrize(
+    "k, orders",
+    [(3, [_ORDER_1]), (1, [_ORDER_1, _ORDER_2]), (2, [])],
+    ids=["too-few", "too-many", "none"],
+)
+def test_tables_must_hold_exactly_k_orders(k, orders):
+    """Too few orders would fail the first read past them with
+    ``IndexError``, and an order past ``k`` would be dropped by a save."""
+    with pytest.raises(ValueError, match=f"^k = {k} for {len(orders)} orders of tables$"):
+        KGramModel(k, 0.5, 10, orders)
+
+
+def test_vocab_size_must_fit_its_u32_header_field():
+    """A save would raise ``struct.error`` after the model was made."""
+    with pytest.raises(ValueError, match=f"^vocab_size must be an integer <= {2**32 - 1}, not "):
+        KGramModel(1, 0.5, 2**32 + 5, [_ORDER_1])
+    assert KGramModel(1, 0.5, 2**32 - 1, [_ORDER_1]).vocab_size == 2**32 - 1

@@ -1,6 +1,8 @@
 import hashlib
+import re
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,23 @@ from oracles import model_db_entries
 
 def _vocab(n):
     return build_vocab([" ".join(f"v{i}" for i in range(n))])
+
+
+def _rows(db: ModelDB) -> dict[int, list[tuple[tuple[int, ...], int]]]:
+    """key -> [(value, count), ...] in stored order, read from the
+    table's columns."""
+    keys, sizes, values, counts = db._columns
+    rows = list(zip(map(tuple, values.tolist()), counts.tolist()))
+    spans = zip(keys.tolist(), sizes.tolist(), np.cumsum(sizes).tolist())
+    return {key: rows[end - size:end] for key, size, end in spans}
+
+
+def _matches_the_oracle(db: ModelDB, expected: dict) -> None:
+    """Every key, row, value and count, in each key's row order, equals
+    the oracle's, and ``lookup`` hands out those values."""
+    assert _rows(db) == expected
+    assert db.keys() == sorted(expected)
+    assert db._values == {key: [value for value, _ in rows] for key, rows in expected.items()}
 
 
 def test_single_window_doc(tmp_path):
@@ -58,9 +77,7 @@ def test_build_matches_brute_force_counter():
     corpus = make_corpus(seed=17, n_docs=100, doc_words=520, vocab_words=80)
     assert corpus.n_tokens >= 50_000
     db = build_model_db(corpus, top_k=300, window=4, per_key=10**9)
-    expected = model_db_entries(corpus.docs, 300, 4, 10**9)
-    assert db._entries == expected
-    assert list(db._entries) == list(expected)
+    _matches_the_oracle(db, model_db_entries(corpus.docs, 300, 4, 10**9))
 
 
 def test_lookup_order_matches_oracle_counts():
@@ -99,13 +116,11 @@ def _docs():
     per_key=st.integers(1, 8),
 )
 def test_build_matches_the_counter_oracle(docs, window, top_k, per_key):
-    """The table, key order included, equals the ``Counter`` build's, with
-    docs shorter than the window, tied counts and cuts that bite."""
+    """The table equals the ``Counter`` build's, with docs shorter than
+    the window, tied counts and cuts that bite."""
     corpus = Corpus(docs=docs, vocab=_vocab(5))
     db = build_model_db(corpus, top_k=top_k, window=window, per_key=per_key)
-    expected = model_db_entries(docs, top_k, window, per_key)
-    assert db._entries == expected
-    assert list(db._entries) == list(expected)
+    _matches_the_oracle(db, model_db_entries(docs, top_k, window, per_key))
 
 
 def test_lookup_edge_cases():
@@ -241,7 +256,7 @@ def test_an_empty_table_of_the_widest_window_loads_at_once(tmp_path):
     path = tmp_path / "db.hdmd"
     path.write_bytes(_hdmd([[], [], [], []], window=2**32 - 1))
     loaded = load_model_db(path)
-    assert loaded == ModelDB(2**32 - 1, {})
+    assert loaded == ModelDB(2**32 - 1, [], [], [], [])
     save_model_db(loaded, tmp_path / "again.hdmd")
     assert (tmp_path / "again.hdmd").read_bytes() == path.read_bytes()
 
@@ -250,7 +265,7 @@ def test_one_value_under_two_keys_loads(tmp_path):
     """Only a value repeated under one key is refused."""
     path = tmp_path / "db.hdmd"
     path.write_bytes(_hdmd([[3, 4], [1, 1], [4, 5, 4, 5], [2, 1]]))
-    assert load_model_db(path)._entries == {3: [((4, 5), 2)], 4: [((4, 5), 1)]}
+    assert _rows(load_model_db(path)) == {3: [((4, 5), 2)], 4: [((4, 5), 1)]}
 
 
 def test_save_is_byte_stable(tmp_path):
@@ -287,15 +302,18 @@ _GOLDEN_CORPUS = {"seed": 23, "n_docs": 40, "doc_words": 300, "vocab_words": 40}
 )
 def test_hdmd_bytes_match_the_golden_digest(tmp_path, settings, digest):
     """The file of a fixed corpus keeps one digest, and it is the
-    ``struct``-only container of the table's columns."""
-    db = build_model_db(make_corpus(**_GOLDEN_CORPUS), **settings)
+    ``struct``-only container of the oracle's table as columns."""
+    corpus = make_corpus(**_GOLDEN_CORPUS)
+    db = build_model_db(corpus, **settings)
     path = tmp_path / "golden.hdmd"
     save_model_db(db, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-    rows = [row for key in sorted(db._entries) for row in db._entries[key]]
+    table = {"top_k": 100_000, "window": 4, "per_key": 7} | settings
+    entries = model_db_entries(corpus.docs, table["top_k"], table["window"], table["per_key"])
+    rows = [row for key in sorted(entries) for row in entries[key]]
     columns = [
-        sorted(db._entries),
-        [len(db._entries[key]) for key in sorted(db._entries)],
+        sorted(entries),
+        [len(entries[key]) for key in sorted(entries)],
         [i for value, _count in rows for i in value],
         [count for _value, count in rows],
     ]
@@ -358,7 +376,8 @@ def test_malformed_record_rejected(tmp_path, columns, match):
 @pytest.mark.parametrize(
     "data, match",
     [
-        (_hdmd([[3], [1], [4], [2]], window=0), "corrupt model-db file: header 'm' is 0"),
+        (_hdmd([[3], [1], [4], [2]], window=0),
+         "corrupt model-db file: window must be an integer >= 1, not 0"),
         (_hdmd([[3, 4], [1], [4], [2]], window=1), "corrupt model-db file: 2 keys and 1 sizes"),
         (_hdmd([[3], [1], [4], [2]], window=1, version=3), "unsupported model-db file: version 3"),
     ],
@@ -371,6 +390,68 @@ def test_bool_header_fields_rejected(tmp_path, data, match):
         load_model_db(path)
 
 
+@pytest.mark.parametrize(
+    "window, columns, match",
+    [
+        (2, [[3], [1], [4], [1]], "1 value ids for 1 rows of m = 2 ids"),
+        (1, [[3], [1], [-1], [1]], "a column holds what is not an integer >= 0"),
+        (1, [[-3], [1], [4], [1]], "a column holds what is not an integer >= 0"),
+        (1, [[3], [1], [4], [-1]], "a column holds what is not an integer >= 0"),
+        (1, [[3], [1], [4], [0]], "key 3 count 0 not in"),
+        (1, [[3], [1], [4.0], [1]], "a column holds what is not an integer >= 0"),
+        (1, [[3], [1], np.array([True]), [1]], "a column holds what is not an integer >= 0"),
+        (True, [[3], [1], [4], [1]], "window must be an integer >= 1, not True"),
+        (0, [[], [], [], []], "window must be an integer >= 1, not 0"),
+        (2**32, [[], [], [], []], "window must be an integer <= 4294967295, not 4294967296"),
+        (2, [[3], [2], [4, 5, 4, 5], [1, 1]], "key 3 repeats a value"),
+    ],
+    ids=["short-value", "negative-id", "negative-key", "negative-count", "zero-count",
+         "float-id", "bool-id", "bool-window", "zero-window", "window-past-u32",
+         "repeated-value"],
+)
+def test_the_constructor_refuses_a_malformed_table(window, columns, match):
+    """What a load refuses, a build or a hand-made table is refused too,
+    so no table saves a file its load refuses or fails inside its save."""
+    with pytest.raises(ValueError, match=f"^{re.escape(match)}"):
+        ModelDB(window, *columns)
+
+
+@st.composite
+def _tables(draw):
+    """A window and the four columns of a table the constructor takes: up
+    to 5 keys of 1-4 distinct values each, ids small or up to 2**63 - 1,
+    counts that tie or not, each key's rows in (-count, value) order; or
+    the empty table, at the widest ``u32`` window too."""
+    window = draw(st.sampled_from([1, 2, 3, 2**32 - 1]))
+    if window == 2**32 - 1:
+        return window, [[], [], [], []]
+    ids = st.one_of(st.integers(0, 5), st.integers(0, 2**63 - 1))
+    counts = st.one_of(st.integers(1, 3), st.integers(1, 2**63 - 1))
+    columns = [sorted(draw(st.sets(ids, max_size=5))), [], [], []]
+    for _key in columns[0]:
+        table = draw(st.dictionaries(st.tuples(*[ids] * window), counts, min_size=1, max_size=4))
+        rows = sorted(table.items(), key=lambda row: (-row[1], row[0]))
+        columns[1].append(len(rows))
+        columns[2] += [i for value, _count in rows for i in value]
+        columns[3] += [count for _value, count in rows]
+    return window, columns
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(table=_tables())
+def test_every_table_the_constructor_takes_round_trips(tmp_path_factory, table):
+    """Save, load and save again: the load equals the table, and both
+    files hold the same bytes."""
+    window, columns = table
+    db = ModelDB(window, *columns)
+    root = tmp_path_factory.getbasetemp()
+    save_model_db(db, root / "first.hdmd")
+    loaded = load_model_db(root / "first.hdmd")
+    assert loaded == db and _rows(loaded) == _rows(db) and loaded._values == db._values
+    save_model_db(loaded, root / "second.hdmd")
+    assert (root / "second.hdmd").read_bytes() == (root / "first.hdmd").read_bytes()
+
+
 def test_a_load_shares_one_int_per_id(tmp_path):
     """A loaded value holds one int object per distinct id, as a build's
     does, and the load equals the build. Ids past 256 are not cached by
@@ -378,6 +459,6 @@ def test_a_load_shares_one_int_per_id(tmp_path):
     db = build_model_db(make_corpus(seed=23, n_docs=40, doc_words=300, vocab_words=600), window=2)
     save_model_db(db, tmp_path / "db.hdmd")
     loaded = load_model_db(tmp_path / "db.hdmd")
-    assert loaded._entries == db._entries
-    ids = [i for rows in loaded._entries.values() for value, _count in rows for i in value]
+    assert loaded == db and loaded._values == db._values
+    ids = [i for values in loaded._values.values() for value in values for i in value]
     assert len({id(i) for i in ids}) == len(set(ids)) > 256

@@ -576,3 +576,16 @@ def test_order_check_compares_across_chunk_seams(monkeypatch):
         repeated[i + 1] = repeated[i]
         with pytest.raises(ValueError, match="not a permutation"):
             StatsDB(db.tokens, repeated, db.vocab_size)
+
+
+@pytest.mark.parametrize(
+    "vocab_size, match",
+    [(4.5, "an integer >= 1, not 4.5"), (True, "an integer >= 1, not True"),
+     (2**40, f"an integer <= {2**32 - 1}, not {2**40}")],
+    ids=["float", "bool", "past-u32"],
+)
+def test_vocab_size_must_be_an_integer_its_u32_header_field_holds(vocab_size, match):
+    """Each would construct, and its save raise ``struct.error``."""
+    db = build_stats_db(Corpus(docs=[[3, 4, 3]], vocab=_vocab(3)))
+    with pytest.raises(ValueError, match=f"^vocab_size must be {match}$"):
+        StatsDB(db.tokens, db.suffix_array, vocab_size)
