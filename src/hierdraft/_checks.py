@@ -36,11 +36,11 @@ def check_ids(docs: list[list[int]], bound: int) -> np.ndarray:
     """Every id of ``docs``, one doc after another, as one int64 array;
     raise ``ValueError`` unless each is an ``int``, not a bool, in
     [0, ``bound``), for a ``bound`` of at most 2**63. A numpy cast would
-    truncate a float and make a bool 1, so types are checked first."""
-    flat = list(chain.from_iterable(docs))
+    truncate a float and make a bool 1, so types are checked first, in a
+    pass of their own: no list of every id is made."""
     try:
-        if set(map(type, flat)) <= {int}:
-            ids = np.fromiter(flat, np.int64, len(flat))
+        if set(map(type, chain.from_iterable(docs))) <= {int}:
+            ids = np.fromiter(chain.from_iterable(docs), np.int64, sum(map(len, docs)))
             if not len(ids) or 0 <= ids.min() and ids.max() < bound:
                 return ids
     except OverflowError:  # an int past int64

@@ -10,13 +10,16 @@ directly testable.
 The model is immutable, so its per-token work is precompiled. Per order
 it keeps two dicts, keyed by the context packed as one int in base
 ``vocab_size``, oldest id first, so keys sort as context tuples do: one
-maps a context to the argmax of its table (highest count, lowest id on
-ties), the other to the table, a ``{token: count}`` dict in ascending id
-order, or only the count when the table has one entry (its token is the
-argmax). A greedy draw reads only the argmax dicts, one ``get`` per
-backed-off order. On the hdbench world, where 170,229 of the 186,799
-order-3 contexts have a one-entry table, the built model holds 38.6 MB
-under ``tracemalloc``, 205 bytes per context.
+maps every context to the argmax of its table (highest count, lowest id
+on ties), the other holds each table once: a table of two or more
+entries as one flat tuple ``(token, count, token, count, ...)`` in
+ascending id order, a one-entry table as its count, and a one-entry
+table of count 1 not at all, as its argmax already says all it holds. A
+greedy draw reads only the argmax dicts, one ``get`` per backed-off
+order. On the hdbench world, where 139,923 of the 186,799 order-3
+contexts have a one-entry table of count 1 and 30,306 one of a larger
+count, the built model holds 23.1 MB under ``tracemalloc``, 123 bytes
+per context, two thirds of it the argmax dicts and their keys.
 
 ``fit_kgram`` counts packed windows with ``np.unique``, and ``load_kgram``
 reads each order's four columns as an HDKG v2 file stores them (see
@@ -145,15 +148,15 @@ class KGramModel:
             raise ValueError(f"k = {k} for {len(checked)} orders of tables")
         # Per order (index 0 is unused padding), keyed by the context packed
         # as one int in base vocab_size: the argmax of its table, and the
-        # table itself, a one-entry table being just its count. The model
-        # keeps its checked columns in `_kept` until `_build` makes the two
-        # lists from them; until then both are `_Unbuilt` stand-ins, whose
-        # first index calls `_build`.
+        # table itself as `_order_dicts` stores it. The model keeps its
+        # checked columns in `_kept` until `_build` makes the two lists from
+        # them; until then both are `_Unbuilt` stand-ins, whose first index
+        # calls `_build`.
         self._kept: list[tuple] | None = checked
         self._lock = threading.Lock()
         build = weakref.WeakMethod(self._build)
         self._argmax: list[dict[int, int]] | _Unbuilt = _Unbuilt(build, 0)
-        self._tables: list[dict[int, int | dict[int, int]]] | _Unbuilt = _Unbuilt(build, 1)
+        self._tables: list[dict[int, int | tuple[int, ...]]] | _Unbuilt = _Unbuilt(build, 1)
         # Sampling state: the last temperature drawn at (at first an object
         # no caller holds), 1 / it, and the tables compiled at it, keyed by
         # the id of the count table: an id is smaller to keep than a
@@ -161,7 +164,7 @@ class KGramModel:
         # A switch replaces the whole tuple in one assignment and a draw
         # reads it once, so concurrent draws at other temperatures can
         # neither change a draw's 1 / T nor store into its tables.
-        self._sampling: tuple[object, float, dict[int, tuple[dict[int, int], array, array]]] = (
+        self._sampling: tuple[object, float, dict[int, tuple[tuple[int, ...], array, array]]] = (
             object(), 0.0, {}
         )
 
@@ -174,26 +177,29 @@ class KGramModel:
         with self._lock:
             if self._kept is not None:
                 return self._kept[order - 1]
-        tables = self._tables[order]
-        n = len(tables)
-        # Every key fits a uint64 (the size rule in __init__).
-        keys = np.fromiter(tables, np.uint64, n)
+        argmax = self._argmax[order]
+        n = len(argmax)
+        # Every key fits a uint64 (the size rule in __init__). The argmax
+        # dict holds every context in ascending order; the table dict omits
+        # a one-entry table of count 1.
+        keys = np.fromiter(argmax, np.uint64, n)
         contexts = np.empty((n, order - 1), np.uint32)
         for i in range(order - 2, -1, -1):
             keys, contexts[:, i] = np.divmod(keys, np.uint64(self.vocab_size))
-        values = tables.values()
-        sizes = np.fromiter((1 if type(t) is int else len(t) for t in values), np.uint32, n)
+        tables = self._tables[order]
+        values = [tables.get(key, 1) for key in argmax]
+        sizes = np.fromiter((1 if type(t) is int else len(t) // 2 for t in values), np.uint32, n)
         multi = sizes > 1
         in_multi = np.repeat(multi, sizes)
         tokens = np.empty(len(in_multi), np.uint32)
         counts = np.empty(len(in_multi), np.uint64)
         # A one-entry table is its count, and its token is its argmax.
         # Counts go through array("Q"): np.fromiter takes no int past 2 ** 63.
-        tokens[~in_multi] = np.fromiter(self._argmax[order].values(), np.uint32, n)[~multi]
+        tokens[~in_multi] = np.fromiter(argmax.values(), np.uint32, n)[~multi]
         counts[~in_multi] = array("Q", (t for t in values if type(t) is int))
-        dicts = [t for t in values if type(t) is not int]
-        tokens[in_multi] = np.fromiter(chain.from_iterable(dicts), np.uint32)
-        counts[in_multi] = array("Q", chain.from_iterable(map(dict.values, dicts)))
+        entries = list(chain.from_iterable(t for t in values if type(t) is not int))
+        tokens[in_multi] = entries[0::2]
+        counts[in_multi] = array("Q", entries[1::2])
         return contexts, sizes, tokens, counts
 
     def _build(self) -> tuple[list, list]:
@@ -221,14 +227,15 @@ class KGramModel:
         vocab_size = self.vocab_size
         for token in context[n - order + 1:]:
             key = key * vocab_size + token
-        tables = self._tables
-        while (table := tables[order].get(key)) is None:
+        argmax = self._argmax
+        while (best := argmax[order].get(key)) is None:
             if order == 1:
                 return {}
             # Drop the oldest id: the key of the next order down.
             order -= 1
             key %= vocab_size ** (order - 1)
-        return {self._argmax[order][key]: table} if type(table) is int else table
+        table = self._tables[order].get(key, 1)
+        return {best: table} if type(table) is int else dict(zip(table[0::2], table[1::2]))
 
     def next_distribution(self, context: list[int]) -> np.ndarray:
         """Smoothed next-token probabilities, length ``vocab_size``."""
@@ -271,7 +278,7 @@ class KGramModel:
         ``rng.random()`` (the first token whose cumulative probability
         exceeds it; ``rng`` may be a numpy ``Generator``), without the
         vocabulary-sized vectors. Weights are relative to the table's
-        largest count ``c_max``, read at its precompiled argmax:
+        largest count ``c_max``:
         ``((c + alpha) / (c_max + alpha)) ** (1/T)`` for a seen token and
         ``(alpha / (c_max + alpha)) ** (1/T)`` for each unseen one. Every
         weight is in [0, 1] and the argmax weighs 1, so no power overflows
@@ -280,12 +287,13 @@ class KGramModel:
 
         A table of two or more entries is compiled on its first draw at T
         (``_compile``) and kept on the model, so a later draw is an inline
-        backoff walk and one ``bisect``; the argmax is read only to compile
-        or for a one-entry table, whose draw is one power and is never
-        stored. The model keeps the tables of the one temperature it last
-        sampled at: a draw at another drops them. A temperature that is not
-        a finite, non-bool number > 0 raises ``ValueError``; it is checked
-        when it differs from the last one.
+        backoff walk and one ``bisect``; a one-entry table's draw is one
+        power, and it is never stored. The argmax is read for a one-entry
+        table, and where the table dict misses, to tell a one-entry table
+        of count 1 from a back-off. The model keeps the tables of the one
+        temperature it last sampled at: a draw at another drops them. A
+        temperature that is not a finite, non-bool number > 0 raises
+        ``ValueError``; it is checked when it differs from the last one.
         """
         state = self._sampling
         if temperature is not state[0]:
@@ -298,8 +306,15 @@ class KGramModel:
         vocab_size = self.vocab_size
         for token in context[n - order + 1:]:
             key = key * vocab_size + token
+        # The table dict lacks a one-entry table of count 1, so a miss there
+        # asks the argmax dict, which holds every context. Of the orders of
+        # reads measured, this one kept a T > 0 draw as fast as when every
+        # table had an entry (`BENCH_34.json`, `read_order`).
         tables = self._tables
         while (table := tables[order].get(key)) is None:
+            if (best := self._argmax[order].get(key)) is not None:
+                table = 1
+                break
             if order == 1:
                 return min(int(u * vocab_size), vocab_size - 1)
             order -= 1
@@ -308,8 +323,10 @@ class KGramModel:
             # A one-entry table is its count. The one seen token weighs
             # exactly 1 and has `best` unseen ids below it: a compiled
             # draw's arithmetic and `_unseen_draw`'s, done inline. As x >= 0,
-            # x < low only when best > 0 and unseen > 0.
-            best = self._argmax[order][key]
+            # x < low only when best > 0 and unseen > 0. A count in the
+            # table dict is at least 2, and its argmax is not read yet.
+            if table > 1:
+                best = self._argmax[order][key]
             unseen = (self.alpha / (table + self.alpha)) ** inv_t
             x = u * (1.0 + (vocab_size - 1) * unseen)
             low = best * unseen
@@ -322,8 +339,7 @@ class KGramModel:
             return best
         compiled = compiled_tables.get(id(table))
         if compiled is None or compiled[0] is not table:
-            best = self._argmax[order][key]
-            compiled = compiled_tables[id(table)] = self._compile(table, best, inv_t)
+            compiled = compiled_tables[id(table)] = self._compile(table, inv_t)
         _, floats, tokens = compiled
         n = len(tokens)
         unseen = floats[0]
@@ -350,8 +366,8 @@ class KGramModel:
         return state
 
     def _compile(
-        self, table: dict[int, int], best: int, inv_t: float
-    ) -> tuple[dict[int, int], array, array]:
+        self, table: tuple[int, ...], inv_t: float
+    ) -> tuple[tuple[int, ...], array, array]:
         """A table's inverse CDF at temperature ``1 / inv_t``: the table, the
         floats ``[unseen, total, bounds[0..n-1], seen[0..n]]`` and the ids.
 
@@ -367,21 +383,22 @@ class KGramModel:
         a draw recomputes it at the ``j`` it finds.
         """
         alpha = self.alpha
-        top = table[best] + alpha
+        tokens, counts = table[0::2], table[1::2]
+        top = max(counts) + alpha  # the argmax's count
         unseen = (alpha / top) ** inv_t
-        weights = array("d", (((c + alpha) / top) ** inv_t for c in table.values()))
+        weights = array("d", (((c + alpha) / top) ** inv_t for c in counts))
         n = len(weights)
         floats = array("d", [0.0]) * (2 * n + 3)  # sized once: no spare capacity
         floats[0] = unseen
         floats[1] = sum(weights) + (self.vocab_size - n) * unseen
         seen = bound = 0.0
-        for j, (token, weight) in enumerate(zip(table, weights)):
+        for j, (token, weight) in enumerate(zip(tokens, weights)):
             floats[n + 2 + j] = seen
             bound = max(bound, seen + (token - j) * unseen + weight)
             floats[2 + j] = bound
             seen += weight
         floats[2 * n + 2] = seen
-        return table, floats, array("I", list(table))
+        return table, floats, array("I", tokens)
 
 
 class _Unbuilt:
@@ -525,31 +542,36 @@ def _keys(contexts: np.ndarray, vocab_size: int) -> np.ndarray:
 
 def _order_dicts(
     order: int, vocab_size: int, contexts, sizes, tokens, counts
-) -> tuple[dict[int, int], dict[int, int | dict[int, int]]]:
+) -> tuple[dict[int, int], dict[int, int | tuple[int, ...]]]:
     """One order's argmax and table dicts, from its ``_checked`` columns.
 
-    Keys are Python ints. A table of two or more entries is a
-    ``{token: count}`` dict in id order, and a one-entry table its count.
-    The argmax (highest count, lowest id on ties) is the first entry of
-    each table that holds its maximum.
+    Keys are Python ints. The argmax (highest count, lowest id on ties) is
+    the first entry of each table that holds its maximum, and every context
+    has one. A table of two or more entries is one flat tuple
+    ``(token, count, token, count, ...)`` in id order, and a one-entry table
+    its count, stored only when that is at least 2: a context the table
+    dict lacks has one entry, its argmax, of count 1.
     """
     if not len(sizes):
         return {}, {}
     heads = np.cumsum(sizes) - sizes
-    keys = _keys(contexts, vocab_size).tolist()
-    # One int object per distinct token, shared by every table and argmax
-    # that holds it.
+    # One int object per key and per distinct token, shared by both dicts
+    # and every table that holds it.
+    keys = _keys(contexts, vocab_size).astype(object)
     ids, index = np.unique(tokens, return_inverse=True)
     ids = ids.astype(object)
-    argmax = dict(zip(keys, ids[index[_first_maxima(counts, heads, sizes)]].tolist()))
-    tables = dict(zip(keys, counts[heads].tolist()))
+    argmax = dict(zip(keys.tolist(), ids[index[_first_maxima(counts, heads, sizes)]].tolist()))
     multi = sizes > 1
+    heavy = ~multi & (counts[heads] > 1)
+    tables = dict(zip(keys[heavy].tolist(), counts[heads[heavy]].tolist()))
     in_multi = np.repeat(multi, sizes)
-    entry_tokens, entry_counts = ids[index[in_multi]].tolist(), counts[in_multi].tolist()
+    entries = np.empty(2 * np.count_nonzero(in_multi), object)
+    entries[0::2], entries[1::2] = ids[index[in_multi]], counts[in_multi]
+    entries = entries.tolist()
     end = 0
-    for i, size in zip(np.flatnonzero(multi).tolist(), sizes[multi].tolist()):
-        head, end = end, end + size
-        tables[keys[i]] = dict(zip(entry_tokens[head:end], entry_counts[head:end]))
+    for key, size in zip(keys[multi].tolist(), sizes[multi].tolist()):
+        head, end = end, end + 2 * size
+        tables[key] = tuple(entries[head:end])
     return argmax, tables
 
 

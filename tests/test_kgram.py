@@ -62,11 +62,16 @@ def _model(k, alpha, vocab_size, counts):
 
 def _count_tables(model, order):
     """Order ``order``'s count tables as ``(context, {token: count})`` pairs,
-    in the model's context order, read from its dicts one key at a time."""
-    argmax = model._argmax[order]
-    for key, table in model._tables[order].items():
+    in the model's context order, read from its dicts one key at a time:
+    every context is an argmax key, a one-entry table of count 1 has no
+    table entry, and a multi-entry table is a flat (token, count) tuple."""
+    tables = model._tables[order]
+    for key, best in model._argmax[order].items():
+        table = tables.get(key, 1)
         if type(table) is int:
-            table = {argmax[key]: table}
+            table = {best: table}
+        else:
+            table = dict(zip(table[0::2], table[1::2]))
         context = [0] * (order - 1)
         for i in range(order - 2, -1, -1):
             key, context[i] = divmod(key, model.vocab_size)
@@ -609,6 +614,53 @@ def test_sample_is_the_walk_where_rounding_breaks_bound_order(vocab_size, table,
             ), u
 
 
+# Tables of every kind the model stores: at order 3, one entry of count 1
+# (kept only as its argmax), one entry of count 3 (its count) and three
+# entries (a flat tuple); order 2 holds the same three kinds.
+_KINDS = [
+    {(): {0: 3, 2: 5, 4: 1, 7: 5}},
+    {(1,): {3: 4}, (2,): {1: 2, 3: 7, 5: 7}, (3,): {6: 1}},
+    {(1, 2): {4: 1}, (2, 2): {5: 3}, (3, 1): {2: 2, 4: 6, 6: 6}},
+]
+
+
+@pytest.mark.parametrize(
+    "context, drawn_at",
+    [([1, 2], 3), ([2, 2], 3), ([3, 1], 3), ([4, 3], 2), ([5, 1], 2), ([0, 2], 2), ([5, 5], 1)],
+    ids=["one-count-1", "one-count-3", "multi", "back-off-to-one-count-1",
+         "back-off-to-one-count-4", "back-off-to-multi", "back-off-twice"],
+)
+def test_every_stored_kind_reads_as_its_count_table(context, drawn_at):
+    """On a context of each stored kind, and on contexts that back off to
+    each, ``sample`` is the walk at a grid of u and at every boundary of
+    the walk, at three temperatures, and ``next_distribution`` and
+    ``argmax_token`` are those of the counts the model was made from."""
+    model = _model(3, 0.5, 8, _KINDS)
+    assert 1 * 8 + 2 not in model._tables[3] and 1 * 8 + 2 in model._argmax[3]
+    assert model._tables[3][2 * 8 + 2] == 3
+    assert model._tables[3][3 * 8 + 1] == (2, 2, 4, 6, 6, 6)
+    assert 3 not in model._tables[2] and type(model._tables[2][1]) is int
+    for order in range(3, 0, -1):
+        table = _KINDS[order - 1].get(tuple(context[3 - order:]))
+        if table:
+            break
+    assert order == drawn_at
+    probs = np.full(8, 0.5)
+    for token, count in table.items():
+        probs[token] += count
+    assert model.next_distribution(context).tolist() == (probs / (sum(table.values()) + 4)).tolist()
+    assert model.argmax_token(context) == min((-count, token) for token, count in table.items())[1]
+    for temperature in (0.6, 1.0, 3.0):
+        us = np.linspace(0.0, 1.0, 64, endpoint=False).tolist()
+        for point in _walk_boundaries(model, context, temperature):
+            us += [math.nextafter(point, 0.0), point, math.nextafter(point, 1.0)]
+        for u in us:
+            if 0.0 <= u < 1.0:
+                assert model.sample(context, temperature, _FixedU(u)) == _walk_sample(
+                    model, context, temperature, _FixedU(u)
+                ), (temperature, u)
+
+
 def test_sample_after_a_temperature_switch_equals_a_fresh_model():
     """One model drawing at alternating temperatures draws what a model
     that only ever saw each temperature draws: no table compiled at one
@@ -681,10 +733,12 @@ def test_a_compiled_table_serves_only_the_table_it_was_compiled_from():
     corpus = make_corpus(seed=6, n_docs=6, doc_words=150, vocab_words=40)
     model = fit_kgram(corpus, k=2, alpha=0.01)
     tables = sorted(_count_tables(model, 2), key=lambda item: -len(item[1]))
-    (context, table), (other_context, other) = tables[:2]
+    (context, _), (other_context, _) = tables[:2]
+    # The stored tables themselves; an order-2 key is its context's one id.
+    table, other = model._tables[2][context[0]], model._tables[2][other_context[0]]
     model.sample(list(other_context), 0.8, _FixedU(0.5))
     compiled = model._sampling[2]
-    compiled[id(table)] = (dict(table), *compiled[id(other)][1:])
+    compiled[id(table)] = (tuple(list(table)), *compiled[id(other)][1:])
     for u in np.linspace(0.0, 1.0, 200, endpoint=False):
         token = model.sample(list(context), 0.8, _FixedU(u))
         assert token == _walk_sample(model, list(context), 0.8, _FixedU(u))
@@ -795,7 +849,9 @@ def _is_built(model) -> bool:
 def test_fit_then_save_builds_no_dicts(tmp_path):
     """A fitted model keeps its checked columns and ``save_kgram`` writes
     them, so fit-then-save never builds the dicts; an already-built model
-    writes the same bytes from its dicts."""
+    writes the same bytes from its dicts, which hold every stored kind of
+    table: one entry of count 1 (no table entry), one entry of a larger
+    count (an int) and more entries (a tuple)."""
     model = fit_kgram(make_corpus(**_GOLDEN_CORPUS), k=3, alpha=0.01)
     assert not _is_built(model)
     save_kgram(model, tmp_path / "unbuilt.hdkg")
@@ -804,6 +860,8 @@ def test_fit_then_save_builds_no_dicts(tmp_path):
     assert hashlib.sha256(data).hexdigest() == _GOLDEN_DIGEST
     _built(model)
     assert _is_built(model)
+    assert {type(table) for table in model._tables[3].values()} == {int, tuple}
+    assert len(model._tables[3]) < len(model._argmax[3])
     save_kgram(model, tmp_path / "built.hdkg")
     assert (tmp_path / "built.hdkg").read_bytes() == data
 
@@ -923,14 +981,17 @@ def _traced(build):
 
 def test_fit_and_load_memory(tmp_path):
     """On a 100k-token corpus with 2003 ids, a loaded (built) model holds
-    at most 200 bytes per context (161.3 measured). Fitting, which builds
+    at most 105 bytes per context (95.7 measured, 10% margin); it held
+    161.3 while every table had an entry in the table dict and a
+    multi-entry table was a ``{token: count}`` dict. Fitting, which builds
     no dicts, peaks at 75 bytes per token (68.1 measured, 10% margin); it
     read 158.4 while fitting built them, 206.8 while the token, room and
     window arrays lived through the last order's build and the tables were
     listed before their dict was made, and 250 with a tuple and a dict per
     context, when a loaded context held 453 bytes. Loading, build
-    included, peaks at 240 bytes per context (224.3 measured, 7% margin);
-    it read 287.5 while the file's bytes lived through the build."""
+    included, peaks at 190 bytes per context (174.1 measured, 9% margin);
+    it read 224.3 with the dict tables and 287.5 while the file's bytes
+    lived through the build."""
     corpus = make_corpus(seed=5, n_docs=200, doc_words=500, vocab_words=2000)
     assert corpus.n_tokens == 100_200
     model, _, fit_peak = _traced(lambda: fit_kgram(corpus, k=3, alpha=0.01))
@@ -940,8 +1001,8 @@ def test_fit_and_load_memory(tmp_path):
     loaded, held, load_peak = _traced(lambda: load_kgram(tmp_path / "model.hdkg"))
     assert _is_built(loaded)
     assert n_contexts == 70_389
-    assert held / n_contexts <= 200
-    assert load_peak / n_contexts <= 240
+    assert held / n_contexts <= 105
+    assert load_peak / n_contexts <= 190
     assert fit_peak / corpus.n_tokens <= 75
 
 
